@@ -18,8 +18,8 @@ from .config import load_run_config
 from .corruption import CorruptionConfig, make_pretrain_batch, write_pair_cache
 from .decoding import beam_decode, greedy_decode
 from .optim import DivergedError
-from .train import (DataError, LockError, load_packed_corpus, run_evaluate,
-                    run_finetune, run_pretrain)
+from .train import (DataError, LockError, check_vocab_size, load_packed_corpus,
+                    run_evaluate, run_finetune, run_pretrain)
 from .unigram import EOS_ID, UnigramVocab, decode, encode, train_vocab
 
 
@@ -175,11 +175,17 @@ def _cmd_evaluate(args):
 
 
 def _cmd_decode(args):
+    if args.beam < 1:
+        raise UsageError("--beam must be >= 1")
+    if args.max_out < 1:
+        raise UsageError("--max-out must be >= 1")
     try:
         params = load_checkpoint(args.checkpoint)
         vocab = UnigramVocab.load(args.vocab)
     except FileNotFoundError as exc:
         raise DataError(str(exc)) from exc
+    check_vocab_size(params, vocab)
+    max_out = min(args.max_out, params.cfg.max_len)
     with open(args.input, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -187,10 +193,9 @@ def _cmd_decode(args):
             enc = np.asarray(encode(vocab, line)[:params.cfg.max_len - 1] + [EOS_ID],
                              dtype=np.int64)
             if args.beam == 1:
-                out = greedy_decode(params, enc, max_out=args.max_out)
+                out = greedy_decode(params, enc, max_out=max_out)
             else:
-                out = beam_decode(params, enc, width=args.beam,
-                                  max_out=args.max_out)
+                out = beam_decode(params, enc, width=args.beam, max_out=max_out)
             fh.write(decode(vocab, out) + "\n")
 
 

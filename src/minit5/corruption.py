@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .corpus import PackedDocument
 from .rng import Xoshiro256StarStar, derive_seed
-from .unigram import EOS_ID, MASK_ID, PAD_ID, UnigramVocab, encode
+from .unigram import EOS_ID, MASK_ID, PAD_ID, UNK_ID, UnigramVocab, encode
 
 RESERVED_MAX = 3
 
@@ -64,6 +64,16 @@ def _clip_pad(ids: tuple[int, ...], max_len: int) -> tuple[int, ...]:
     return ids + (PAD_ID,) * (max_len - len(ids))
 
 
+def _uncovered_message(vocab: UnigramVocab, text: str, ids: list[int],
+                       index: int) -> str:
+    # every piece before the first <unk> spans len(piece) characters of the
+    # text and <unk> itself spans one
+    k = ids.index(UNK_ID)
+    pos = sum(len(vocab.piece(i)) for i in ids[:k])
+    return (f"document {index + 1}: the text has characters the vocabulary "
+            f"does not cover; first {text[pos]!r} at character offset {pos}")
+
+
 def make_pretrain_batch(docs: list[PackedDocument], vocab: UnigramVocab,
                         cfg: CorruptionConfig) -> list[DenoisePair]:
     """Encode, corrupt, truncate to max_len, and right-pad each document.
@@ -74,6 +84,8 @@ def make_pretrain_batch(docs: list[PackedDocument], vocab: UnigramVocab,
     pairs: list[DenoisePair] = []
     for index, doc in enumerate(docs):
         ids = encode(vocab, doc.text)[:cfg.max_len]
+        if UNK_ID in ids:
+            raise ValueError(_uncovered_message(vocab, doc.text, ids, index))
         seed = derive_seed(cfg.seed, index)
         pair = mask_tokens(ids, cfg, seed)
         pairs.append(DenoisePair(

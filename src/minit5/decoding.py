@@ -1,15 +1,17 @@
 """Greedy and length-normalized beam decoding.
 
-The beam core works over any step function mapping a generated prefix to
-next-token log-probabilities, so the same search drives the transformer and
-small table-based models in tests.
+The beam core advances all live hypotheses with one batched step call, so the
+transformer runs incrementally (`DecoderStepper`: encoder once, cached decoder
+keys and values), while `beam_search` drives the same core from any function
+mapping a generated prefix to next-token log-probabilities, which is how
+small table-based models are searched in tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import ModelParams, forward, log_softmax
+from .model import DecoderStepper, ModelParams, forward, log_softmax
 from .unigram import EOS_ID
 
 
@@ -23,6 +25,67 @@ def _hyp_sort_key(item):
     return (-_normalized(cum, len(ids)), len(ids), ids)
 
 
+def _check_search(width: int, max_out: int) -> None:
+    if width < 1:
+        raise ValueError("width must be >= 1")
+    if max_out < 1:
+        raise ValueError("max_out must be >= 1")
+
+
+def _row_top(scores: np.ndarray, width: int):
+    """(row, token) pairs of the best `width` finite scores of every row by
+    (-score, token). A partition finds each row's cut; every score at or
+    above it is kept, so ties at the cut survive into the small lexsort."""
+    finite = scores > -np.inf
+    k = min(width, scores.shape[1])
+    neg = -scores
+    cut = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
+    rows, toks = np.nonzero(finite & (neg <= cut))
+    order = np.lexsort((toks, neg[rows, toks], rows))
+    rows, toks = rows[order], toks[order]
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    keep = rank < width
+    return rows[keep], toks[keep]
+
+
+def _beam(step, width: int, max_out: int, eos_id: int) -> list[int]:
+    """Beam search core. step(parents, prefixes) returns [len(prefixes), V]
+    next-token log-probs for the live hypotheses, where prefixes[r] extends
+    row parents[r] of the previous call by its last id (parents is None on
+    the first call, for the empty prefix).
+
+    Children are ranked on the float sum cum + lp, as a full sort over every
+    (hypothesis, token) pair would rank them. Only a hypothesis's best
+    `width` children can be among the `width` survivors, and within one
+    hypothesis the order (-score, ids) is (-score, token), so ranking just
+    those gives exactly the full sort's survivors.
+    """
+    live: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
+    finished: list[tuple[tuple[int, ...], float]] = []
+    parents = None
+    for _ in range(max_out):
+        lp = np.asarray(step(parents, [ids for ids, _ in live]), dtype=np.float64)
+        scores = np.array([cum for _, cum in live])[:, None] + lp
+        rows, toks = _row_top(scores, width)
+        if rows.size == 0:
+            break
+        candidates = [(live[r][0] + (int(tok),), float(scores[r, tok]), int(r))
+                      for r, tok in zip(rows, toks)]
+        candidates.sort(key=lambda item: (-item[1], item[0]))
+        live, parents = [], []
+        for ids, cum, row in candidates[:width]:
+            if ids[-1] == eos_id:
+                finished.append((ids, cum))
+            else:
+                live.append((ids, cum))
+                parents.append(row)
+        if not live:
+            break
+    finished.extend(live)  # max-length survivors count as complete
+    best = min(finished, key=_hyp_sort_key)
+    return list(best[0])
+
+
 def beam_search(step_logprobs, width: int, max_out: int,
                 eos_id: int = EOS_ID) -> list[int]:
     """Beam search over step_logprobs(prefix_tuple) -> array of log-probs.
@@ -34,37 +97,18 @@ def beam_search(step_logprobs, width: int, max_out: int,
     ties broken toward shorter then lexicographically smaller sequences.
     Width 1 reduces exactly to greedy decoding.
     """
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    if max_out < 1:
-        raise ValueError("max_out must be >= 1")
-    live: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
-    finished: list[tuple[tuple[int, ...], float]] = []
-    for _ in range(max_out):
-        candidates: list[tuple[tuple[int, ...], float]] = []
-        for ids, cum in live:
-            lp = np.asarray(step_logprobs(ids), dtype=np.float64)
-            for tok in range(lp.size):
-                if lp[tok] == -np.inf:
-                    continue
-                candidates.append((ids + (tok,), cum + float(lp[tok])))
-        if not candidates:
-            break
-        candidates.sort(key=lambda item: (-item[1], item[0]))
-        live = []
-        for ids, cum in candidates[:width]:
-            if ids[-1] == eos_id:
-                finished.append((ids, cum))
-            else:
-                live.append((ids, cum))
-        if not live:
-            break
-    finished.extend(live)  # max-length survivors count as complete
-    best = min(finished, key=_hyp_sort_key)
-    return list(best[0])
+    _check_search(width, max_out)
+
+    def step(parents, prefixes):
+        return [np.asarray(step_logprobs(ids), dtype=np.float64) for ids in prefixes]
+
+    return _beam(step, width, max_out, eos_id)
 
 
 def _model_step_fn(params: ModelParams, enc_ids):
+    """Uncached per-prefix step: re-runs the encoder and the whole decoder
+    prefix on every call. The reference the incremental path is tested
+    against."""
     start = (EOS_ID,)
 
     def step(prefix: tuple[int, ...]) -> np.ndarray:
@@ -80,11 +124,11 @@ def greedy_decode(params: ModelParams, enc_ids, max_out: int) -> list[int]:
     reached; ties break toward the lowest id."""
     if max_out < 1:
         raise ValueError("max_out must be >= 1")
-    step = _model_step_fn(params, enc_ids)
+    stepper = DecoderStepper(params, enc_ids)
     out: list[int] = []
+    tok = EOS_ID
     for _ in range(max_out):
-        lp = step(tuple(out))
-        tok = int(np.argmax(lp))
+        tok = int(np.argmax(log_softmax(stepper.step([tok])[0])))
         out.append(tok)
         if tok == EOS_ID:
             break
@@ -93,5 +137,14 @@ def greedy_decode(params: ModelParams, enc_ids, max_out: int) -> list[int]:
 
 def beam_decode(params: ModelParams, enc_ids, width: int = 5,
                 max_out: int = 32) -> list[int]:
-    """Length-normalized beam search over the model's decoder."""
-    return beam_search(_model_step_fn(params, enc_ids), width, max_out)
+    """Length-normalized beam search over the model's decoder, all live
+    hypotheses advanced by one incremental step."""
+    _check_search(width, max_out)
+    stepper = DecoderStepper(params, enc_ids)
+
+    def step(parents, prefixes):
+        if parents is None:
+            return log_softmax(stepper.step([EOS_ID]))
+        return log_softmax(stepper.step([ids[-1] for ids in prefixes], parents))
+
+    return _beam(step, width, max_out, EOS_ID)

@@ -256,15 +256,23 @@ def _causal_bias(n: int) -> np.ndarray:
 # encoder / decoder stacks
 # ---------------------------------------------------------------------------
 
+def _check_len(cfg: ModelConfig, n: int, what: str) -> None:
+    if n > cfg.max_len:
+        raise ValueError(f"{what} length {n} exceeds max_len {cfg.max_len}")
+
+
 def _check_ids(cfg: ModelConfig, ids: np.ndarray, what: str) -> np.ndarray:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1 or ids.size == 0:
         raise ValueError(f"{what} must be a non-empty 1-D id sequence")
-    if ids.size > cfg.max_len:
-        raise ValueError(f"{what} length {ids.size} exceeds max_len {cfg.max_len}")
+    _check_len(cfg, ids.size, what)
+    _check_range(cfg, ids, what)
+    return ids
+
+
+def _check_range(cfg: ModelConfig, ids: np.ndarray, what: str) -> None:
     if np.any(ids < 0) or np.any(ids >= cfg.vocab_size):
         raise ValueError(f"{what} contains ids outside the vocabulary")
-    return ids
 
 
 def _encoder_fwd(params: ModelParams, enc_ids: np.ndarray):
@@ -376,6 +384,86 @@ def _decoder_fwd(params: ModelParams, dec_ids: np.ndarray,
     states, c_final = _rmsnorm_fwd(x, t["dec.final_ln.g"])
     cache = {"ids": dec_ids, "layers": layers, "final": c_final, "rel": rel}
     return states, cache
+
+
+class DecoderStepper:
+    """Incremental decoding over one encoder input, one position per step.
+
+    The encoder runs once and each layer's cross-attention keys and values
+    are projected once; self-attention keys and values are appended at every
+    step. Rows are hypotheses: `step` advances all of them together as one
+    [rows, 1, d] position. Logits equal the last row of `forward` on each
+    row's full prefix up to rounding.
+    """
+
+    def __init__(self, params: ModelParams, enc_ids):
+        cfg, t = params.cfg, params.tensors
+        self.params = params
+        self.n_pos = 0
+        self.self_kv: list[tuple[np.ndarray, np.ndarray]] = []
+        enc_states, enc_cache = _encoder_fwd(params, _check_ids(cfg, enc_ids, "enc_ids"))
+        self.cross_bias = _key_mask_bias(enc_cache["valid"])
+        dk = cfg.d_model // cfg.n_heads
+
+        def heads(m):  # [nk, d] -> [H, nk, dk], as in _attn_fwd
+            return m.reshape(-1, cfg.n_heads, dk).transpose(1, 0, 2)
+
+        self.cross_kv = [(heads(enc_states @ t[f"dec.{i}.cross.wk"]),
+                          heads(enc_states @ t[f"dec.{i}.cross.wv"]))
+                         for i in range(cfg.n_dec_layers)]
+
+    @staticmethod
+    def _attend(q, k, v, bias, wo):
+        s = q @ np.swapaxes(k, -1, -2) * (1.0 / math.sqrt(q.shape[-1])) + bias
+        o = _softmax_rows(s) @ v
+        return o.reshape(q.shape[0], -1) @ wo
+
+    def step(self, tokens, parents=None) -> np.ndarray:
+        """Append tokens[r] to the prefix of row parents[r] of the previous
+        step (row r itself when parents is None) and return next-token
+        logits [rows, vocab]. Callers feed the start token (eos) first."""
+        cfg, t = self.params.cfg, self.params.tensors
+        tokens = np.asarray(tokens, dtype=np.int64)
+        _check_range(cfg, tokens, "dec_ids")
+        n = self.n_pos + 1
+        _check_len(cfg, n, "dec_ids")
+        if parents is not None and self.self_kv:
+            parents = np.asarray(parents, dtype=np.int64)
+            self.self_kv = [(k[parents], v[parents]) for k, v in self.self_kv]
+        rows, n_heads = tokens.size, cfg.n_heads
+        x = t["tok_emb"][tokens]
+        if cfg.position_scheme == LEARNED_ABSOLUTE:
+            x += t["pos_emb"][n - 1]
+            self_bias = 0.0  # the causal mask's last row is all zeros
+        else:
+            buckets = _relative_bucket_matrix(n, n, bidirectional=False)[-1]
+            self_bias = t["dec_rel_bias"][:, None, buckets]
+
+        def heads(m):  # [rows, d] -> [rows, H, 1, dk]
+            return m.reshape(rows, n_heads, 1, -1)
+
+        new_kv = []
+        for i in range(cfg.n_dec_layers):
+            p = f"dec.{i}"
+            h, _ = _rmsnorm_fwd(x, t[f"{p}.ln1.g"])
+            k, v = heads(h @ t[f"{p}.self.wk"]), heads(h @ t[f"{p}.self.wv"])
+            if self.self_kv:
+                k_old, v_old = self.self_kv[i]
+                k = np.concatenate((k_old, k), axis=2)
+                v = np.concatenate((v_old, v), axis=2)
+            new_kv.append((k, v))
+            x1 = x + self._attend(heads(h @ t[f"{p}.self.wq"]), k, v, self_bias,
+                                  t[f"{p}.self.wo"])
+            hc, _ = _rmsnorm_fwd(x1, t[f"{p}.ln2.g"])
+            kc, vc = self.cross_kv[i]
+            x2 = x1 + self._attend(heads(hc @ t[f"{p}.cross.wq"]), kc, vc,
+                                   self.cross_bias, t[f"{p}.cross.wo"])
+            h2, _ = _rmsnorm_fwd(x2, t[f"{p}.ln3.g"])
+            x = x2 + _gelu(h2 @ t[f"{p}.ffn.w1"]) @ t[f"{p}.ffn.w2"]
+        self.self_kv = new_kv
+        self.n_pos = n
+        states, _ = _rmsnorm_fwd(x, t["dec.final_ln.g"])
+        return states @ _output_matrix(self.params)
 
 
 def _decoder_bwd(params: ModelParams, cache, dstates, grads):

@@ -108,14 +108,18 @@ def _model_config(cfg: RunConfig, vocab: UnigramVocab) -> ModelConfig:
         position_scheme=cfg.position_scheme, tie_embeddings=cfg.tie_embeddings)
 
 
+def check_vocab_size(params: ModelParams, vocab: UnigramVocab) -> None:
+    """A checkpoint only decodes with the vocabulary it was trained on."""
+    if params.cfg.vocab_size != len(vocab):
+        raise DataError(f"checkpoint vocab size {params.cfg.vocab_size} does "
+                        f"not match vocabulary of {len(vocab)}")
+
+
 def _load_model(cfg: RunConfig, vocab: UnigramVocab) -> ModelParams:
     if cfg.init_checkpoint:
         _require_file(cfg.init_checkpoint, "init checkpoint")
         params = load_checkpoint(cfg.init_checkpoint)
-        if params.cfg.vocab_size != len(vocab):
-            raise DataError(
-                f"checkpoint vocab size {params.cfg.vocab_size} does not match "
-                f"vocabulary of {len(vocab)}")
+        check_vocab_size(params, vocab)
         return params
     return init_model(_model_config(cfg, vocab), cfg.seed)
 
@@ -479,9 +483,7 @@ def run_evaluate(cfg: RunConfig, params: ModelParams, split: str = "test",
                  predict_override=None) -> dict:
     """Evaluate a checkpoint on a split and write the metric report."""
     vocab = UnigramVocab.load(_require_file(cfg.vocab_path, "vocabulary"))
-    if params.cfg.vocab_size != len(vocab):
-        raise DataError(f"checkpoint vocab size {params.cfg.vocab_size} does "
-                        f"not match vocabulary of {len(vocab)}")
+    check_vocab_size(params, vocab)
     path = {"train": cfg.train_path, "val": cfg.val_path,
             "test": cfg.test_path}.get(split)
     if path is None:

@@ -112,6 +112,44 @@ def exhaustive_decode(step_fn, vocab_size: int, max_out: int, eos_id: int):
     return list(best[1]) if best else []
 
 
+def full_sort_beam(step_fn, width: int, max_out: int, eos_id: int):
+    """Beam search by brute force: expand every finite token of every live
+    hypothesis, sort all candidates by (-cumulative log-prob, ids), keep
+    `width`; eos retires a hypothesis. The answer is the best finished or
+    max-length hypothesis by (-cum/len, len, ids)."""
+    live = [((), 0.0)]
+    finished = []
+    for _ in range(max_out):
+        candidates = []
+        for ids, cum in live:
+            lp = step_fn(ids)
+            for tok in range(len(lp)):
+                if lp[tok] != NEG_INF:
+                    candidates.append((ids + (tok,), cum + float(lp[tok])))
+        if not candidates:
+            break
+        candidates.sort(key=lambda c: (-c[1], c[0]))
+        live = []
+        for ids, cum in candidates[:width]:
+            (finished if ids[-1] == eos_id else live).append((ids, cum))
+        if not live:
+            break
+    best = min(finished + live, key=lambda h: (-(h[1] / len(h[0])), len(h[0]), h[0]))
+    return list(best[0])
+
+
+def argmax_decode(step_fn, max_out: int, eos_id: int):
+    """Greedy decoding: the lowest id among the most probable, until eos."""
+    out = []
+    for _ in range(max_out):
+        lp = list(step_fn(tuple(out)))
+        tok = lp.index(max(lp))
+        out.append(tok)
+        if tok == eos_id:
+            break
+    return out
+
+
 def sequence_score(step_fn, ids) -> float:
     cum = 0.0
     for t, tok in enumerate(ids):

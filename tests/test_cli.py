@@ -232,3 +232,66 @@ def test_console_entry_point_runs():
     for sub in ("preprocess", "train-vocab", "make-pretrain-data", "pretrain",
                 "finetune", "evaluate", "decode"):
         assert sub in proc.stdout
+
+
+class TestDecodeAndDataChecks:
+    def _checkpoint(self, tmp_path, vocab_size, max_len=64):
+        from minit5.checkpoint import save_checkpoint
+        from minit5.model import ModelConfig, init_model
+        params = init_model(ModelConfig(vocab_size=vocab_size, d_model=16,
+                                        n_heads=2, d_ff=32, n_enc_layers=1,
+                                        n_dec_layers=1, max_len=max_len), 0)
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, params)
+        return str(path)
+
+    def _decode(self, tmp_path, ckpt, vocab_path, *flags):
+        inp = tmp_path / "in.txt"
+        write(inp, "casa gato azul\nsol mar\n")
+        outp = tmp_path / "out.txt"
+        rc = main(["decode", "--checkpoint", ckpt, "--vocab", vocab_path,
+                   "--input", str(inp), "--output", str(outp), *flags])
+        return rc, outp
+
+    def test_decode_rejects_vocabulary_of_another_size(self, tmp_path, capsys):
+        _, vocab_path, _ = pipeline_files(tmp_path)
+        ckpt = self._checkpoint(tmp_path, 70)
+        rc, outp = self._decode(tmp_path, ckpt, vocab_path)
+        assert rc == 2
+        assert "checkpoint vocab size 70 does not match vocabulary of 60" \
+            in capsys.readouterr().err
+        assert not outp.exists()
+
+    def test_decode_defaults_on_short_context_checkpoint(self, tmp_path, capsys):
+        _, vocab_path, _ = pipeline_files(tmp_path)
+        ckpt = self._checkpoint(tmp_path, 60, max_len=8)
+        for beam in ("5", "1"):
+            rc, outp = self._decode(tmp_path, ckpt, vocab_path, "--beam", beam)
+            assert rc == 0, capsys.readouterr().err
+            assert len(outp.read_text(encoding="utf-8").splitlines()) == 2
+
+    def test_decode_beam_and_max_out_below_one_are_usage_errors(self, tmp_path,
+                                                                capsys):
+        _, vocab_path, _ = pipeline_files(tmp_path)
+        ckpt = self._checkpoint(tmp_path, 60)
+        for flags in (("--beam", "0"), ("--max-out", "0"), ("--beam", "-2")):
+            rc, _ = self._decode(tmp_path, ckpt, vocab_path, *flags)
+            assert rc == 1, flags
+            assert "usage error" in capsys.readouterr().err
+
+    def test_uncovered_character_is_reported_as_such(self, tmp_path, capsys):
+        _, vocab_path, packed = pipeline_files(tmp_path)
+        lines = open(packed, encoding="utf-8").read().splitlines()
+        lines[1] = "casa ñ " + lines[1]
+        write(packed, "\n".join(lines) + "\n")
+        rc = main(["make-pretrain-data", "--vocab", vocab_path, "--corpus",
+                   packed, "--output", str(tmp_path / "pairs.bin")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "characters the vocabulary does not cover" in err
+        assert "document 2" in err and "'ñ' at character offset 5" in err
+        assert "reserved ids" not in err
+        cfg = tmp_path / "p.cfg"
+        write(cfg, pretrain_config_text(vocab_path, packed, tmp_path / "out"))
+        assert main(["--config", str(cfg), "pretrain"]) == 2
+        assert "'ñ' at character offset 5" in capsys.readouterr().err

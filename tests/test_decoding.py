@@ -9,6 +9,12 @@ from minit5.unigram import EOS_ID, encode, train_vocab
 
 from oracles import exhaustive_decode, sequence_score
 
+from minit5.decoding import _model_step_fn
+from minit5.model import (LEARNED_ABSOLUTE, RELATIVE_BUCKET, DecoderStepper,
+                          log_softmax)
+from minit5.unigram import PAD_ID
+from oracles import argmax_decode, full_sort_beam
+
 VOCAB = 4  # pad, eos, two content tokens
 
 
@@ -140,3 +146,112 @@ class TestBeamDetails:
             beam_search(lambda p: np.zeros(3), width=0, max_out=2)
         with pytest.raises(ValueError):
             beam_search(lambda p: np.zeros(3), width=1, max_out=0)
+
+
+def random_model(seed: int, scheme: str, tie: bool, max_len: int = 12):
+    """A small random model; relative-bias tables are drawn too, since
+    init_model leaves them at zero."""
+    rng = np.random.default_rng(seed)
+    cfg = ModelConfig(vocab_size=int(rng.integers(8, 20)), d_model=16,
+                      n_heads=2, d_ff=24, n_enc_layers=1 + seed % 2,
+                      n_dec_layers=1 + seed // 2 % 2, max_len=max_len,
+                      position_scheme=scheme, tie_embeddings=tie)
+    params = init_model(cfg, seed=seed)
+    if scheme == RELATIVE_BUCKET:
+        for name in ("enc_rel_bias", "dec_rel_bias"):
+            params.tensors[name] = rng.normal(0.0, 1.0, params.tensors[name].shape)
+    n = int(rng.integers(2, 6))
+    enc = rng.integers(4, cfg.vocab_size, size=n)
+    if seed % 3 == 0:
+        enc = np.concatenate((enc, [PAD_ID] * int(rng.integers(1, 4))))
+    return params, enc
+
+
+SCHEMES = [(scheme, tie) for scheme in (LEARNED_ABSOLUTE, RELATIVE_BUCKET)
+           for tie in (True, False)]
+
+
+class TestIncrementalDecoding:
+    @pytest.mark.parametrize("scheme,tie", SCHEMES)
+    def test_stepper_matches_uncached_forward_through_reordering(self, scheme, tie):
+        params, _ = random_model(3, scheme, tie)
+        enc = np.array([5, 6, 7, 4, PAD_ID, PAD_ID])
+        reference = _model_step_fn(params, enc)
+        stepper = DecoderStepper(params, enc)
+        rng = np.random.default_rng(0)
+        prefixes = [()]
+        lp = log_softmax(stepper.step([EOS_ID]))
+        for _ in range(10):
+            for row, prefix in enumerate(prefixes):
+                np.testing.assert_allclose(lp[row], reference(prefix),
+                                           rtol=0.0, atol=1e-12)
+            # parents repeat, drop and reorder rows as beam selection does
+            parents = rng.integers(0, len(prefixes), size=int(rng.integers(1, 5)))
+            tokens = rng.integers(1, params.cfg.vocab_size, size=parents.size)
+            prefixes = [prefixes[p] + (int(tok),) for p, tok in zip(parents, tokens)]
+            lp = log_softmax(stepper.step(tokens, parents))
+        assert len(prefixes[0]) == 10
+        for row, prefix in enumerate(prefixes):
+            np.testing.assert_allclose(lp[row], reference(prefix),
+                                       rtol=0.0, atol=1e-12)
+
+    def test_decodes_equal_full_sort_search_over_uncached_steps(self):
+        for seed in range(32):
+            scheme, tie = SCHEMES[seed % 4]
+            params, enc = random_model(seed, scheme, tie)
+            reference = _model_step_fn(params, enc)
+            assert greedy_decode(params, enc, max_out=6) == \
+                argmax_decode(reference, 6, EOS_ID), seed
+            for width in (1, 3, 5):
+                assert beam_decode(params, enc, width=width, max_out=6) == \
+                    full_sort_beam(reference, width, 6, EOS_ID), (seed, width)
+
+    def test_max_out_equal_to_max_len(self):
+        params, enc = random_model(1, LEARNED_ABSOLUTE, False, max_len=7)
+        # zero final gain: every logit is 0, so no step ever picks eos
+        params.tensors["dec.final_ln.g"][:] = 0.0
+        reference = _model_step_fn(params, enc)
+        out = greedy_decode(params, enc, max_out=7)
+        assert len(out) == 7 and out == argmax_decode(reference, 7, EOS_ID)
+        for width in (1, 3, 5):
+            assert beam_decode(params, enc, width=width, max_out=7) == \
+                full_sort_beam(reference, width, 7, EOS_ID)
+        with pytest.raises(ValueError, match="dec_ids length 8 exceeds max_len 7"):
+            greedy_decode(params, enc, max_out=8)
+
+
+class TestTopWidthExpansion:
+    def test_rounding_tie_at_the_cut_ranks_on_the_sum(self):
+        # after token 2 (lp -1), lp values 1e-17 apart all sum to exactly -1.0:
+        # a full sort ties them and keeps the lowest ids, while ranking on lp
+        # alone would keep 4 and 3
+        def step(prefix):
+            lp = np.full(5, -np.inf)
+            if not prefix:
+                lp[2] = -1.0
+            else:
+                lp[2], lp[3], lp[4] = -3e-17, -2e-17, -1e-17
+            return lp
+
+        assert -1.0 + -3e-17 == -1.0 + -1e-17
+        for width in (1, 2, 3):
+            assert beam_search(step, width, 2) == [2, 2]
+            assert beam_search(step, width, 2) == full_sort_beam(step, width, 2, EOS_ID)
+
+    def test_fewer_finite_candidates_than_width(self):
+        def step(prefix):
+            lp = np.full(6, -np.inf)
+            lp[1], lp[4] = np.log(0.4), np.log(0.6)
+            return lp
+
+        for width in (3, 5, 8):
+            got = beam_search(step, width, 4)
+            assert got == full_sort_beam(step, width, 4, EOS_ID)
+            assert got == [4, 4, 4, 4]
+
+    def test_table_models_against_full_sort(self):
+        for seed in range(60):
+            step = toy_table_model(seed, n_content=3, scale=3.0)
+            for width in (1, 2, 3, 5):
+                assert beam_search(step, width, 4) == \
+                    full_sort_beam(step, width, 4, EOS_ID), (seed, width)
