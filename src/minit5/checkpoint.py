@@ -32,13 +32,21 @@ def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def _read_tensor(fh) -> tuple[str, np.ndarray]:
-    (nlen,) = struct.unpack("<H", fh.read(2))
-    name = fh.read(nlen).decode("utf-8")
-    (rank,) = struct.unpack("<B", fh.read(1))
-    dims = struct.unpack(f"<{rank}I", fh.read(4 * rank)) if rank else ()
+def _read(fh, n: int, path) -> bytes:
+    """Exactly n bytes, or ValueError naming the file."""
+    data = fh.read(n)
+    if len(data) != n:
+        raise ValueError(f"{path}: truncated checkpoint")
+    return data
+
+
+def _read_tensor(fh, path) -> tuple[str, np.ndarray]:
+    (nlen,) = struct.unpack("<H", _read(fh, 2, path))
+    name = _read(fh, nlen, path).decode("utf-8")
+    (rank,) = struct.unpack("<B", _read(fh, 1, path))
+    dims = struct.unpack(f"<{rank}I", _read(fh, 4 * rank, path)) if rank else ()
     count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-    data = np.frombuffer(fh.read(4 * count), dtype="<f4").reshape(dims)
+    data = np.frombuffer(_read(fh, 4 * count, path), dtype="<f4").reshape(dims)
     return name, data.astype(np.float64)
 
 
@@ -70,17 +78,17 @@ def load_checkpoint(path: str, optimizer: str | None = None):
     """Returns ModelParams, or (ModelParams, opt_state) when an optimizer kind
     is given and the file carries optimizer slots."""
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
+        if _read(fh, 4, path) != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read(fh, 4, path))
         if version != VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (clen,) = struct.unpack("<I", fh.read(4))
-        cfg = ModelConfig.from_dict(json.loads(fh.read(clen).decode("utf-8")))
-        (count,) = struct.unpack("<I", fh.read(4))
+        (clen,) = struct.unpack("<I", _read(fh, 4, path))
+        cfg = ModelConfig.from_dict(json.loads(_read(fh, clen, path).decode("utf-8")))
+        (count,) = struct.unpack("<I", _read(fh, 4, path))
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
-            name, arr = _read_tensor(fh)
+            name, arr = _read_tensor(fh, path)
             tensors[name] = arr
     model_tensors = {k: v for k, v in tensors.items() if not k.startswith("opt/")}
     params = ModelParams(cfg, model_tensors)

@@ -275,115 +275,138 @@ def _check_range(cfg: ModelConfig, ids: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} contains ids outside the vocabulary")
 
 
-def _encoder_fwd(params: ModelParams, enc_ids: np.ndarray):
+def _embed_fwd(params: ModelParams, ids: np.ndarray, mask_bias: np.ndarray,
+               rel_table: str, bidirectional: bool):
+    """Token embeddings plus learned absolute positions, or token embeddings
+    and a relative-bucket bias from `rel_table` on top of mask_bias. Returns
+    (x, self-attention bias, cache)."""
     cfg, t = params.cfg, params.tensors
-    n = enc_ids.size
-    x = t["tok_emb"][enc_ids].copy()
+    n = ids.size
+    x = t["tok_emb"][ids]  # advanced indexing copies, so += leaves tok_emb alone
     if cfg.position_scheme == LEARNED_ABSOLUTE:
         x += t["pos_emb"][:n]
-        rel = None
-    else:
-        buckets = _relative_bucket_matrix(n, n, bidirectional=True)
-        rel = (buckets, t["enc_rel_bias"][:, buckets])
+        return x, mask_bias, (ids, None, None)
+    buckets = _relative_bucket_matrix(n, n, bidirectional)
+    return x, mask_bias + t[rel_table][:, buckets], (ids, rel_table, buckets)
+
+
+def _embed_bwd(params: ModelParams, cache, dx, d_scores: list, grads):
+    """d_scores: the self-attention score gradients in the order backprop
+    produced them, scattered into the relative-bucket table if there is one."""
+    ids, rel_table, buckets = cache
+    np.add.at(grads["tok_emb"], ids, dx)
+    if rel_table is None:
+        grads["pos_emb"][:ids.size] += dx
+        return
+    gb = grads[rel_table]
+    for ds in d_scores:
+        for h in range(params.cfg.n_heads):
+            np.add.at(gb[h], buckets.ravel(), ds[h].ravel())
+
+
+def _attn_sublayer_fwd(params: ModelParams, ln: str, w: str, x, bias, kv=None):
+    """x + Attn(RMSNorm(x), kv) with gain `ln` and projections `w`.*: keys and
+    values come from the normed x (self-attention) unless kv is given."""
+    t = params.tensors
+    h, c_ln = _rmsnorm_fwd(x, t[ln])
+    a, c_attn = _attn_fwd(h, h if kv is None else kv, t[f"{w}.wq"], t[f"{w}.wk"],
+                          t[f"{w}.wv"], t[f"{w}.wo"], params.cfg.n_heads, bias)
+    return x + a, ("self" if kv is None else "cross", ln, w, c_ln, c_attn)
+
+
+def _attn_sublayer_bwd(params: ModelParams, cache, dx, grads):
+    """Returns (dx, d_kv, d_scores); d_kv is None for self-attention, whose
+    key/value gradient flows back through the norm into dx."""
+    kind, ln, w, c_ln, c_attn = cache
+    dh_q, dh_kv, dwq, dwk, dwv, dwo, ds = _attn_bwd(dx, c_attn)
+    grads[f"{w}.wq"] += dwq
+    grads[f"{w}.wk"] += dwk
+    grads[f"{w}.wv"] += dwv
+    grads[f"{w}.wo"] += dwo
+    if kind == "self":
+        dh_q, dh_kv = dh_q + dh_kv, None
+    dh, dg = _rmsnorm_bwd(dh_q, c_ln)
+    grads[ln] += dg
+    return dh + dx, dh_kv, ds
+
+
+def _ffn_sublayer_fwd(params: ModelParams, ln: str, w: str, x):
+    """x + GELU(RMSNorm(x) @ w1) @ w2 with gain `ln` and weights `w`.*."""
+    t = params.tensors
+    h, c_ln = _rmsnorm_fwd(x, t[ln])
+    u = h @ t[f"{w}.w1"]
+    act = _gelu(u)
+    return x + act @ t[f"{w}.w2"], ("ffn", ln, w, c_ln, h, u, act)
+
+
+def _ffn_sublayer_bwd(params: ModelParams, cache, dx, grads):
+    _, ln, w, c_ln, h, u, act = cache
+    t = params.tensors
+    dact = dx @ t[f"{w}.w2"].T
+    grads[f"{w}.w2"] += act.T @ dx
+    du = dact * _dgelu(u)
+    grads[f"{w}.w1"] += h.T @ du
+    dh, dg = _rmsnorm_bwd(du @ t[f"{w}.w1"].T, c_ln)
+    grads[ln] += dg
+    return dh + dx
+
+
+def _stack_bwd(params: ModelParams, cache, dstates, grads):
+    """Backprop through the encoder or the decoder, sublayers in reverse;
+    returns the gradient w.r.t. the states cross-attention read (None when
+    there is no cross-attention)."""
+    g_final, c_final = cache["final"]
+    dx, dg = _rmsnorm_bwd(dstates, c_final)
+    grads[g_final] += dg
+    d_kv, d_scores = None, []
+    for sub in reversed(cache["sublayers"]):
+        if sub[0] == "ffn":
+            dx = _ffn_sublayer_bwd(params, sub, dx, grads)
+            continue
+        dx, dh_kv, ds = _attn_sublayer_bwd(params, sub, dx, grads)
+        if sub[0] == "self":
+            d_scores.append(ds)
+        else:
+            d_kv = dh_kv if d_kv is None else d_kv + dh_kv
+    _embed_bwd(params, cache["embed"], dx, d_scores, grads)
+    return d_kv
+
+
+def _encoder_fwd(params: ModelParams, enc_ids: np.ndarray):
+    cfg, t = params.cfg, params.tensors
     valid = enc_ids != PAD_ID
     if not np.any(valid):
         raise ValueError("encoder input is entirely padding")
-    bias = _key_mask_bias(valid)
-    if rel is not None:
-        bias = bias + rel[1]
-    layers = []
+    x, bias, embed = _embed_fwd(params, enc_ids, _key_mask_bias(valid),
+                                "enc_rel_bias", bidirectional=True)
+    sublayers = []
     for i in range(cfg.n_enc_layers):
         p = f"enc.{i}"
-        h, c_ln1 = _rmsnorm_fwd(x, t[f"{p}.ln1.g"])
-        a, c_attn = _attn_fwd(h, h, t[f"{p}.attn.wq"], t[f"{p}.attn.wk"],
-                              t[f"{p}.attn.wv"], t[f"{p}.attn.wo"],
-                              cfg.n_heads, bias)
-        x1 = x + a
-        h2, c_ln2 = _rmsnorm_fwd(x1, t[f"{p}.ln2.g"])
-        u = h2 @ t[f"{p}.ffn.w1"]
-        act = _gelu(u)
-        x = x1 + act @ t[f"{p}.ffn.w2"]
-        layers.append((c_ln1, c_attn, c_ln2, h2, u, act))
+        x, c_attn = _attn_sublayer_fwd(params, f"{p}.ln1.g", f"{p}.attn", x, bias)
+        x, c_ffn = _ffn_sublayer_fwd(params, f"{p}.ln2.g", f"{p}.ffn", x)
+        sublayers += [c_attn, c_ffn]
     states, c_final = _rmsnorm_fwd(x, t["enc.final_ln.g"])
-    cache = {"ids": enc_ids, "valid": valid, "layers": layers,
-             "final": c_final, "rel": rel}
-    return states, cache
-
-
-def _encoder_bwd(params: ModelParams, cache, dstates, grads):
-    cfg, t = params.cfg, params.tensors
-    dx, dg = _rmsnorm_bwd(dstates, cache["final"])
-    grads["enc.final_ln.g"] += dg
-    for i in range(cfg.n_enc_layers - 1, -1, -1):
-        p = f"enc.{i}"
-        c_ln1, c_attn, c_ln2, h2, u, act = cache["layers"][i]
-        # ffn sublayer
-        df = dx
-        dact = df @ t[f"{p}.ffn.w2"].T
-        grads[f"{p}.ffn.w2"] += act.T @ df
-        du = dact * _dgelu(u)
-        grads[f"{p}.ffn.w1"] += h2.T @ du
-        dh2 = du @ t[f"{p}.ffn.w1"].T
-        dx1, dg2 = _rmsnorm_bwd(dh2, c_ln2)
-        grads[f"{p}.ln2.g"] += dg2
-        dx1 = dx1 + dx
-        # attention sublayer
-        dh_q, dh_kv, dwq, dwk, dwv, dwo, ds = _attn_bwd(dx1, c_attn)
-        grads[f"{p}.attn.wq"] += dwq
-        grads[f"{p}.attn.wk"] += dwk
-        grads[f"{p}.attn.wv"] += dwv
-        grads[f"{p}.attn.wo"] += dwo
-        if cache["rel"] is not None:
-            buckets = cache["rel"][0]
-            gb = grads["enc_rel_bias"]
-            for h in range(cfg.n_heads):
-                np.add.at(gb[h], buckets.ravel(), ds[h].ravel())
-        dh = dh_q + dh_kv
-        dx0, dg1 = _rmsnorm_bwd(dh, c_ln1)
-        grads[f"{p}.ln1.g"] += dg1
-        dx = dx0 + dx1
-    enc_ids = cache["ids"]
-    np.add.at(grads["tok_emb"], enc_ids, dx)
-    if cfg.position_scheme == LEARNED_ABSOLUTE:
-        grads["pos_emb"][:enc_ids.size] += dx
+    return states, {"valid": valid, "embed": embed, "sublayers": sublayers,
+                    "final": ("enc.final_ln.g", c_final)}
 
 
 def _decoder_fwd(params: ModelParams, dec_ids: np.ndarray,
                  enc_states: np.ndarray, enc_valid: np.ndarray):
     cfg, t = params.cfg, params.tensors
-    n = dec_ids.size
-    x = t["tok_emb"][dec_ids].copy()
-    if cfg.position_scheme == LEARNED_ABSOLUTE:
-        x += t["pos_emb"][:n]
-        rel = None
-    else:
-        buckets = _relative_bucket_matrix(n, n, bidirectional=False)
-        rel = (buckets, t["dec_rel_bias"][:, buckets])
-    self_bias = _causal_bias(n)
-    if rel is not None:
-        self_bias = self_bias + rel[1]
+    x, self_bias, embed = _embed_fwd(params, dec_ids, _causal_bias(dec_ids.size),
+                                     "dec_rel_bias", bidirectional=False)
     cross_bias = _key_mask_bias(enc_valid)
-    layers = []
+    sublayers = []
     for i in range(cfg.n_dec_layers):
         p = f"dec.{i}"
-        h, c_ln1 = _rmsnorm_fwd(x, t[f"{p}.ln1.g"])
-        a, c_self = _attn_fwd(h, h, t[f"{p}.self.wq"], t[f"{p}.self.wk"],
-                              t[f"{p}.self.wv"], t[f"{p}.self.wo"],
-                              cfg.n_heads, self_bias)
-        x1 = x + a
-        hc, c_ln2 = _rmsnorm_fwd(x1, t[f"{p}.ln2.g"])
-        c, c_cross = _attn_fwd(hc, enc_states, t[f"{p}.cross.wq"],
-                               t[f"{p}.cross.wk"], t[f"{p}.cross.wv"],
-                               t[f"{p}.cross.wo"], cfg.n_heads, cross_bias)
-        x2 = x1 + c
-        h2, c_ln3 = _rmsnorm_fwd(x2, t[f"{p}.ln3.g"])
-        u = h2 @ t[f"{p}.ffn.w1"]
-        act = _gelu(u)
-        x = x2 + act @ t[f"{p}.ffn.w2"]
-        layers.append((c_ln1, c_self, c_ln2, c_cross, c_ln3, h2, u, act))
+        x, c_self = _attn_sublayer_fwd(params, f"{p}.ln1.g", f"{p}.self", x, self_bias)
+        x, c_cross = _attn_sublayer_fwd(params, f"{p}.ln2.g", f"{p}.cross", x,
+                                        cross_bias, enc_states)
+        x, c_ffn = _ffn_sublayer_fwd(params, f"{p}.ln3.g", f"{p}.ffn", x)
+        sublayers += [c_self, c_cross, c_ffn]
     states, c_final = _rmsnorm_fwd(x, t["dec.final_ln.g"])
-    cache = {"ids": dec_ids, "layers": layers, "final": c_final, "rel": rel}
-    return states, cache
+    return states, {"embed": embed, "sublayers": sublayers,
+                    "final": ("dec.final_ln.g", c_final)}
 
 
 class DecoderStepper:
@@ -458,60 +481,11 @@ class DecoderStepper:
             kc, vc = self.cross_kv[i]
             x2 = x1 + self._attend(heads(hc @ t[f"{p}.cross.wq"]), kc, vc,
                                    self.cross_bias, t[f"{p}.cross.wo"])
-            h2, _ = _rmsnorm_fwd(x2, t[f"{p}.ln3.g"])
-            x = x2 + _gelu(h2 @ t[f"{p}.ffn.w1"]) @ t[f"{p}.ffn.w2"]
+            x, _ = _ffn_sublayer_fwd(self.params, f"{p}.ln3.g", f"{p}.ffn", x2)
         self.self_kv = new_kv
         self.n_pos = n
         states, _ = _rmsnorm_fwd(x, t["dec.final_ln.g"])
         return states @ _output_matrix(self.params)
-
-
-def _decoder_bwd(params: ModelParams, cache, dstates, grads):
-    """Backprop through the decoder; returns the gradient w.r.t. enc_states."""
-    cfg, t = params.cfg, params.tensors
-    dx, dg = _rmsnorm_bwd(dstates, cache["final"])
-    grads["dec.final_ln.g"] += dg
-    d_enc = None
-    for i in range(cfg.n_dec_layers - 1, -1, -1):
-        p = f"dec.{i}"
-        c_ln1, c_self, c_ln2, c_cross, c_ln3, h2, u, act = cache["layers"][i]
-        df = dx
-        dact = df @ t[f"{p}.ffn.w2"].T
-        grads[f"{p}.ffn.w2"] += act.T @ df
-        du = dact * _dgelu(u)
-        grads[f"{p}.ffn.w1"] += h2.T @ du
-        dh2 = du @ t[f"{p}.ffn.w1"].T
-        dx2, dg3 = _rmsnorm_bwd(dh2, c_ln3)
-        grads[f"{p}.ln3.g"] += dg3
-        dx2 = dx2 + dx
-        dh_q, dh_kv, dwq, dwk, dwv, dwo, _ = _attn_bwd(dx2, c_cross)
-        grads[f"{p}.cross.wq"] += dwq
-        grads[f"{p}.cross.wk"] += dwk
-        grads[f"{p}.cross.wv"] += dwv
-        grads[f"{p}.cross.wo"] += dwo
-        d_enc = dh_kv if d_enc is None else d_enc + dh_kv
-        dx1, dg2 = _rmsnorm_bwd(dh_q, c_ln2)
-        grads[f"{p}.ln2.g"] += dg2
-        dx1 = dx1 + dx2
-        dh_q, dh_kv, dwq, dwk, dwv, dwo, ds = _attn_bwd(dx1, c_self)
-        grads[f"{p}.self.wq"] += dwq
-        grads[f"{p}.self.wk"] += dwk
-        grads[f"{p}.self.wv"] += dwv
-        grads[f"{p}.self.wo"] += dwo
-        if cache["rel"] is not None:
-            buckets = cache["rel"][0]
-            gb = grads["dec_rel_bias"]
-            for h in range(cfg.n_heads):
-                np.add.at(gb[h], buckets.ravel(), ds[h].ravel())
-        dh = dh_q + dh_kv
-        dx0, dg1 = _rmsnorm_bwd(dh, c_ln1)
-        grads[f"{p}.ln1.g"] += dg1
-        dx = dx0 + dx1
-    dec_ids = cache["ids"]
-    np.add.at(grads["tok_emb"], dec_ids, dx)
-    if cfg.position_scheme == LEARNED_ABSOLUTE:
-        grads["pos_emb"][:dec_ids.size] += dx
-    return d_enc
 
 
 def _output_matrix(params: ModelParams) -> np.ndarray:
@@ -548,8 +522,8 @@ def _backward_lm(params: ModelParams, cache, dlogits, grads):
     else:
         grads["out_proj"] += dec_states.T @ dlogits
         d_dec = dlogits @ params.tensors["out_proj"].T
-    d_enc = _decoder_bwd(params, cache["dec"], d_dec, grads)
-    _encoder_bwd(params, cache["enc"], d_enc, grads)
+    d_enc = _stack_bwd(params, cache["dec"], d_dec, grads)
+    _stack_bwd(params, cache["enc"], d_enc, grads)
 
 
 def loss_xent(logits: np.ndarray, target_ids, pad_mask=None) -> float:
@@ -575,28 +549,22 @@ def _xent_sum_and_dlogits(logits, target_ids, keep):
     return loss_sum, dlogits
 
 
-def encoder_mean_pool(params: ModelParams, enc_ids) -> np.ndarray:
-    """Mean of the final encoder states over non-pad positions."""
-    enc_ids = _check_ids(params.cfg, enc_ids, "enc_ids")
-    states, cache = _encoder_fwd(params, enc_ids)
-    valid = cache["valid"]
-    return states[valid].mean(axis=0)
-
-
 def _pooled_fwd(params: ModelParams, enc_ids):
     enc_ids = _check_ids(params.cfg, enc_ids, "enc_ids")
     states, cache = _encoder_fwd(params, enc_ids)
+    return states[cache["valid"]].mean(axis=0), cache
+
+
+def encoder_mean_pool(params: ModelParams, enc_ids) -> np.ndarray:
+    """Mean of the final encoder states over non-pad positions."""
+    return _pooled_fwd(params, enc_ids)[0]
+
+
+def _pooled_bwd(params: ModelParams, cache, dpool, grads):
     valid = cache["valid"]
-    pool = states[valid].mean(axis=0)
-    return pool, (cache, valid)
-
-
-def _pooled_bwd(params: ModelParams, pooled_cache, dpool, grads):
-    cache, valid = pooled_cache
-    n_valid = np.count_nonzero(valid)
     dstates = np.zeros((valid.size, dpool.size))
-    dstates[valid] = dpool / n_valid
-    _encoder_bwd(params, cache, dstates, grads)
+    dstates[valid] = dpool / np.count_nonzero(valid)
+    _stack_bwd(params, cache, dstates, grads)
 
 
 def sigmoid(z: float) -> float:
@@ -629,6 +597,33 @@ def predict_entailment(params: ModelParams, enc_ids) -> np.ndarray:
     return classification_head(pool, params.tensors["cls.w"], params.tensors["cls.b"])
 
 
+_POOLED_HEADS = {"regression": ("reg.w", "reg.b"),
+                 "classification": ("cls.w", "cls.b")}
+
+
+def _pooled_head(objective: str) -> tuple[str, str]:
+    if objective not in _POOLED_HEADS:
+        raise ValueError(f"unknown objective {objective!r}")
+    return _POOLED_HEADS[objective]
+
+
+def pooled_loss(params: ModelParams, objective: str, pool: np.ndarray, target):
+    """One example's pooled-head loss and its gradient w.r.t. the head's
+    pre-activation z = pool @ w + b: the squared error of the score
+    4 * sigmoid(z) + 1 ("regression", target a score) or the cross-entropy of
+    softmax(z) ("classification", target a label index)."""
+    w, b = _pooled_head(objective)
+    z = pool @ params.tensors[w] + params.tensors[b]
+    if objective == "regression":
+        s = sigmoid(float(z[0]))
+        diff = 4.0 * s + 1.0 - float(target)
+        return diff * diff, 2.0 * diff * 4.0 * s * (1.0 - s)
+    lp = log_softmax(z)
+    dz = np.exp(lp)
+    dz[target] -= 1.0
+    return float(-lp[target]), dz
+
+
 def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
     return {k: np.zeros_like(v) for k, v in params.tensors.items()}
 
@@ -654,7 +649,6 @@ def accumulate_loss_and_grad(params: ModelParams, batch, objective: str,
     """
     if not batch:
         raise ValueError("empty batch")
-    t = params.tensors
     loss_sum = 0.0
     units = 0
     if objective == "lm":
@@ -668,34 +662,17 @@ def accumulate_loss_and_grad(params: ModelParams, batch, objective: str,
             loss_sum += part
             units += int(np.count_nonzero(keep))
             _backward_lm(params, cache, dlogits, grads)
-    elif objective == "regression":
-        for enc_ids, score in batch:
-            pool, pcache = _pooled_fwd(params, enc_ids)
-            z = float(pool @ t["reg.w"] + t["reg.b"][0])
-            s = sigmoid(z)
-            pred = 4.0 * s + 1.0
-            diff = pred - float(score)
-            loss_sum += diff * diff
-            units += 1
-            dz = 2.0 * diff * 4.0 * s * (1.0 - s)
-            grads["reg.w"] += dz * pool
-            grads["reg.b"] += dz
-            _pooled_bwd(params, pcache, dz * t["reg.w"], grads)
-    elif objective == "classification":
-        for enc_ids, label in batch:
-            pool, pcache = _pooled_fwd(params, enc_ids)
-            z = pool @ t["cls.w"] + t["cls.b"]
-            lp = log_softmax(z)
-            loss_sum += float(-lp[label])
-            units += 1
-            dz = np.exp(lp)
-            dz[label] -= 1.0
-            grads["cls.w"] += np.outer(pool, dz)
-            grads["cls.b"] += dz
-            _pooled_bwd(params, pcache, t["cls.w"] @ dz, grads)
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
-    return loss_sum, units
+        return loss_sum, units
+    w, b = _pooled_head(objective)
+    for enc_ids, target in batch:
+        pool, cache = _pooled_fwd(params, enc_ids)
+        loss, dz = pooled_loss(params, objective, pool, target)
+        loss_sum += loss
+        # dz is a float for regression and a 2-vector for classification
+        grads[w] += np.multiply.outer(pool, dz)
+        grads[b] += dz
+        _pooled_bwd(params, cache, np.dot(params.tensors[w], dz), grads)
+    return loss_sum, len(batch)
 
 
 def loss_and_grad(params: ModelParams, batch, objective: str = "lm",

@@ -20,7 +20,7 @@ from .metrics import (classification_report, format_pair_task_report, mse,
 from .model import (ModelConfig, ModelParams, TrainableMask,
                     accumulate_loss_and_grad, apply_trainable_mask,
                     embedding_only_mask, encoder_mean_pool, full_mask,
-                    init_model, log_softmax, loss_xent, predict_entailment,
+                    init_model, loss_xent, pooled_loss, predict_entailment,
                     predict_similarity, zero_grads, forward)
 from .ner import (LabelTable, NerScorer, extract_entities, format_ner_report,
                   parse_tagged_output, to_bio, merge_windows,
@@ -124,6 +124,12 @@ def _load_model(cfg: RunConfig, vocab: UnigramVocab) -> ModelParams:
     return init_model(_model_config(cfg, vocab), cfg.seed)
 
 
+def _length_limit(cfg: RunConfig, params: ModelParams) -> int:
+    """Inputs, targets and decode lengths are cut to this: the run's seq_len,
+    but never past the loaded model's max_len."""
+    return min(cfg.seq_len, params.cfg.max_len)
+
+
 def _chunks(items: list, size: int):
     for i in range(0, len(items), size):
         yield items[i:i + size]
@@ -136,11 +142,10 @@ def _trim_pad(ids) -> list[int]:
     return ids
 
 
-def _lm_item(input_ids, target_ids):
-    enc = np.asarray(_trim_pad(input_ids), dtype=np.int64)
-    tgt = np.asarray(_trim_pad(target_ids), dtype=np.int64)
-    dec_in = np.concatenate(([EOS_ID], tgt[:-1]))
-    return enc, dec_in, tgt
+def _lm_item(enc, tgt):
+    """(enc, dec_in, tgt) with the teacher-forcing shift dec_in = [EOS] + tgt[:-1]."""
+    tgt = np.asarray(tgt, dtype=np.int64)
+    return np.asarray(enc, dtype=np.int64), np.concatenate(([EOS_ID], tgt[:-1])), tgt
 
 
 def batch_loss(params: ModelParams, items: list, objective: str) -> float:
@@ -153,18 +158,10 @@ def batch_loss(params: ModelParams, items: list, objective: str) -> float:
             total += loss_xent(logits, tgt) * int(np.count_nonzero(keep))
             tokens += int(np.count_nonzero(keep))
         return total / tokens
-    if objective == "regression":
-        losses = [(predict_similarity(params, enc) - score) ** 2
-                  for enc, score in items]
-        return sum(losses) / len(losses)
-    if objective == "classification":
-        total = 0.0
-        for enc, label in items:
-            pool = encoder_mean_pool(params, enc)
-            lp = log_softmax(pool @ params.tensors["cls.w"] + params.tensors["cls.b"])
-            total += float(-lp[label])
-        return total / len(items)
-    raise ValueError(f"unknown objective {objective!r}")
+    total = 0.0
+    for enc, target in items:
+        total += pooled_loss(params, objective, encoder_mean_pool(params, enc), target)[0]
+    return total / len(items)
 
 
 def _train_loop(params: ModelParams, items: list, objective: str,
@@ -249,11 +246,10 @@ def write_curve(path: str, log: TrainLog) -> None:
 # pretraining
 # ---------------------------------------------------------------------------
 
-def _pretrain_items(cfg: RunConfig, vocab: UnigramVocab, docs) -> list:
-    ccfg = CorruptionConfig(mask_rate=cfg.mask_rate, max_len=cfg.seq_len,
-                            seed=cfg.seed)
+def _pretrain_items(cfg: RunConfig, vocab: UnigramVocab, docs, limit: int) -> list:
+    ccfg = CorruptionConfig(mask_rate=cfg.mask_rate, max_len=limit, seed=cfg.seed)
     pairs = make_pretrain_batch(docs, vocab, ccfg)
-    return [_lm_item(p.input_ids, p.target_ids) for p in pairs]
+    return [_lm_item(_trim_pad(p.input_ids), _trim_pad(p.target_ids)) for p in pairs]
 
 
 def run_pretrain(cfg: RunConfig):
@@ -265,12 +261,13 @@ def run_pretrain(cfg: RunConfig):
     vocab = UnigramVocab.load(_require_file(cfg.vocab_path, "vocabulary"))
     docs = load_packed_corpus(_require_file(cfg.corpus_path, "packed corpus"))
     params = _load_model(cfg, vocab)
-    items = _pretrain_items(cfg, vocab, docs)
+    limit = _length_limit(cfg, params)
+    items = _pretrain_items(cfg, vocab, docs, limit)
     mask = embedding_only_mask(params) if cfg.embeddings_only else full_mask(params)
     val_fn = None
     if cfg.val_path:
         val_docs = load_packed_corpus(_require_file(cfg.val_path, "validation corpus"))
-        val_items = _pretrain_items(cfg, vocab, val_docs)
+        val_items = _pretrain_items(cfg, vocab, val_docs, limit)
 
         def val_fn(p, _items=val_items):
             loss = batch_loss(p, _items, "lm")
@@ -295,34 +292,32 @@ def _pair_words(cfg: RunConfig, text: str) -> str:
     return strip_accents(text) if cfg.strip_accents else text
 
 
-def _pair_enc(cfg, vocab, ex: SentencePairExample) -> np.ndarray:
+def _pair_enc(cfg, vocab, ex: SentencePairExample, limit: int) -> np.ndarray:
     ids = assin_input_ids(vocab, _pair_words(cfg, ex.sentence1),
-                          _pair_words(cfg, ex.sentence2))[:cfg.seq_len]
+                          _pair_words(cfg, ex.sentence2))[:limit]
     return np.asarray(ids, dtype=np.int64)
 
 
-def _similarity_items(cfg, vocab, examples, generate: bool) -> list:
+def _similarity_items(cfg, vocab, examples, generate: bool, limit: int) -> list:
     items = []
     for ex in examples:
         if ex.similarity is None:
             raise DataError(f"{ex.id}: missing similarity label")
-        enc = _pair_enc(cfg, vocab, ex)
+        enc = _pair_enc(cfg, vocab, ex, limit)
         if generate:
-            tgt = np.asarray(make_similarity_target(ex.similarity, vocab),
-                             dtype=np.int64)[:cfg.seq_len]
-            dec_in = np.concatenate(([EOS_ID], tgt[:-1]))
-            items.append((enc, dec_in, tgt))
+            tgt = make_similarity_target(ex.similarity, vocab)[:limit]
+            items.append(_lm_item(enc, tgt))
         else:
             items.append((enc, float(ex.similarity)))
     return items
 
 
-def _entailment_items(cfg, vocab, examples) -> list:
+def _entailment_items(cfg, vocab, examples, limit: int) -> list:
     items = []
     for ex in examples:
         if ex.entailment is None:
             raise DataError(f"{ex.id}: missing entailment label")
-        items.append((_pair_enc(cfg, vocab, ex),
+        items.append((_pair_enc(cfg, vocab, ex, limit),
                       ENTAILMENT_LABELS.index(ex.entailment)))
     return items
 
@@ -335,32 +330,34 @@ def _ner_doc_words(cfg: RunConfig, example: NerExample) -> NerExample:
                       example.tags)
 
 
-def _ner_items(cfg, vocab, table, examples) -> list:
+def _ner_enc(vocab, words, limit: int) -> np.ndarray:
+    return np.asarray(ner_input_ids(vocab, list(words))[:limit], dtype=np.int64)
+
+
+def _ner_items(cfg, vocab, table, examples, limit: int) -> list:
     items = []
     for ex in examples:
         ex = _ner_doc_words(cfg, ex)
         for offset, words, tags in window_ner_example(ex, cfg.ner_window,
                                                       cfg.ner_stride):
-            enc = np.asarray(ner_input_ids(vocab, list(words))[:cfg.seq_len],
-                             dtype=np.int64)
             target_text = build_ner_target(list(words), list(tags), table)
-            tgt = np.asarray((encode(vocab, target_text) + [EOS_ID])[:cfg.seq_len],
-                             dtype=np.int64)
-            dec_in = np.concatenate(([EOS_ID], tgt[:-1]))
-            items.append((enc, dec_in, tgt))
+            tgt = (encode(vocab, target_text) + [EOS_ID])[:limit]
+            items.append(_lm_item(_ner_enc(vocab, words, limit), tgt))
     return items
 
 
 def predict_similarity_scores(params, cfg, vocab, examples,
                               predict_override=None) -> list[float]:
     scores = []
+    limit = _length_limit(cfg, params)
     for ex in examples:
         if predict_override is not None:
             scores.append(float(predict_override(ex)))
             continue
-        enc = _pair_enc(cfg, vocab, ex)
+        enc = _pair_enc(cfg, vocab, ex, limit)
         if cfg.output_strategy == "generate":
-            generated = greedy_decode(params, enc, max_out=cfg.gen_max_tokens)
+            generated = greedy_decode(params, enc,
+                                      max_out=min(cfg.gen_max_tokens, limit))
             scores.append(parse_score_string(generated, vocab).value)
         else:
             scores.append(predict_similarity(params, enc))
@@ -370,11 +367,12 @@ def predict_similarity_scores(params, cfg, vocab, examples,
 def predict_entailment_labels(params, cfg, vocab, examples,
                               predict_override=None) -> list[str]:
     labels = []
+    limit = _length_limit(cfg, params)
     for ex in examples:
         if predict_override is not None:
             labels.append(predict_override(ex))
             continue
-        probs = predict_entailment(params, _pair_enc(cfg, vocab, ex))
+        probs = predict_entailment(params, _pair_enc(cfg, vocab, ex, limit))
         labels.append(ENTAILMENT_LABELS[int(np.argmax(probs))])
     return labels
 
@@ -384,11 +382,10 @@ def _decode_window_tags(params, cfg, vocab, table, words,
     if predict_override is not None:
         text = predict_override(words)
     else:
-        enc = np.asarray(ner_input_ids(vocab, list(words))[:cfg.seq_len],
-                         dtype=np.int64)
-        max_out = min(cfg.seq_len, 4 * len(words) + 8)
-        generated = beam_decode(params, enc, width=cfg.beam_width,
-                                max_out=max_out)
+        limit = _length_limit(cfg, params)
+        generated = beam_decode(params, _ner_enc(vocab, words, limit),
+                                width=cfg.beam_width,
+                                max_out=min(limit, 4 * len(words) + 8))
         text = decode(vocab, generated)
     parsed = parse_tagged_output(text, table)
     return to_bio(parsed.segments, list(words))
@@ -425,11 +422,12 @@ def run_finetune(cfg: RunConfig, predict_override=None):
     train_path = _require_file(cfg.train_path, "training data")
     val_path = _require_file(cfg.val_path, "validation data") if cfg.val_path else None
 
+    limit = _length_limit(cfg, params)
     maximize = False
     if cfg.task == "similarity":
         generate = cfg.output_strategy == "generate"
         train_ex = read_pairs_tsv(train_path)
-        items = _similarity_items(cfg, vocab, train_ex, generate)
+        items = _similarity_items(cfg, vocab, train_ex, generate, limit)
         objective = "lm" if generate else "regression"
         val_fn = None
         if val_path:
@@ -442,24 +440,24 @@ def run_finetune(cfg: RunConfig, predict_override=None):
                 return val_mse, val_mse
     elif cfg.task == "entailment":
         train_ex = read_pairs_tsv(train_path)
-        items = _entailment_items(cfg, vocab, train_ex)
+        items = _entailment_items(cfg, vocab, train_ex, limit)
         objective = "classification"
         val_fn = None
         if val_path:
-            val_items = _entailment_items(cfg, vocab, read_pairs_tsv(val_path))
+            val_items = _entailment_items(cfg, vocab, read_pairs_tsv(val_path), limit)
 
             def val_fn(p):
                 ce = batch_loss(p, val_items, "classification")
                 return ce, ce
     elif cfg.task == "ner":
         train_ex = read_conll(train_path)
-        items = _ner_items(cfg, vocab, table, train_ex)
+        items = _ner_items(cfg, vocab, table, train_ex, limit)
         objective = "lm"
         maximize = True
         val_fn = None
         if val_path:
             val_ex = read_conll(val_path)
-            val_items = _ner_items(cfg, vocab, table, val_ex)
+            val_items = _ner_items(cfg, vocab, table, val_ex, limit)
 
             def val_fn(p):
                 report, _ = evaluate_ner(p, cfg, vocab, table, val_ex)

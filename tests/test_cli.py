@@ -279,6 +279,42 @@ class TestDecodeAndDataChecks:
             assert rc == 1, flags
             assert "usage error" in capsys.readouterr().err
 
+    def test_decode_of_truncated_checkpoint_is_data_error(self, tmp_path, capsys):
+        _, vocab_path, _ = pipeline_files(tmp_path)
+        ckpt = self._checkpoint(tmp_path, 60)
+        with open(ckpt, "r+b") as fh:
+            fh.truncate(200)
+        rc, outp = self._decode(tmp_path, ckpt, vocab_path)
+        assert rc == 2
+        assert "truncated checkpoint" in capsys.readouterr().err
+        assert not outp.exists()
+
+    def test_ner_evaluate_cuts_inputs_to_checkpoint_max_len(self, tmp_path, capsys):
+        _, vocab_path, _ = pipeline_files(tmp_path)
+        ckpt = self._checkpoint(tmp_path, 60, max_len=8)
+        words = ["casa", "gato", "azul", "verde", "sol", "mar", "rio", "dia"]
+        write(tmp_path / "test.conll",
+              "".join(f"{w} {'B-LOC' if w == 'rio' else 'O'}\n" for w in words) + "\n")
+        cfg = tmp_path / "ner.cfg"
+        write(cfg, f"""[run]
+task = ner
+seq_len = 48
+ner_window = 16
+ner_stride = 8
+deterministic = true
+
+[paths]
+vocab = {vocab_path}
+test = {tmp_path / "test.conll"}
+out_dir = {tmp_path / "eval"}
+""")
+        rc = main(["--config", str(cfg), "evaluate", "--checkpoint", ckpt])
+        assert rc == 0, capsys.readouterr().err
+        rows = (tmp_path / "eval" / "predictions_test.conll").read_text(
+            encoding="utf-8").splitlines()
+        assert [row.split("\t")[:2] for row in rows if row] == \
+            [[w, "B-LOC" if w == "rio" else "O"] for w in words]
+
     def test_uncovered_character_is_reported_as_such(self, tmp_path, capsys):
         _, vocab_path, packed = pipeline_files(tmp_path)
         lines = open(packed, encoding="utf-8").read().splitlines()

@@ -131,9 +131,19 @@ class TestLossXent:
             loss_xent(np.zeros((2, 4)), np.array([0, 0]))
 
 
+# every lm-path tensor of the untied relative-bucket stack, two layers each;
+# at d_model=8 the step must be smaller for the O(h^2) error to stay in bound
+RELATIVE_UNTIED = ModelConfig(vocab_size=12, d_model=8, n_heads=2, d_ff=8,
+                              n_enc_layers=2, n_dec_layers=2, max_len=12,
+                              position_scheme="relative-bucket",
+                              tie_embeddings=False)
+
+
 class TestGradients:
-    def test_lm_gradients_match_finite_differences(self):
-        params = init_model(CFG, seed=5)
+    @pytest.mark.parametrize("cfg,h", [(CFG, 1e-3), (RELATIVE_UNTIED, 2e-4)],
+                             ids=["tied-absolute-1x1", "untied-relative-2x2"])
+    def test_lm_gradients_match_finite_differences(self, cfg, h):
+        params = init_model(cfg, seed=5)
         batch = small_batch()
         _, grads = loss_and_grad(params, batch, "lm")
 
@@ -145,7 +155,7 @@ class TestGradients:
                 toks += keep
             return total / toks
 
-        numeric = central_diff_grads(f, params.tensors, h=1e-3)
+        numeric = central_diff_grads(f, params.tensors, h=h)
         for name in params.tensors:
             if name.startswith(("reg.", "cls.")):
                 continue  # not on the lm path

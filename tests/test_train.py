@@ -177,6 +177,28 @@ class TestTrainLoopControl:
         assert batch_loss(best, items, "regression") == min(seen)
 
 
+class TestValidationLoss:
+    def test_batch_loss_equals_training_loss(self):
+        from minit5.model import ModelConfig, loss_and_grad
+        from minit5.train import batch_loss
+        for scheme in ("learned-absolute", "relative-bucket"):
+            params = init_model(ModelConfig(vocab_size=12, d_model=16, n_heads=2,
+                                            d_ff=24, n_enc_layers=2,
+                                            n_dec_layers=2, max_len=12,
+                                            position_scheme=scheme), 3)
+            encs = [np.array([5, 6, 7, 0]), np.array([9]),
+                    np.array([4, 8, 11, 10, 6])]
+            tgts = [np.array([8, 9, 1]), np.array([5, 1]), np.array([7, 4, 0])]
+            pooled = {"regression": list(zip(encs, (1.0, 2.5, 4.9))),
+                      "classification": list(zip(encs, (0, 1, 1)))}
+            for objective, items in pooled.items():
+                assert batch_loss(params, items, objective) == \
+                    loss_and_grad(params, items, objective)[0], (scheme, objective)
+            lm = [(e, np.concatenate(([1], t[:-1])), t) for e, t in zip(encs, tgts)]
+            assert batch_loss(params, lm, "lm") == pytest.approx(
+                loss_and_grad(params, lm, "lm")[0], rel=1e-12, abs=0), scheme
+
+
 def write_pairs(path, rows):
     lines = ["id\tsentence1\tsentence2\tsimilarity\tentailment"]
     for i, (s1, s2, sim, ent) in enumerate(rows):
