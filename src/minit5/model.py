@@ -174,9 +174,11 @@ def log_softmax(v: np.ndarray) -> np.ndarray:
 
 def _relative_bucket_matrix(nq: int, nk: int, bidirectional: bool,
                             num_buckets: int = REL_BUCKETS,
-                            max_distance: int = REL_MAX_DISTANCE) -> np.ndarray:
-    """T5-style log-spaced distance buckets for relative attention bias."""
-    rel = np.arange(nk)[None, :] - np.arange(nq)[:, None]
+                            max_distance: int = REL_MAX_DISTANCE,
+                            q_start: int = 0) -> np.ndarray:
+    """T5-style log-spaced distance buckets for relative attention bias, for
+    query positions q_start .. q_start + nq - 1 and key positions 0 .. nk - 1."""
+    rel = np.arange(nk)[None, :] - np.arange(q_start, q_start + nq)[:, None]
     out = np.zeros((nq, nk), dtype=np.int64)
     if bidirectional:
         num_buckets //= 2
@@ -459,7 +461,7 @@ class DecoderStepper:
             x += t["pos_emb"][n - 1]
             self_bias = 0.0  # the causal mask's last row is all zeros
         else:
-            buckets = _relative_bucket_matrix(n, n, bidirectional=False)[-1]
+            buckets = _relative_bucket_matrix(1, n, bidirectional=False, q_start=n - 1)[0]
             self_bias = t["dec_rel_bias"][:, None, buckets]
 
         def heads(m):  # [rows, d] -> [rows, H, 1, dk]

@@ -42,6 +42,11 @@ def _logadd(a: float, b: float) -> float:
     return a + math.log1p(math.exp(b - a))
 
 
+def _unk_log_prob(scored: dict[str, float]) -> float:
+    """Unknown-character fallback score: _UNK_PENALTY below the worst piece."""
+    return min(scored.values(), default=0.0) - _UNK_PENALTY
+
+
 class UnigramVocab:
     """Piece table with log-probabilities; ids 0-3 are reserved controls."""
 
@@ -52,9 +57,12 @@ class UnigramVocab:
         self._ids = {p: i for i, (p, _) in enumerate(self.pieces)}
         if len(self._ids) != len(self.pieces):
             raise ValueError("piece strings must be unique")
-        body = [p for p, _ in self.pieces[N_RESERVED:]]
-        self._max_piece_len = max((len(p) for p in body), default=1)
-        self._min_log_prob = min((lp for _, lp in self.pieces[N_RESERVED:]), default=0.0)
+        for piece, lp in self.pieces:
+            if not math.isfinite(lp):
+                raise ValueError(f"piece {piece!r} has non-finite log-prob {lp}")
+        self._scored = {p: lp for p, lp in self.pieces[N_RESERVED:]}
+        self._max_piece_len = max((len(p) for p in self._scored), default=1)
+        self._unk_lp = _unk_log_prob(self._scored)
 
     @classmethod
     def from_scored(cls, scored: dict[str, float]) -> "UnigramVocab":
@@ -80,11 +88,11 @@ class UnigramVocab:
         return self.pieces[idx][1]
 
     def scored_body(self) -> dict[str, float]:
-        return {p: lp for p, lp in self.pieces[N_RESERVED:]}
+        return dict(self._scored)
 
     @property
     def unk_log_prob(self) -> float:
-        return self._min_log_prob - _UNK_PENALTY
+        return self._unk_lp
 
     def covers(self, text: str) -> bool:
         internal = _to_internal(text)
@@ -108,6 +116,8 @@ class UnigramVocab:
                     rows.append((piece, float(lp)))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: bad vocabulary line") from exc
+                if not math.isfinite(rows[-1][1]):
+                    raise ValueError(f"{path}:{lineno}: log-prob {lp} is not finite")
         return cls(rows)
 
 
@@ -248,73 +258,48 @@ def em_step(corpus: list[str], vocab: UnigramVocab) -> tuple[UnigramVocab, float
     return UnigramVocab(rows), loglik
 
 
-def _viterbi_ids(vocab: UnigramVocab, internal: str) -> list[int]:
-    """Maximum log-probability segmentation of an internal-form string.
+def _best_path(sent: str, edges: list[list[tuple[int, str, float]]]
+               ) -> tuple[float, list[tuple[int, int, str | None]]]:
+    """Maximum log-probability path through a sentence lattice.
 
-    Tie-break: fewer pieces, then lexicographically smallest piece sequence.
-    The fast pass tracks (log-prob, piece count); an exact pass with full
-    sequence comparison reruns only when the fast pass saw a genuine tie.
+    Returns (log_prob, [(start, end, piece-or-None-for-unk), ...]). Ties go to
+    fewer pieces, then to the lexicographically smallest piece sequence;
+    sequences are compared only on an exact (log-prob, piece count) tie.
     """
-    n = len(internal)
-    if n == 0:
-        return []
-    scored = vocab.scored_body()
-    unk_lp = vocab.unk_log_prob
-    edges = _sentence_edges(internal, scored, unk_lp, vocab._max_piece_len)
-
-    best_lp = [NEG_INF] * (n + 1)
-    best_np = [0] * (n + 1)
+    n = len(sent)
+    best = [(NEG_INF, 0)] * (n + 1)  # (log-prob, -piece count): larger is better
     back: list[tuple[int, str | None] | None] = [None] * (n + 1)
-    best_lp[0] = 0.0
-    tie_seen = False
+    best[0] = (0.0, 0)
+
+    def path_to(pos: int) -> list[tuple[int, int, str | None]]:
+        path = []
+        while pos > 0:
+            i, piece = back[pos]
+            path.append((i, pos, piece))
+            pos = i
+        return path[::-1]
+
+    def texts(path) -> list[str]:  # an unknown character compares as itself
+        return [sent[a:b] for a, b, _ in path]
+
     for i in range(n):
-        if best_lp[i] == NEG_INF:
+        lp_i, neg_count = best[i]
+        if lp_i == NEG_INF:
             continue
         for j, piece, lp in edges[i]:
-            cand_lp = best_lp[i] + lp
-            cand_np = best_np[i] + 1
-            if cand_lp > best_lp[j] or (cand_lp == best_lp[j] and cand_np < best_np[j]):
-                best_lp[j], best_np[j], back[j] = cand_lp, cand_np, (i, piece)
-            elif cand_lp == best_lp[j] and cand_np == best_np[j]:
-                tie_seen = True
-    if tie_seen:
-        return _viterbi_ids_exact(vocab, internal, edges)
-    out: list[int] = []
-    pos = n
-    while pos > 0:
-        i, piece = back[pos]
-        out.append(UNK_ID if piece is None else vocab.id_of(piece))
-        pos = i
-    out.reverse()
-    return out
-
-
-def _viterbi_ids_exact(vocab: UnigramVocab, internal: str,
-                       edges: list[list[tuple[int, str, float]]]) -> list[int]:
-    n = len(internal)
-    # value = (-log_prob, n_pieces, piece sequence); tuple min gives the rule
-    best: list[tuple | None] = [None] * (n + 1)
-    best[0] = (0.0, 0, ())
-    for i in range(n):
-        if best[i] is None:
-            continue
-        neg_lp, n_pieces, seq = best[i]
-        for j, piece, lp in edges[i]:
-            key = piece if piece is not None else internal[i:j]
-            cand = (neg_lp - lp, n_pieces + 1, seq + (key,))
-            if best[j] is None or cand < best[j]:
-                best[j] = cand
-    _, _, seq = best[n]
-    ids = []
-    for piece in seq:
-        pid = vocab.id_of(piece)
-        ids.append(UNK_ID if pid is None else pid)
-    return ids
+            cand = (lp_i + lp, neg_count - 1)
+            if cand > best[j] or (cand == best[j] and
+                                  texts(path_to(i) + [(i, j, piece)]) < texts(path_to(j))):
+                best[j], back[j] = cand, (i, piece)
+    return best[n][0], path_to(n)
 
 
 def encode(vocab: UnigramVocab, text: str) -> list[int]:
     """Viterbi-encode text to piece ids; unknown characters map to UNK_ID."""
-    return _viterbi_ids(vocab, _to_internal(text))
+    internal = _to_internal(text)
+    edges = _sentence_edges(internal, vocab._scored, vocab._unk_lp, vocab._max_piece_len)
+    return [UNK_ID if piece is None else vocab._ids[piece]
+            for _, _, piece in _best_path(internal, edges)[1]]
 
 
 def decode(vocab: UnigramVocab, ids: list[int]) -> str:
@@ -337,52 +322,23 @@ def decode(vocab: UnigramVocab, ids: list[int]) -> str:
 
 def _viterbi_piece_counts(sentences: dict[str, int], scored: dict[str, float],
                           unk_lp: float, max_len: int) -> Counter:
+    """Weighted counts of the pieces on each sentence's best path, which are
+    the pieces encode emits."""
     counts: Counter[str] = Counter()
     for sent, weight in sentences.items():
-        n = len(sent)
         edges = _sentence_edges(sent, scored, unk_lp, max_len)
-        best = [NEG_INF] * (n + 1)
-        back: list[tuple[int, str | None] | None] = [None] * (n + 1)
-        best[0] = 0.0
-        for i in range(n):
-            if best[i] == NEG_INF:
-                continue
-            for j, piece, lp in edges[i]:
-                if best[i] + lp > best[j]:
-                    best[j], back[j] = best[i] + lp, (i, piece)
-        pos = n
-        while pos > 0:
-            i, piece = back[pos]
+        for _, _, piece in _best_path(sent, edges)[1]:
             if piece is not None:
                 counts[piece] += weight
-            pos = i
     return counts
 
 
 def _segment_without_self(piece: str, scored: dict[str, float], unk_lp: float,
                           max_len: int) -> float:
     """Best log-prob of segmenting `piece` without using the piece itself."""
-    n = len(piece)
-    best = [NEG_INF] * (n + 1)
-    best[0] = 0.0
-    for i in range(n):
-        if best[i] == NEG_INF:
-            continue
-        found_single = False
-        for j in range(i + 1, min(n, i + max_len) + 1):
-            sub = piece[i:j]
-            if i == 0 and j == n:
-                continue  # the full-span edge is the piece being removed
-            lp = scored.get(sub)
-            if lp is not None:
-                if j == i + 1:
-                    found_single = True
-                if best[i] + lp > best[j]:
-                    best[j] = best[i] + lp
-        if not found_single and not (i == 0 and i + 1 == n):
-            if best[i] + unk_lp > best[i + 1]:
-                best[i + 1] = best[i] + unk_lp
-    return best[n] if best[n] != NEG_INF else unk_lp * n
+    edges = _sentence_edges(piece, scored, unk_lp, max_len)
+    edges[0] = [e for e in edges[0] if e[0] != len(piece)]  # the full span is `piece`
+    return _best_path(piece, edges)[0]
 
 
 def prune_vocab(corpus: list[str], vocab: UnigramVocab, target_size: int,
@@ -405,14 +361,10 @@ def prune_vocab(corpus: list[str], vocab: UnigramVocab, target_size: int,
             f"target_size {target_size} below minimum {min_size} "
             "(reserved ids plus single characters)")
     max_len = vocab._max_piece_len
-
-    def unk_of(s: dict[str, float]) -> float:
-        return min(s.values()) - _UNK_PENALTY
-
     while N_RESERVED + len(scored) > target_size:
         for _ in range(2):
-            scored, _ = _em_on_prepared(sentences, scored, unk_of(scored), max_len)
-        unk_lp = unk_of(scored)
+            scored, _ = _em_on_prepared(sentences, scored, _unk_log_prob(scored), max_len)
+        unk_lp = _unk_log_prob(scored)
         usage = _viterbi_piece_counts(sentences, scored, unk_lp, max_len)
         multis = [p for p in scored if len(p) > 1]
         losses: list[tuple[float, str]] = []

@@ -331,3 +331,15 @@ out_dir = {tmp_path / "eval"}
         write(cfg, pretrain_config_text(vocab_path, packed, tmp_path / "out"))
         assert main(["--config", str(cfg), "pretrain"]) == 2
         assert "'ñ' at character offset 5" in capsys.readouterr().err
+
+    def test_non_finite_vocabulary_log_prob_is_data_error(self, tmp_path, capsys):
+        corpus, vocab_path, _ = pipeline_files(tmp_path)
+        lines = open(vocab_path, encoding="utf-8").read().splitlines()
+        for value in ("nan", "-inf"):
+            piece = lines[10].split("\t")[0]
+            bad = lines[:10] + [f"{piece}\t{value}"] + lines[11:]
+            write(tmp_path / "bad.tsv", "\n".join(bad) + "\n")
+            rc = main(["make-pretrain-data", "--vocab", str(tmp_path / "bad.tsv"),
+                       "--corpus", corpus, "--output", str(tmp_path / "pairs.bin")])
+            assert rc == 2
+            assert f"bad.tsv:10: log-prob {value} is not finite" in capsys.readouterr().err

@@ -11,7 +11,7 @@ from oracles import exhaustive_decode, sequence_score
 
 from minit5.decoding import _model_step_fn
 from minit5.model import (LEARNED_ABSOLUTE, RELATIVE_BUCKET, DecoderStepper,
-                          log_softmax)
+                          _relative_bucket_matrix, log_softmax)
 from minit5.unigram import PAD_ID
 from oracles import argmax_decode, full_sort_beam
 
@@ -205,6 +205,12 @@ class TestIncrementalDecoding:
             for width in (1, 3, 5):
                 assert beam_decode(params, enc, width=width, max_out=6) == \
                     full_sort_beam(reference, width, 6, EOS_ID), (seed, width)
+
+    def test_stepper_bucket_row_is_last_row_of_full_matrix(self):
+        for n in (1, 2, 17, 128, ModelConfig(vocab_size=8).max_len):
+            np.testing.assert_array_equal(
+                _relative_bucket_matrix(1, n, False, q_start=n - 1)[0],
+                _relative_bucket_matrix(n, n, False)[-1])
 
     def test_max_out_equal_to_max_len(self):
         params, enc = random_model(1, LEARNED_ABSOLUTE, False, max_len=7)

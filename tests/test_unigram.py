@@ -1,13 +1,16 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from minit5.unigram import (BOUNDARY, EOS_ID, MASK_ID, PAD_ID, RESERVED_PIECES,
                             UNK_ID, UnigramVocab, build_seed_vocab, decode,
                             em_step, encode, prune_vocab, train_vocab)
+from minit5.unigram import (_segment_without_self, _viterbi_piece_counts,
+                            _weighted_internal)
 
-from oracles import best_segmentation, enumerate_expected_counts
+from oracles import all_segmentations, best_segmentation, enumerate_expected_counts
 
 PT_WORDS = ["casa", "gato", "cão", "água", "pão", "maçã", "coração", "você",
             "então", "também", "história", "rápido", "número", "São", "Paulo",
@@ -137,6 +140,35 @@ class TestPrune:
         out = prune_vocab(corpus, vocab, target_size=300)
         assert len(out) == 300
 
+    def test_usage_counts_are_the_pieces_encode_emits(self):
+        # frequency log-probs of "ab"/"abc" text give exact ties (seeds 79 and
+        # 88 here); on a tie, pruning must count the pieces encode picks
+        def counts_and_emitted(vocab, corpus):
+            usage = _viterbi_piece_counts(_weighted_internal(corpus), vocab.scored_body(),
+                                          vocab.unk_log_prob, vocab._max_piece_len)
+            return usage, Counter(vocab.piece(i) for line in corpus
+                                  for i in encode(vocab, line))
+
+        for seed in range(200):
+            rng = random.Random(seed)
+            alphabet = "ab" if seed % 2 else "abc"
+            corpus = ["".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 17)))
+                      for _ in range(rng.randrange(1, 21))]
+            vocab = build_seed_vocab(corpus, rng.randrange(len(set("".join(corpus))), 40))
+            usage, emitted = counts_and_emitted(vocab, corpus)
+            assert usage == emitted, seed
+        # "abcdef": [abc, d, ef] and [a, bcde, f] tie on mass and count; the
+        # second is lexicographically smaller although its last piece starts later
+        vocab = make_vocab({p: math.log(1 / 6) for p in ("a", "abc", "bcde", "d", "ef", "f")})
+        usage, emitted = counts_and_emitted(vocab, ["abcdef"])
+        assert usage == emitted == Counter({"a": 1, "bcde": 1, "f": 1})
+
+    def test_segment_without_self_keeps_the_unknown_edge(self):
+        # "a" is no piece, so the only other way through "ab" is <unk> + "b"
+        scored = {"ab": math.log(0.5), "b": math.log(0.5)}
+        unk_lp = math.log(0.5) - 10.0
+        assert _segment_without_self("ab", scored, unk_lp, 2) == unk_lp + math.log(0.5)
+
     def test_target_below_minimum(self):
         corpus = ["abcdefgh"]
         vocab = build_seed_vocab(corpus, 30)
@@ -236,6 +268,12 @@ class TestEncode:
             got = tuple(vocab.piece(i) for i in encode(vocab, s))
             want = best_segmentation(s, scored)
             assert got == want, f"trial {trial}: {s} -> {got} vs {want}"
+            for p in (p for p in pieces if len(p) > 1):
+                alt = max(sum(scored[q] for q in seg)
+                          for seg in all_segmentations(p, set(pieces) - {p}))
+                assert _segment_without_self(p, scored, vocab.unk_log_prob,
+                                             vocab._max_piece_len) == \
+                    pytest.approx(alt, rel=0.0, abs=1e-12), (trial, p)
 
 
 class TestDecode:
@@ -309,3 +347,23 @@ class TestVocabFile:
         path.write_text("a\t0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="reserved"):
             UnigramVocab.load(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_log_prob_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.tsv"
+        header = "".join(f"{p}\t0\n" for p in RESERVED_PIECES)
+        path.write_text(header + "b\t-1\n" + f"a\t{value}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"bad.tsv:5: log-prob {value} is not finite"):
+            UnigramVocab.load(path)
+        with pytest.raises(ValueError, match="non-finite"):
+            make_vocab({"a": float(value)})
+
+    def test_scored_body_is_a_copy(self):
+        vocab = make_vocab({"a": math.log(0.5), "b": math.log(0.25), "ab": math.log(0.25)})
+        before = encode(vocab, "abba")
+        body = vocab.scored_body()
+        body["ab"], body["ba"] = 0.0, 0.0
+        del body["a"]
+        assert encode(vocab, "abba") == before
+        assert vocab.scored_body() == {"a": math.log(0.5), "b": math.log(0.25),
+                                       "ab": math.log(0.25)}
