@@ -4,7 +4,7 @@ Layout (little-endian): magic "SQFG", version u32, u32-length-prefixed JSON
 model config, tensor count u32, then per tensor: name (u16 length + UTF-8),
 rank u8, dims u32 each, float32 data row-major. Tensors are written sorted by
 name so identical parameters always produce identical bytes; save(load(x))
-round-trips bit-exactly.
+round-trips bit-exactly. Saving replaces the file atomically.
 
 Optimizer state rides in the same container under "opt/" name prefixes.
 """
@@ -16,6 +16,7 @@ import struct
 
 import numpy as np
 
+from .atomic import atomic_write
 from .model import ModelConfig, ModelParams
 from .optim import AdafactorState, AdamState
 
@@ -64,7 +65,7 @@ def save_checkpoint(path: str, params: ModelParams, opt_state=None) -> None:
         tensors.update(_state_tensors(opt_state))
     cfg_bytes = json.dumps(params.cfg.to_dict(), sort_keys=True,
                            separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(cfg_bytes)))

@@ -172,6 +172,8 @@ def _cmd_evaluate(args):
     for key, value in report.items():
         if isinstance(value, float):
             print(f"{key}={value:.6f}")
+        elif isinstance(value, int):
+            print(f"{key}={value}")
 
 
 def _cmd_decode(args):

@@ -7,6 +7,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .atomic import atomic_write
+
 CLASSES = ("Person", "Organization", "Location", "Value", "Date")
 OTHER = "Other"
 
@@ -291,7 +293,7 @@ def format_ner_report(report: NerReport) -> str:
 
 def write_conll_predictions(path: str, docs: list[tuple[list[str], list[str], list[str]]]) -> None:
     """word / gold / pred 3-column files, blank line between documents."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for words, gold, pred in docs:
             for w, g, p in zip(words, gold, pred):
                 fh.write(f"{w}\t{g}\t{p}\n")

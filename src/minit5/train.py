@@ -5,11 +5,14 @@ from __future__ import annotations
 
 import math
 import os
+import socket
+import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_write
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .corpus import PackedDocument, Sentence
@@ -61,15 +64,42 @@ class TrainLog:
 LOCK_NAME = ".lock"
 
 
+def _lock_is_stale(path: str) -> bool:
+    """True only when the lock reads "<pid> <host>", names this host, and no
+    process with that pid exists."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            pid, host = fh.read().split()
+        pid = int(pid)
+    except (OSError, ValueError):
+        return False
+    if pid <= 0 or host != socket.gethostname():
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except OSError:
+        pass  # alive, owned by another user
+    return False
+
+
 def acquire_lock(out_dir: str) -> str:
+    """Create out_dir/.lock holding "<pid> <host>". A lock left by a dead
+    process on this host is reclaimed with a warning on stderr."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, LOCK_NAME)
-    try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise LockError(f"{out_dir} is locked by another run (remove {path} "
-                        "if that run is dead)") from None
-    os.write(fd, str(os.getpid()).encode())
+    for attempt in range(2):
+        try:
+            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            if attempt or not _lock_is_stale(path):
+                raise LockError(f"{out_dir} is locked by another run (remove "
+                                f"{path} if that run is dead)") from None
+            print(f"warning: reclaiming stale lock {path}", file=sys.stderr)
+            os.remove(path)
+    os.write(fd, f"{os.getpid()} {socket.gethostname()}".encode())
     os.close(fd)
     return path
 
@@ -225,7 +255,7 @@ def write_train_log(path: str, log: TrainLog) -> None:
     def fmt(v):
         return "-" if v is None else f"{v:.6f}"
 
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write("epoch\ttrain_loss\tval_loss\tval_objective\twall_seconds\n")
         for r in log.records:
             fh.write(f"{r.epoch}\t{fmt(r.train_loss)}\t{fmt(r.val_loss)}"
@@ -235,7 +265,7 @@ def write_train_log(path: str, log: TrainLog) -> None:
 
 def write_curve(path: str, log: TrainLog) -> None:
     """Plot-ready TSV: epoch, train loss, validation loss."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write("epoch\ttrain\tval\n")
         for r in log.records:
             val = "-" if r.val_loss is None else f"{r.val_loss:.6f}"
@@ -347,8 +377,10 @@ def _ner_items(cfg, vocab, table, examples, limit: int) -> list:
 
 
 def predict_similarity_scores(params, cfg, vocab, examples,
-                              predict_override=None) -> list[float]:
-    scores = []
+                              predict_override=None) -> tuple[list[float], int]:
+    """Scores per example, and how many generated score strings did not
+    parse (each of those scored as the scale midpoint)."""
+    scores, unparsed = [], 0
     limit = _length_limit(cfg, params)
     for ex in examples:
         if predict_override is not None:
@@ -358,10 +390,12 @@ def predict_similarity_scores(params, cfg, vocab, examples,
         if cfg.output_strategy == "generate":
             generated = greedy_decode(params, enc,
                                       max_out=min(cfg.gen_max_tokens, limit))
-            scores.append(parse_score_string(generated, vocab).value)
+            parsed = parse_score_string(generated, vocab)
+            scores.append(parsed.value)
+            unparsed += not parsed.ok
         else:
             scores.append(predict_similarity(params, enc))
-    return scores
+    return scores, unparsed
 
 
 def predict_entailment_labels(params, cfg, vocab, examples,
@@ -378,7 +412,9 @@ def predict_entailment_labels(params, cfg, vocab, examples,
 
 
 def _decode_window_tags(params, cfg, vocab, table, words,
-                        predict_override=None) -> list[str]:
+                        predict_override=None) -> tuple[list[str], bool]:
+    """BIO tags for one window, and whether its tagged output was malformed
+    (any parse flag)."""
     if predict_override is not None:
         text = predict_override(words)
     else:
@@ -388,27 +424,30 @@ def _decode_window_tags(params, cfg, vocab, table, words,
                                 max_out=min(limit, 4 * len(words) + 8))
         text = decode(vocab, generated)
     parsed = parse_tagged_output(text, table)
-    return to_bio(parsed.segments, list(words))
+    return to_bio(parsed.segments, list(words)), bool(parsed.flags)
 
 
 def evaluate_ner(params, cfg, vocab, table, examples, predict_override=None):
     """Window-wise decode, merge, and entity scoring over documents.
 
-    Returns (NerReport, rows) where rows are (words, gold, pred) per doc."""
+    Returns (NerReport, rows, malformed_windows) where rows are
+    (words, gold, pred) per doc."""
     scorer = NerScorer()
     rows = []
+    malformed = 0
     for ex in examples:
         ex = _ner_doc_words(cfg, ex)
         per_window = []
         for offset, words, _tags in window_ner_example(ex, cfg.ner_window,
                                                        cfg.ner_stride):
-            tags = _decode_window_tags(params, cfg, vocab, table, words,
-                                       predict_override)
+            tags, flagged = _decode_window_tags(params, cfg, vocab, table,
+                                                words, predict_override)
             per_window.append((offset, tags))
+            malformed += flagged
         merged = merge_windows(per_window, len(ex.words))
         scorer.add(extract_entities(list(ex.tags)), extract_entities(merged))
         rows.append((list(ex.words), list(ex.tags), merged))
-    return scorer.report(), rows
+    return scorer.report(), rows, malformed
 
 
 def run_finetune(cfg: RunConfig, predict_override=None):
@@ -435,7 +474,7 @@ def run_finetune(cfg: RunConfig, predict_override=None):
             gold = [ex.similarity for ex in val_ex]
 
             def val_fn(p):
-                preds = predict_similarity_scores(p, cfg, vocab, val_ex)
+                preds, _ = predict_similarity_scores(p, cfg, vocab, val_ex)
                 val_mse = mse(preds, gold)
                 return val_mse, val_mse
     elif cfg.task == "entailment":
@@ -460,7 +499,7 @@ def run_finetune(cfg: RunConfig, predict_override=None):
             val_items = _ner_items(cfg, vocab, table, val_ex, limit)
 
             def val_fn(p):
-                report, _ = evaluate_ner(p, cfg, vocab, table, val_ex)
+                report, _, _ = evaluate_ner(p, cfg, vocab, table, val_ex)
                 return batch_loss(p, val_items, "lm"), report.micro.f1
     else:
         raise DataError("run_finetune requires a fine-tuning task")
@@ -477,9 +516,22 @@ def run_finetune(cfg: RunConfig, predict_override=None):
     return params, log
 
 
+def _with_counts(report: str, **counts: int) -> str:
+    """A report with key=N lines added after its leading key=value lines,
+    ahead of its table."""
+    lines = report.splitlines()
+    at = next(i for i, line in enumerate(lines) if "=" not in line)
+    lines[at:at] = [f"{key}={n}" for key, n in counts.items()]
+    return "\n".join(lines) + "\n"
+
+
 def run_evaluate(cfg: RunConfig, params: ModelParams, split: str = "test",
                  predict_override=None) -> dict:
-    """Evaluate a checkpoint on a split and write the metric report."""
+    """Evaluate a checkpoint on a split and write the metric report.
+
+    Decode health rides along: NER reports count malformed_windows (windows
+    whose tagged output had any parse flag), similarity reports count
+    unparsed_scores (generated score strings that did not parse)."""
     vocab = UnigramVocab.load(_require_file(cfg.vocab_path, "vocabulary"))
     check_vocab_size(params, vocab)
     path = {"train": cfg.train_path, "val": cfg.val_path,
@@ -497,15 +549,17 @@ def run_evaluate(cfg: RunConfig, params: ModelParams, split: str = "test",
         gold = [ex.similarity for ex in examples]
         if any(g is None for g in gold):
             raise DataError("similarity labels missing from evaluation data")
-        preds = predict_similarity_scores(params, cfg, vocab, examples,
-                                          predict_override)
+        preds, unparsed = predict_similarity_scores(params, cfg, vocab,
+                                                    examples, predict_override)
         try:
             pearson_v = pearson(preds, gold)
         except ValueError:
             pearson_v = float("nan")  # constant predictions from a weak model
         mse_v = mse(preds, gold)
-        report = {"pearson": pearson_v, "mse": mse_v, "n": len(preds)}
-        text = format_pair_task_report(pearson_v, mse_v, None, None)
+        report = {"pearson": pearson_v, "mse": mse_v, "n": len(preds),
+                  "unparsed_scores": unparsed}
+        text = _with_counts(format_pair_task_report(pearson_v, mse_v, None, None),
+                            unparsed_scores=unparsed)
     elif cfg.task == "entailment":
         examples = read_pairs_tsv(path)
         gold = [ex.entailment for ex in examples]
@@ -519,20 +573,21 @@ def run_evaluate(cfg: RunConfig, params: ModelParams, split: str = "test",
     elif cfg.task == "ner":
         table = LabelTable(cfg.label_language)
         examples = read_conll(path)
-        ner_report, rows = evaluate_ner(params, cfg, vocab, table, examples,
-                                        predict_override)
+        ner_report, rows, malformed = evaluate_ner(params, cfg, vocab, table,
+                                                   examples, predict_override)
         report = {"micro_precision": ner_report.micro.precision,
                   "micro_recall": ner_report.micro.recall,
                   "micro_f1": ner_report.micro.f1,
-                  "per_class": ner_report.per_class}
-        text = format_ner_report(ner_report)
+                  "per_class": ner_report.per_class,
+                  "malformed_windows": malformed}
+        text = _with_counts(format_ner_report(ner_report),
+                            malformed_windows=malformed)
         if out:
             write_conll_predictions(out(f"predictions_{split}.conll"), rows)
     else:
         raise DataError("evaluate requires a fine-tuning task")
 
     if out:
-        with open(out(f"eval_{split}.txt"), "w", encoding="utf-8",
-                  newline="\n") as fh:
+        with atomic_write(out(f"eval_{split}.txt")) as fh:
             fh.write(text)
     return report

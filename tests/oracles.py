@@ -81,6 +81,52 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray,
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
+# --- model numerics --------------------------------------------------------
+
+GELU_C = math.sqrt(2.0 / math.pi)
+GELU_A = 0.044715
+
+
+def gelu_pow(x: np.ndarray) -> np.ndarray:
+    """Tanh-form GELU with the cube taken by x ** 3 (libm pow)."""
+    return 0.5 * x * (1.0 + np.tanh(GELU_C * (x + GELU_A * x ** 3)))
+
+
+def dgelu_pow(x: np.ndarray) -> np.ndarray:
+    t = np.tanh(GELU_C * (x + GELU_A * x ** 3))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * GELU_A * x * x)
+
+
+def attention_out_of_place(h_q, h_kv, wq, wk, wv, wo, n_heads, add_bias, dout):
+    """Multi-head attention forward and backward in out-of-place expressions
+    only (no buffer is written twice). Returns (out, dh_q, dh_kv, dwq, dwk,
+    dwv, dwo, ds), ds being the gradient w.r.t. the additive score bias."""
+    nq, d = h_q.shape
+    nk = h_kv.shape[0]
+    dk = d // n_heads
+    scale = 1.0 / math.sqrt(dk)
+
+    def heads(m, n):
+        return m.reshape(n, n_heads, dk).transpose(1, 0, 2)
+
+    def merge(m):
+        return m.transpose(1, 0, 2).reshape(-1, d)
+
+    q, k, v = heads(h_q @ wq, nq), heads(h_kv @ wk, nk), heads(h_kv @ wv, nk)
+    s = q @ k.transpose(0, 2, 1) * scale + add_bias
+    e = np.exp(s - np.max(s, axis=-1, keepdims=True))
+    p = e / np.sum(e, axis=-1, keepdims=True)
+    o = merge(p @ v)
+    do = heads(dout @ wo.T, nq)
+    dp = do @ v.transpose(0, 2, 1)
+    dv = merge(p.transpose(0, 2, 1) @ do)
+    ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
+    dq = merge(ds @ k * scale)
+    dkk = merge(ds.transpose(0, 2, 1) @ q * scale)
+    return (o @ wo, dq @ wq.T, dkk @ wk.T + dv @ wv.T, h_q.T @ dq,
+            h_kv.T @ dkk, h_kv.T @ dv, o.T @ dout, ds)
+
+
 # --- decoding --------------------------------------------------------------
 
 def exhaustive_decode(step_fn, vocab_size: int, max_out: int, eos_id: int):

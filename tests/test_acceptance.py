@@ -125,6 +125,7 @@ def test_criterion_04_corruption_rate_and_target():
            rate_ok and target_ok, f"fraction {frac:.5f}")
 
 
+@pytest.mark.slow
 def test_criterion_05_gradient_check_all_tensors():
     t0 = time.time()
     cfg = ModelConfig(vocab_size=30, d_model=32, n_heads=4, d_ff=48,

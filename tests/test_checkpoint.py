@@ -82,3 +82,39 @@ def test_optimizer_state_round_trip(tmp_path, kind, state_cls, step):
     # plain load ignores the optimizer tensors
     plain = load_checkpoint(path)
     assert set(plain.tensors) == set(params.tensors)
+
+
+def test_failed_save_keeps_previous_file_and_no_temp(tmp_path, monkeypatch):
+    import minit5.checkpoint as checkpoint
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, init_model(CFG, seed=0))
+    before = path.read_bytes()
+    real, calls = checkpoint._write_tensor, []
+
+    def failing(fh, name, arr):
+        calls.append(name)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        real(fh, name, arr)
+
+    monkeypatch.setattr(checkpoint, "_write_tensor", failing)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, init_model(CFG, seed=1))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
+
+
+def test_atomic_text_write_replaces_whole_or_nothing(tmp_path):
+    from minit5.atomic import atomic_write
+    path = tmp_path / "eval_test.txt"
+    with atomic_write(path) as fh:
+        fh.write("mse=1.000000\n")
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as fh:
+            fh.write("mse=2.0")
+            raise RuntimeError("killed mid-write")
+    assert path.read_text() == "mse=1.000000\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["eval_test.txt"]
+    with atomic_write(path) as fh:
+        fh.write("mse=3.000000\n")
+    assert path.read_text() == "mse=3.000000\n"

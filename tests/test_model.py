@@ -7,9 +7,12 @@ from minit5.model import (ModelConfig, classification_head,
                           embedding_only_mask, encoder_mean_pool, forward,
                           init_model, loss_and_grad, loss_xent,
                           parameter_count, regression_head)
-from minit5.model import _encoder_fwd
+from minit5.model import (_attn_bwd, _attn_fwd, _causal_bias, _dgelu,
+                          _encoder_fwd, _gelu, _key_mask_bias, _softmax_rows,
+                          _xent_sum_and_dlogits, log_softmax)
 
-from oracles import central_diff_grads, max_rel_error
+from oracles import (attention_out_of_place, central_diff_grads, dgelu_pow,
+                     gelu_pow, max_rel_error)
 
 CFG = ModelConfig(vocab_size=12, d_model=16, n_heads=2, d_ff=24,
                   n_enc_layers=1, n_dec_layers=1, max_len=12)
@@ -139,6 +142,90 @@ RELATIVE_UNTIED = ModelConfig(vocab_size=12, d_model=8, n_heads=2, d_ff=8,
                               tie_embeddings=False)
 
 
+class TestNumerics:
+    """The elementwise kernels against their textbook forms. The cube is
+    x * x * x (two roundings) where the reference takes libm pow (one), so
+    GELU agrees to rounding relative to the input's scale, not elementwise:
+    in the negative tail 1 + tanh cancels, and there a last-bit change in the
+    tanh argument moves the tiny result by up to ~1e-12 of itself."""
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(0)
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-200,
+                   30.0, -30.0, 1e3, -1e3, 1e100, -1e100]
+        return np.concatenate([rng.normal(0.0, s, 50_000) for s in (0.5, 1.0, 3.0, 10.0)]
+                              + [rng.uniform(-12.0, 12.0, 50_000), special])
+
+    def test_gelu_matches_pow_formula(self):
+        x = self.inputs()
+        act, t = _gelu(x)
+        # |gelu(x)| <= |x|, so |x| is the output's scale
+        assert np.all(np.abs(act - gelu_pow(x)) <= 1e-15 * np.abs(x))
+        assert np.all(np.abs(_dgelu(x, t) - dgelu_pow(x))
+                      <= 1e-15 * np.maximum(1.0, np.abs(x)))
+
+    def test_dgelu_matches_central_difference(self):
+        x = np.random.default_rng(1).normal(0.0, 2.0, 2_000)
+        h = 1e-5
+        numeric = (_gelu(x + h)[0] - _gelu(x - h)[0]) / (2.0 * h)
+        assert np.max(np.abs(_dgelu(x, _gelu(x)[1]) - numeric)) < 1e-9
+
+    @pytest.mark.parametrize("scale", [1.0, 30.0])
+    def test_xent_loss_bitwise_and_dlogits_close(self, scale):
+        rng = np.random.default_rng(2)
+        logits = rng.normal(0.0, scale, size=(9, 13))
+        targets = rng.integers(1, 13, size=9)
+        targets[[2, 7]] = 0
+        keep = targets != 0
+        rows = np.arange(9)
+        loss_sum, dlogits = _xent_sum_and_dlogits(logits, targets, keep)
+        lp = log_softmax(logits)
+        assert loss_sum == float(-np.sum(lp[rows, targets][keep]))
+        want = np.exp(lp)
+        want[rows, targets] -= 1.0
+        want[~keep] = 0.0
+        assert np.max(np.abs(dlogits - want)) <= 1e-15
+        assert loss_xent(logits, targets) == loss_sum / np.count_nonzero(keep)
+
+    def test_loss_xent_leaves_logits_unchanged(self):
+        logits = np.random.default_rng(3).normal(0.0, 2.0, size=(5, 7))
+        before = logits.copy()
+        loss_xent(logits, np.array([1, 2, 0, 4, 5]))
+        assert np.array_equal(logits, before)
+
+    def test_softmax_rows_is_in_place(self):
+        s = np.random.default_rng(4).normal(size=(2, 3, 5))
+        e = np.exp(s - np.max(s, axis=-1, keepdims=True))
+        want = e / np.sum(e, axis=-1, keepdims=True)
+        out = _softmax_rows(s)
+        assert out is s
+        assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("kind", ["causal", "key-masked", "relative-bias"])
+    def test_attention_equals_out_of_place_reference(self, kind):
+        rng = np.random.default_rng(5)
+        d, n_heads, nq = 8, 2, 5
+        nk = 7 if kind == "key-masked" else nq
+        h_q = rng.normal(size=(nq, d))
+        h_kv = rng.normal(size=(nk, d)) if kind == "key-masked" else h_q
+        ws = [rng.normal(0.0, 0.5, size=(d, d)) for _ in range(4)]
+        if kind == "key-masked":
+            bias = _key_mask_bias(np.array([True, True, False, True, True, False, True]))
+        elif kind == "causal":
+            bias = _causal_bias(nq)
+        else:
+            bias = _causal_bias(nq) + rng.normal(size=(n_heads, nq, nq))
+        dout = rng.normal(size=(nq, d))
+        out, cache = _attn_fwd(h_q, h_kv, *ws, n_heads, bias)
+        got = (out,) + _attn_bwd(dout, cache)
+        want = attention_out_of_place(h_q, h_kv, *ws, n_heads, bias, dout)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.slow
 class TestGradients:
     @pytest.mark.parametrize("cfg,h", [(CFG, 1e-3), (RELATIVE_UNTIED, 2e-4)],
                              ids=["tied-absolute-1x1", "untied-relative-2x2"])

@@ -1,5 +1,8 @@
 import os
 import random
+import socket
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,8 +12,8 @@ from minit5.config import RunConfig
 from minit5.model import init_model
 from minit5.optim import DivergedError
 from minit5.train import (DataError, LockError, _model_config, _train_loop,
-                          load_packed_corpus, run_evaluate, run_finetune,
-                          run_pretrain)
+                          acquire_lock, load_packed_corpus, run_evaluate,
+                          run_finetune, run_pretrain)
 from minit5.unigram import UnigramVocab, train_vocab
 
 WORDS = ["casa", "gato", "azul", "verde", "sol", "mar", "rio", "dia"]
@@ -33,6 +36,12 @@ def make_pretrain_inputs(tmp_path, n_docs=64, seed=3):
     vocab_path = tmp_path / "vocab.tsv"
     vocab.save(vocab_path)
     return str(corpus), str(vocab_path), vocab
+
+
+def dead_pid() -> int:
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()  # reaped, so its pid names no process
+    return child.pid
 
 
 def pretrain_cfg(tmp_path, out_name, **kw):
@@ -99,6 +108,23 @@ class TestPretrain:
         write(os.path.join(cfg.out_dir, ".lock"), "held")
         with pytest.raises(LockError):
             run_pretrain(cfg)
+
+    def test_dead_pid_lock_is_reclaimed(self, tmp_path, capsys):
+        lock = tmp_path / ".lock"
+        write(lock, f"{dead_pid()} {socket.gethostname()}")
+        assert acquire_lock(str(tmp_path)) == str(lock)
+        assert lock.read_text() == f"{os.getpid()} {socket.gethostname()}"
+        assert "stale lock" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("owner", ["live-pid", "other-host", "unparsed"])
+    def test_live_or_foreign_lock_still_excludes(self, tmp_path, owner):
+        content = {"live-pid": f"{os.getpid()} {socket.gethostname()}",
+                   "other-host": f"{dead_pid()} not-{socket.gethostname()}",
+                   "unparsed": f"{dead_pid()}"}[owner]
+        write(tmp_path / ".lock", content)
+        with pytest.raises(LockError):
+            acquire_lock(str(tmp_path))
+        assert (tmp_path / ".lock").read_text() == content
 
     def test_nan_checkpoint_diverges(self, tmp_path):
         cfg = pretrain_cfg(tmp_path, "nan", max_epochs=1)
@@ -313,6 +339,48 @@ class TestEvaluateWithInjectedPredictions:
         assert sum(s.n_correct for s in micro.values()) == 2
         # prediction file written alongside the report
         assert os.path.exists(os.path.join(cfg.out_dir, "predictions_test.conll"))
+
+    def test_degenerate_ner_output_counts_malformed_windows(self, tmp_path):
+        conll = tmp_path / "doc.conll"
+        write(conll, "John B-PER\nlives O\nin O\nNew B-LOC\nYork I-LOC\n\n")
+        vocab = train_vocab(["John lives in New York",
+                             "Recognize Entities: x [Person] [Local] [Other]"],
+                            vocab_size=90)
+        vocab_path = tmp_path / "vocab.tsv"
+        vocab.save(vocab_path)
+        cfg = RunConfig(task="ner", optimizer="adamw", lr=1e-3, batch_size=2,
+                        grad_accum_steps=1, max_epochs=1, seed=0,
+                        deterministic=True, seq_len=64, label_language="en",
+                        ner_window=4, ner_stride=2, d_model=32, n_heads=2,
+                        d_ff=64, n_enc_layers=1, n_dec_layers=1,
+                        vocab_path=str(vocab_path), test_path=str(conll),
+                        out_dir=str(tmp_path / "ner"))
+        params = init_model(_model_config(cfg, vocab), 0)
+        counts = {}
+        for name, text in (("clean", "John [Person]"), ("degenerate", "[ ] x [")):
+            report = run_evaluate(cfg, params, split="test",
+                                  predict_override=lambda words: text)
+            with open(os.path.join(cfg.out_dir, "eval_test.txt")) as fh:
+                lines = fh.read().splitlines()
+            assert lines[2].startswith("micro_f1=")
+            assert lines[5].startswith("n_correct=")
+            assert lines[6] == f"malformed_windows={report['malformed_windows']}"
+            assert lines[7].startswith("class\t")
+            counts[name] = report["malformed_windows"]
+        assert counts == {"clean": 0, "degenerate": 2}  # 5 words in 2 windows
+
+    def test_untrained_generated_similarity_counts_unparsed_scores(self, tmp_path):
+        train, vocab_path = similarity_fixture(tmp_path, n=6)
+        cfg = similarity_cfg(tmp_path, train, vocab_path,
+                             output_strategy="generate", gen_max_tokens=4)
+        params = init_model(_model_config(cfg, UnigramVocab.load(vocab_path)), 0)
+        report = run_evaluate(cfg, params, split="test")
+        assert 0 < report["unparsed_scores"] <= 6
+        with open(os.path.join(cfg.out_dir, "eval_test.txt")) as fh:
+            lines = fh.read().splitlines()
+        assert lines[0].startswith("pearson=") and lines[1].startswith("mse=")
+        assert lines[2] == f"unparsed_scores={report['unparsed_scores']}"
+        assert len(lines) == 4 and len(lines[3].split("\t")) == 4
 
     def test_vocab_size_mismatch_rejected(self, tmp_path):
         train, vocab_path = similarity_fixture(tmp_path, n=4)
