@@ -11,7 +11,7 @@ from .decoding import beam_decode, beam_search, greedy_decode
 from .metrics import (accuracy, classification_report, macro_f1, mse, pearson,
                       regression_report)
 from .model import (ModelConfig, ModelParams, classification_head,
-                    embedding_only_mask, encoder_mean_pool, forward, full_mask,
+                    embedding_only_mask, encoder_mean_pool, forward,
                     init_model, loss_and_grad, loss_xent, regression_head)
 from .ner import (EntitySpan, LabelTable, NerReport, entity_prf,
                   extract_entities, merge_windows, parse_tagged_output, to_bio)

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from . import corpus as corpus_mod
+from .atomic import atomic_write
 from .checkpoint import load_checkpoint
 from .config import load_run_config
 from .corruption import CorruptionConfig, make_pretrain_batch, write_pair_cache
@@ -102,6 +103,8 @@ def _run_config(args):
 
 
 def _cmd_preprocess(args):
+    if args.max_words < 1:
+        raise UsageError("--max-words must be >= 1")
     raw_texts: list[str] = []
     for path in args.inputs:
         with open(path, "r", encoding="utf-8") as fh:
@@ -110,14 +113,14 @@ def _cmd_preprocess(args):
             else:
                 raw_texts.append(fh.read())
     docs = corpus_mod.prepare_documents(raw_texts, max_words=args.max_words)
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        for doc in docs:
-            fh.write(doc.text + "\n")
     if not docs:
         raise DataError("no documents produced")
+    with atomic_write(args.output) as fh:
+        for doc in docs:
+            fh.write(doc.text + "\n")
     report = corpus_mod.format_stats_report(corpus_mod.corpus_stats(docs))
     if args.stats:
-        with open(args.stats, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(args.stats) as fh:
             fh.write(report)
     else:
         sys.stdout.write(report)
@@ -135,6 +138,10 @@ def _cmd_train_vocab(args):
 
 
 def _cmd_make_pretrain_data(args):
+    if not 0.0 < args.mask_rate < 1.0:
+        raise UsageError("--mask-rate must be in (0, 1)")
+    if args.max_len < 1:
+        raise UsageError("--max-len must be >= 1")
     vocab = UnigramVocab.load(args.vocab)
     docs = load_packed_corpus(args.corpus)
     cfg = CorruptionConfig(mask_rate=args.mask_rate, max_len=args.max_len,
@@ -190,7 +197,7 @@ def _cmd_decode(args):
     max_out = min(args.max_out, params.cfg.max_len)
     with open(args.input, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(args.output) as fh:
         for line in lines:
             enc = np.asarray(encode(vocab, line)[:params.cfg.max_len - 1] + [EOS_ID],
                              dtype=np.int64)

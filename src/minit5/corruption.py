@@ -6,6 +6,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from .atomic import atomic_write
 from .corpus import PackedDocument
 from .rng import Xoshiro256StarStar, derive_seed
 from .unigram import EOS_ID, MASK_ID, PAD_ID, UNK_ID, UnigramVocab, encode
@@ -102,7 +103,7 @@ CACHE_VERSION = 1
 def write_pair_cache(path: str, pairs: list[DenoisePair], max_len: int) -> None:
     """Little-endian binary cache: header {magic, version, max_len, count},
     then per example two u32-length-prefixed u32 id arrays."""
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(CACHE_MAGIC)
         fh.write(struct.pack("<IIQ", CACHE_VERSION, max_len, len(pairs)))
         for pair in pairs:

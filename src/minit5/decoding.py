@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import DecoderStepper, ModelParams, forward, log_softmax
+from .model import DecoderStepper, ModelParams, log_softmax
 from .unigram import EOS_ID
 
 
@@ -103,20 +103,6 @@ def beam_search(step_logprobs, width: int, max_out: int,
         return [np.asarray(step_logprobs(ids), dtype=np.float64) for ids in prefixes]
 
     return _beam(step, width, max_out, eos_id)
-
-
-def _model_step_fn(params: ModelParams, enc_ids):
-    """Uncached per-prefix step: re-runs the encoder and the whole decoder
-    prefix on every call. The reference the incremental path is tested
-    against."""
-    start = (EOS_ID,)
-
-    def step(prefix: tuple[int, ...]) -> np.ndarray:
-        dec_in = np.asarray(start + prefix, dtype=np.int64)
-        logits = forward(params, enc_ids, dec_in)
-        return log_softmax(logits[-1])
-
-    return step
 
 
 def greedy_decode(params: ModelParams, enc_ids, max_out: int) -> list[int]:

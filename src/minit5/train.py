@@ -22,9 +22,8 @@ from .metrics import (classification_report, format_pair_task_report, mse,
                       pearson)
 from .model import (ModelConfig, ModelParams, TrainableMask,
                     accumulate_loss_and_grad, apply_trainable_mask,
-                    embedding_only_mask, encoder_mean_pool, full_mask,
-                    init_model, loss_xent, pooled_loss, predict_entailment,
-                    predict_similarity, zero_grads, forward)
+                    embedding_only_mask, init_model, predict_entailment,
+                    predict_similarity, zero_grads)
 from .ner import (LabelTable, NerScorer, extract_entities, format_ner_report,
                   parse_tagged_output, to_bio, merge_windows,
                   write_conll_predictions)
@@ -179,19 +178,10 @@ def _lm_item(enc, tgt):
 
 
 def batch_loss(params: ModelParams, items: list, objective: str) -> float:
-    """Forward-only mean loss over items (validation use)."""
-    if objective == "lm":
-        total, tokens = 0.0, 0
-        for enc, dec_in, tgt in items:
-            logits = forward(params, enc, dec_in)
-            keep = tgt != PAD_ID
-            total += loss_xent(logits, tgt) * int(np.count_nonzero(keep))
-            tokens += int(np.count_nonzero(keep))
-        return total / tokens
-    total = 0.0
-    for enc, target in items:
-        total += pooled_loss(params, objective, encoder_mean_pool(params, enc), target)[0]
-    return total / len(items)
+    """Mean loss over items (validation use): the training loss path without
+    its backward pass."""
+    loss_sum, units = accumulate_loss_and_grad(params, items, objective, None)
+    return loss_sum / units
 
 
 def _train_loop(params: ModelParams, items: list, objective: str,
@@ -272,6 +262,24 @@ def write_curve(path: str, log: TrainLog) -> None:
             fh.write(f"{r.epoch}\t{r.train_loss:.6f}\t{val}\n")
 
 
+def _fit(cfg: RunConfig, params: ModelParams, items: list, objective: str,
+         val_fn=None, maximize: bool = False) -> tuple[ModelParams, TrainLog]:
+    """Train under out_dir's lock, honoring embeddings_only (every
+    non-embedding tensor stays bit-identical), and write checkpoint.bin,
+    train_log.tsv and curve.tsv to out_dir."""
+    mask = embedding_only_mask(params) if cfg.embeddings_only else None
+    lock = acquire_lock(cfg.out_dir)
+    try:
+        params, log = _train_loop(params, items, objective, cfg, mask, val_fn,
+                                  maximize=maximize)
+        save_checkpoint(os.path.join(cfg.out_dir, "checkpoint.bin"), params)
+        write_train_log(os.path.join(cfg.out_dir, "train_log.tsv"), log)
+        write_curve(os.path.join(cfg.out_dir, "curve.tsv"), log)
+    finally:
+        release_lock(lock)
+    return params, log
+
+
 # ---------------------------------------------------------------------------
 # pretraining
 # ---------------------------------------------------------------------------
@@ -283,17 +291,13 @@ def _pretrain_items(cfg: RunConfig, vocab: UnigramVocab, docs, limit: int) -> li
 
 
 def run_pretrain(cfg: RunConfig):
-    """Denoising pretraining with Adafactor at a constant learning rate.
-
-    Honors embeddings_only (every non-embedding tensor stays bit-identical).
-    Writes checkpoint.bin, train_log.tsv, and curve.tsv to out_dir.
-    """
+    """Denoising pretraining with Adafactor at a constant learning rate;
+    _fit writes the outputs."""
     vocab = UnigramVocab.load(_require_file(cfg.vocab_path, "vocabulary"))
     docs = load_packed_corpus(_require_file(cfg.corpus_path, "packed corpus"))
     params = _load_model(cfg, vocab)
     limit = _length_limit(cfg, params)
     items = _pretrain_items(cfg, vocab, docs, limit)
-    mask = embedding_only_mask(params) if cfg.embeddings_only else full_mask(params)
     val_fn = None
     if cfg.val_path:
         val_docs = load_packed_corpus(_require_file(cfg.val_path, "validation corpus"))
@@ -303,20 +307,31 @@ def run_pretrain(cfg: RunConfig):
             loss = batch_loss(p, _items, "lm")
             return loss, None if cfg.patience is None else loss
 
-    lock = acquire_lock(cfg.out_dir)
-    try:
-        params, log = _train_loop(params, items, "lm", cfg, mask, val_fn)
-        save_checkpoint(os.path.join(cfg.out_dir, "checkpoint.bin"), params)
-        write_train_log(os.path.join(cfg.out_dir, "train_log.tsv"), log)
-        write_curve(os.path.join(cfg.out_dir, "curve.tsv"), log)
-    finally:
-        release_lock(lock)
-    return params, log
+    return _fit(cfg, params, items, "lm", val_fn)
 
 
 # ---------------------------------------------------------------------------
 # fine-tuning
 # ---------------------------------------------------------------------------
+
+def _read_split(cfg: RunConfig, path: str, what: str) -> list:
+    """The examples of a fine-tuning split. A missing or empty split, or a
+    sentence pair without the task's label, is a data error naming the file."""
+    if cfg.task not in ("similarity", "entailment", "ner"):
+        raise DataError(f"task {cfg.task!r} is not a fine-tuning task")
+    path = _require_file(path, what)
+    if cfg.task == "ner":
+        examples = read_conll(path)
+    else:
+        examples = read_pairs_tsv(path)
+        for ex in examples:
+            # a sentence pair's label fields are named after their tasks
+            if getattr(ex, cfg.task) is None:
+                raise DataError(f"{path}: example {ex.id} has no {cfg.task} label")
+    if not examples:
+        raise DataError(f"{path}: {what} has no examples")
+    return examples
+
 
 def _pair_words(cfg: RunConfig, text: str) -> str:
     return strip_accents(text) if cfg.strip_accents else text
@@ -331,8 +346,6 @@ def _pair_enc(cfg, vocab, ex: SentencePairExample, limit: int) -> np.ndarray:
 def _similarity_items(cfg, vocab, examples, generate: bool, limit: int) -> list:
     items = []
     for ex in examples:
-        if ex.similarity is None:
-            raise DataError(f"{ex.id}: missing similarity label")
         enc = _pair_enc(cfg, vocab, ex, limit)
         if generate:
             tgt = make_similarity_target(ex.similarity, vocab)[:limit]
@@ -345,8 +358,6 @@ def _similarity_items(cfg, vocab, examples, generate: bool, limit: int) -> list:
 def _entailment_items(cfg, vocab, examples, limit: int) -> list:
     items = []
     for ex in examples:
-        if ex.entailment is None:
-            raise DataError(f"{ex.id}: missing entailment label")
         items.append((_pair_enc(cfg, vocab, ex, limit),
                       ENTAILMENT_LABELS.index(ex.entailment)))
     return items
@@ -450,27 +461,24 @@ def evaluate_ner(params, cfg, vocab, table, examples, predict_override=None):
     return scorer.report(), rows, malformed
 
 
-def run_finetune(cfg: RunConfig, predict_override=None):
+def run_finetune(cfg: RunConfig):
     """Task fine-tuning with early stopping on the validation objective:
     MSE for similarity, cross-entropy for entailment, micro-F1 for NER.
     Restores and saves the best checkpoint observed."""
     vocab = UnigramVocab.load(_require_file(cfg.vocab_path, "vocabulary"))
     params = _load_model(cfg, vocab)
     table = LabelTable(cfg.label_language)
-    mask = embedding_only_mask(params) if cfg.embeddings_only else full_mask(params)
-    train_path = _require_file(cfg.train_path, "training data")
-    val_path = _require_file(cfg.val_path, "validation data") if cfg.val_path else None
+    train_ex = _read_split(cfg, cfg.train_path, "training data")
+    val_ex = _read_split(cfg, cfg.val_path, "validation data") if cfg.val_path else None
 
     limit = _length_limit(cfg, params)
     maximize = False
+    val_fn = None
     if cfg.task == "similarity":
         generate = cfg.output_strategy == "generate"
-        train_ex = read_pairs_tsv(train_path)
         items = _similarity_items(cfg, vocab, train_ex, generate, limit)
         objective = "lm" if generate else "regression"
-        val_fn = None
-        if val_path:
-            val_ex = read_pairs_tsv(val_path)
+        if val_ex is not None:
             gold = [ex.similarity for ex in val_ex]
 
             def val_fn(p):
@@ -478,42 +486,26 @@ def run_finetune(cfg: RunConfig, predict_override=None):
                 val_mse = mse(preds, gold)
                 return val_mse, val_mse
     elif cfg.task == "entailment":
-        train_ex = read_pairs_tsv(train_path)
         items = _entailment_items(cfg, vocab, train_ex, limit)
         objective = "classification"
-        val_fn = None
-        if val_path:
-            val_items = _entailment_items(cfg, vocab, read_pairs_tsv(val_path), limit)
+        if val_ex is not None:
+            val_items = _entailment_items(cfg, vocab, val_ex, limit)
 
             def val_fn(p):
                 ce = batch_loss(p, val_items, "classification")
                 return ce, ce
-    elif cfg.task == "ner":
-        train_ex = read_conll(train_path)
+    else:
         items = _ner_items(cfg, vocab, table, train_ex, limit)
         objective = "lm"
         maximize = True
-        val_fn = None
-        if val_path:
-            val_ex = read_conll(val_path)
+        if val_ex is not None:
             val_items = _ner_items(cfg, vocab, table, val_ex, limit)
 
             def val_fn(p):
                 report, _, _ = evaluate_ner(p, cfg, vocab, table, val_ex)
                 return batch_loss(p, val_items, "lm"), report.micro.f1
-    else:
-        raise DataError("run_finetune requires a fine-tuning task")
 
-    lock = acquire_lock(cfg.out_dir)
-    try:
-        params, log = _train_loop(params, items, objective, cfg, mask,
-                                  val_fn, maximize=maximize)
-        save_checkpoint(os.path.join(cfg.out_dir, "checkpoint.bin"), params)
-        write_train_log(os.path.join(cfg.out_dir, "train_log.tsv"), log)
-        write_curve(os.path.join(cfg.out_dir, "curve.tsv"), log)
-    finally:
-        release_lock(lock)
-    return params, log
+    return _fit(cfg, params, items, objective, val_fn, maximize)
 
 
 def _with_counts(report: str, **counts: int) -> str:
@@ -538,17 +530,14 @@ def run_evaluate(cfg: RunConfig, params: ModelParams, split: str = "test",
             "test": cfg.test_path}.get(split)
     if path is None:
         raise DataError(f"unknown split {split!r}")
-    path = _require_file(path, f"{split} data")
+    examples = _read_split(cfg, path, f"{split} data")
     out = None
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
         out = lambda name: os.path.join(cfg.out_dir, name)
 
     if cfg.task == "similarity":
-        examples = read_pairs_tsv(path)
         gold = [ex.similarity for ex in examples]
-        if any(g is None for g in gold):
-            raise DataError("similarity labels missing from evaluation data")
         preds, unparsed = predict_similarity_scores(params, cfg, vocab,
                                                     examples, predict_override)
         try:
@@ -561,18 +550,14 @@ def run_evaluate(cfg: RunConfig, params: ModelParams, split: str = "test",
         text = _with_counts(format_pair_task_report(pearson_v, mse_v, None, None),
                             unparsed_scores=unparsed)
     elif cfg.task == "entailment":
-        examples = read_pairs_tsv(path)
         gold = [ex.entailment for ex in examples]
-        if any(g is None for g in gold):
-            raise DataError("entailment labels missing from evaluation data")
         preds = predict_entailment_labels(params, cfg, vocab, examples,
                                           predict_override)
         rep = classification_report(preds, gold)
         report = {"accuracy": rep.accuracy, "macro_f1": rep.macro_f1}
         text = format_pair_task_report(None, None, rep.accuracy, rep.macro_f1)
-    elif cfg.task == "ner":
+    else:
         table = LabelTable(cfg.label_language)
-        examples = read_conll(path)
         ner_report, rows, malformed = evaluate_ner(params, cfg, vocab, table,
                                                    examples, predict_override)
         report = {"micro_precision": ner_report.micro.precision,
@@ -584,8 +569,6 @@ def run_evaluate(cfg: RunConfig, params: ModelParams, split: str = "test",
                             malformed_windows=malformed)
         if out:
             write_conll_predictions(out(f"predictions_{split}.conll"), rows)
-    else:
-        raise DataError("evaluate requires a fine-tuning task")
 
     if out:
         with atomic_write(out(f"eval_{split}.txt")) as fh:

@@ -12,6 +12,8 @@ import math
 from collections import Counter
 from typing import Iterable
 
+from .atomic import atomic_write
+
 PAD_ID, EOS_ID, UNK_ID, MASK_ID = 0, 1, 2, 3
 PAD_PIECE, EOS_PIECE, UNK_PIECE, MASK_PIECE = "<pad>", "</s>", "<unk>", "<M>"
 RESERVED_PIECES = (PAD_PIECE, EOS_PIECE, UNK_PIECE, MASK_PIECE)
@@ -99,7 +101,7 @@ class UnigramVocab:
         return all(ch in self._ids for ch in internal)
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(path) as fh:
             for piece, lp in self.pieces:
                 fh.write(f"{piece}\t{lp:.17g}\n")
 

@@ -196,6 +196,20 @@ def argmax_decode(step_fn, max_out: int, eos_id: int):
     return out
 
 
+def model_step_fn(params, enc_ids):
+    """Uncached per-prefix step over a model: re-runs the encoder and the
+    whole decoder prefix through the teacher-forcing `forward` on every call,
+    the reference the incremental decoder is tested against."""
+    from minit5.model import forward, log_softmax
+    from minit5.unigram import EOS_ID
+
+    def step(prefix: tuple[int, ...]) -> np.ndarray:
+        dec_in = np.asarray((EOS_ID,) + prefix, dtype=np.int64)
+        return log_softmax(forward(params, enc_ids, dec_in)[-1])
+
+    return step
+
+
 def sequence_score(step_fn, ids) -> float:
     cum = 0.0
     for t, tok in enumerate(ids):

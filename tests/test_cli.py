@@ -1,10 +1,13 @@
+import os
 import random
 import subprocess
 import sys
 
+import pytest
+
 from minit5.cli import main
 from minit5.corruption import read_pair_cache
-from minit5.unigram import UnigramVocab
+from minit5.unigram import UnigramVocab, train_vocab
 
 WORDS = ["casa", "gato", "azul", "verde", "sol", "mar", "rio", "dia"]
 
@@ -41,6 +44,15 @@ class TestPreprocess:
         report = stats.read_text(encoding="utf-8")
         assert report.startswith("n_documents=")
         assert "mean_words=" in report
+
+    def test_blank_input_is_data_error_and_writes_nothing(self, tmp_path, capsys):
+        write(tmp_path / "a.txt", "\n  \n")
+        out, stats = tmp_path / "packed.txt", tmp_path / "stats.txt"
+        rc = main(["preprocess", str(tmp_path / "a.txt"), "--output", str(out),
+                   "--stats", str(stats)])
+        assert rc == 2
+        assert "no documents produced" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["a.txt"]
 
     def test_line_mode(self, tmp_path):
         write(tmp_path / "a.txt", "Primeira linha aqui.\nSegunda linha aqui.\n")
@@ -189,6 +201,22 @@ class TestExitCodes:
                                         tmp_path / "missing.txt",
                                         tmp_path / "out"))
         assert main(["--config", str(cfg), "pretrain"]) == 2
+
+    def test_out_of_range_flag_values_are_usage_errors(self, tmp_path, capsys):
+        corpus = make_corpus_file(tmp_path)
+        vocab_path = str(tmp_path / "vocab.tsv")
+        assert main(["train-vocab", "--corpus", corpus, "--output", vocab_path,
+                     "--vocab-size", "60"]) == 0
+        data = ["make-pretrain-data", "--vocab", vocab_path, "--corpus", corpus,
+                "--output", str(tmp_path / "pairs.bin")]
+        for argv in (["preprocess", corpus, "--output", str(tmp_path / "p.txt"),
+                      "--max-words", "0"],
+                     data + ["--mask-rate", "0"], data + ["--mask-rate", "1"],
+                     data + ["--mask-rate", "nan"], data + ["--max-len", "0"]):
+            assert main(argv) == 1, argv
+            assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "p.txt").exists()
+        assert not (tmp_path / "pairs.bin").exists()
 
     def test_unknown_config_key_is_usage(self, tmp_path, capsys):
         cfg = tmp_path / "p.cfg"
@@ -343,3 +371,69 @@ out_dir = {tmp_path / "eval"}
                        "--corpus", corpus, "--output", str(tmp_path / "pairs.bin")])
             assert rc == 2
             assert f"bad.tsv:10: log-prob {value} is not finite" in capsys.readouterr().err
+
+
+PAIR_HEADER = "id\tsentence1\tsentence2\tsimilarity\tentailment\n"
+
+
+@pytest.mark.parametrize("task,kind", [("similarity", "empty"),
+                                       ("similarity", "unlabeled"),
+                                       ("entailment", "empty"),
+                                       ("entailment", "unlabeled"),
+                                       ("ner", "empty")])
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+def test_empty_or_unlabeled_split_is_data_error_naming_file(tmp_path, capsys,
+                                                            task, kind, split):
+    """finetune reads train and val, evaluate reads test: a split with no
+    examples, or a sentence pair without the task's label, exits 2 naming
+    the file."""
+    from minit5.checkpoint import save_checkpoint
+    from minit5.model import ModelConfig, init_model
+    vocab = train_vocab([" ".join(WORDS), "ASSIN sentence1: x", "sentence2: y",
+                         "Recognize Entities: x [Person] [Local] [Other]",
+                         "0 1 2 3 4 5 6 7 8 9 . ,"], vocab_size=90)
+    vocab.save(tmp_path / "vocab.tsv")
+    if task == "ner":
+        good, bad = "casa O\nrio B-LOC\n\n", "\n"
+    else:
+        good = PAIR_HEADER + "0\tcasa gato\tsol mar\t3.0\tentail\n"
+        bad = PAIR_HEADER + ("" if kind == "empty" else "0\tcasa gato\tsol mar\t\t\n")
+    for name in ("train", "val", "test"):
+        write(tmp_path / f"{name}.data", bad if name == split else good)
+    cfg = tmp_path / "task.cfg"
+    write(cfg, f"""[run]
+task = {task}
+max_epochs = 1
+batch_size = 2
+seq_len = 32
+deterministic = true
+label_language = en
+ner_window = 8
+ner_stride = 4
+
+[model]
+d_model = 16
+n_heads = 2
+d_ff = 32
+n_enc_layers = 1
+n_dec_layers = 1
+
+[paths]
+vocab = {tmp_path / "vocab.tsv"}
+train = {tmp_path / "train.data"}
+val = {tmp_path / "val.data"}
+test = {tmp_path / "test.data"}
+out_dir = {tmp_path / "out"}
+""")
+    if split == "test":
+        ckpt = tmp_path / "model.bin"
+        save_checkpoint(ckpt, init_model(ModelConfig(
+            vocab_size=len(vocab), d_model=16, n_heads=2, d_ff=32,
+            n_enc_layers=1, n_dec_layers=1, max_len=32), 0))
+        argv = ["--config", str(cfg), "evaluate", "--checkpoint", str(ckpt)]
+    else:
+        argv = ["--config", str(cfg), "finetune"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / f"{split}.data") in err
+    assert ("has no examples" if kind == "empty" else f"has no {task} label") in err

@@ -1,4 +1,5 @@
 import random
+import struct
 
 import pytest
 
@@ -199,6 +200,17 @@ class TestPairCache:
         assert max_len == 16
         assert [(p.input_ids, p.target_ids) for p in loaded] == \
                [(p.input_ids, p.target_ids) for p in pairs]
+
+    def test_failed_write_keeps_previous_cache(self, tmp_path):
+        path = tmp_path / "pairs.bin"
+        write_pair_cache(path, [DenoisePair((4, 5), (4, 5, 1), 0)], 16)
+        before = path.read_bytes()
+        # a negative id fails to pack as u32 after the first pair is written
+        with pytest.raises(struct.error):
+            write_pair_cache(path, [DenoisePair((4,), (4, 1), 0),
+                                    DenoisePair((-1,), (1,), 0)], 16)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.bin"]
 
     def test_header(self, tmp_path):
         path = tmp_path / "pairs.bin"

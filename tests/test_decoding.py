@@ -9,11 +9,10 @@ from minit5.unigram import EOS_ID, encode, train_vocab
 
 from oracles import exhaustive_decode, sequence_score
 
-from minit5.decoding import _model_step_fn
 from minit5.model import (LEARNED_ABSOLUTE, RELATIVE_BUCKET, DecoderStepper,
                           _relative_bucket_matrix, log_softmax)
 from minit5.unigram import PAD_ID
-from oracles import argmax_decode, full_sort_beam
+from oracles import argmax_decode, full_sort_beam, model_step_fn
 
 VOCAB = 4  # pad, eos, two content tokens
 
@@ -84,8 +83,7 @@ class TestModelDecoding:
         for seed in range(8):
             params = init_model(self.CFG, seed=seed)
             enc = np.array([4, 5, 6])
-            from minit5.decoding import _model_step_fn
-            step = _model_step_fn(params, enc)
+            step = model_step_fn(params, enc)
             g = sequence_score(step, greedy_decode(params, enc, max_out=5))
             b = sequence_score(step, beam_decode(params, enc, width=5, max_out=5))
             assert b >= g - 1e-12
@@ -176,7 +174,7 @@ class TestIncrementalDecoding:
     def test_stepper_matches_uncached_forward_through_reordering(self, scheme, tie):
         params, _ = random_model(3, scheme, tie)
         enc = np.array([5, 6, 7, 4, PAD_ID, PAD_ID])
-        reference = _model_step_fn(params, enc)
+        reference = model_step_fn(params, enc)
         stepper = DecoderStepper(params, enc)
         rng = np.random.default_rng(0)
         prefixes = [()]
@@ -199,7 +197,7 @@ class TestIncrementalDecoding:
         for seed in range(32):
             scheme, tie = SCHEMES[seed % 4]
             params, enc = random_model(seed, scheme, tie)
-            reference = _model_step_fn(params, enc)
+            reference = model_step_fn(params, enc)
             assert greedy_decode(params, enc, max_out=6) == \
                 argmax_decode(reference, 6, EOS_ID), seed
             for width in (1, 3, 5):
@@ -216,7 +214,7 @@ class TestIncrementalDecoding:
         params, enc = random_model(1, LEARNED_ABSOLUTE, False, max_len=7)
         # zero final gain: every logit is 0, so no step ever picks eos
         params.tensors["dec.final_ln.g"][:] = 0.0
-        reference = _model_step_fn(params, enc)
+        reference = model_step_fn(params, enc)
         out = greedy_decode(params, enc, max_out=7)
         assert len(out) == 7 and out == argmax_decode(reference, 7, EOS_ID)
         for width in (1, 3, 5):

@@ -224,6 +224,25 @@ class TestValidationLoss:
             assert batch_loss(params, lm, "lm") == pytest.approx(
                 loss_and_grad(params, lm, "lm")[0], rel=1e-12, abs=0), scheme
 
+    def test_lm_batch_loss_is_training_loss_bitwise_and_leaves_params(self):
+        from minit5.model import ModelConfig, loss_and_grad
+        from minit5.train import batch_loss
+        for scheme in ("learned-absolute", "relative-bucket"):
+            for seed in range(4):
+                params = init_model(ModelConfig(vocab_size=8000, d_model=16,
+                                                n_heads=2, d_ff=24, n_enc_layers=2,
+                                                n_dec_layers=2, max_len=12,
+                                                position_scheme=scheme), seed)
+                rng = np.random.default_rng(seed)
+                encs = [rng.integers(4, 8000, size=n) for n in (4, 1, 5)]
+                tgts = [rng.integers(4, 8000, size=n) for n in (3, 2, 3)]
+                lm = [(e, np.concatenate(([1], t[:-1])), t) for e, t in zip(encs, tgts)]
+                before = params.copy()
+                got = batch_loss(params, lm, "lm")
+                for name, tensor in before.tensors.items():
+                    assert np.array_equal(params.tensors[name], tensor), name
+                assert got == loss_and_grad(params, lm, "lm")[0], (scheme, seed)
+
 
 def write_pairs(path, rows):
     lines = ["id\tsentence1\tsentence2\tsimilarity\tentailment"]

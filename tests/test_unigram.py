@@ -342,6 +342,18 @@ class TestVocabFile:
         loaded.save(path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        vocab = train_vocab(pt_corpus(40, seed=21), vocab_size=60)
+        path = tmp_path / "vocab.tsv"
+        vocab.save(path)
+        before = path.read_bytes()
+        # the last row's log-prob cannot be formatted, so save raises midway
+        vocab.pieces[-1] = (vocab.pieces[-1][0], "not a number")
+        with pytest.raises(ValueError):
+            vocab.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["vocab.tsv"]
+
     def test_reserved_header_enforced(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("a\t0\n", encoding="utf-8")
