@@ -17,7 +17,7 @@ from .atomic import atomic_write
 from .checkpoint import load_checkpoint
 from .config import load_run_config
 from .corruption import CorruptionConfig, make_pretrain_batch, write_pair_cache
-from .decoding import beam_decode, greedy_decode
+from .decoding import beam_decode
 from .optim import DivergedError
 from .train import (DataError, LockError, check_vocab_size, load_packed_corpus,
                     run_evaluate, run_finetune, run_pretrain)
@@ -127,6 +127,10 @@ def _cmd_preprocess(args):
 
 
 def _cmd_train_vocab(args):
+    if args.vocab_size < 1:
+        raise UsageError("--vocab-size must be >= 1")
+    if args.seed_size is not None and args.seed_size < 1:
+        raise UsageError("--seed-size must be >= 1")
     with open(args.corpus, "r", encoding="utf-8") as fh:
         sentences = [line.rstrip("\n") for line in fh if line.strip()]
     if not sentences:
@@ -201,10 +205,7 @@ def _cmd_decode(args):
         for line in lines:
             enc = np.asarray(encode(vocab, line)[:params.cfg.max_len - 1] + [EOS_ID],
                              dtype=np.int64)
-            if args.beam == 1:
-                out = greedy_decode(params, enc, max_out=max_out)
-            else:
-                out = beam_decode(params, enc, width=args.beam, max_out=max_out)
+            out = beam_decode(params, enc, width=args.beam, max_out=max_out)
             fh.write(decode(vocab, out) + "\n")
 
 

@@ -11,6 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .corruption import CorruptionConfig
+from .ner import LabelTable
+from .tasks import check_windows
+
 TASKS = ("pretrain", "similarity", "entailment", "ner")
 OUTPUT_STRATEGIES = ("generate", "linear-head")
 
@@ -64,6 +68,13 @@ class RunConfig:
             raise ValueError("batch_size, grad_accum_steps, max_epochs must be >= 1")
         if self.patience is not None and self.patience < 0:
             raise ValueError("patience must be >= 0")
+        if self.seq_len < 1 or self.beam_width < 1 or self.gen_max_tokens < 1:
+            raise ValueError("seq_len, beam_width, gen_max_tokens must be >= 1")
+        # the owning modules' checks: mask_rate in (0, 1), the window rule
+        # and a known label language
+        CorruptionConfig(mask_rate=self.mask_rate)
+        check_windows(self.ner_window, self.ner_stride)
+        LabelTable(self.label_language)
 
 
 TASK_DEFAULTS: dict[str, dict] = {

@@ -9,9 +9,8 @@ from dataclasses import dataclass
 from .atomic import atomic_write
 from .corpus import PackedDocument
 from .rng import Xoshiro256StarStar, derive_seed
-from .unigram import EOS_ID, MASK_ID, PAD_ID, UNK_ID, UnigramVocab, encode
-
-RESERVED_MAX = 3
+from .unigram import (EOS_ID, MASK_ID, N_RESERVED, PAD_ID, UNK_ID,
+                      UnigramVocab, encode)
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,7 @@ def mask_positions(n: int, mask_rate: float, seed: int) -> list[bool]:
 def mask_tokens(ids: list[int], cfg: CorruptionConfig, seed: int) -> DenoisePair:
     """Corrupt one sequence. Maximal runs of masked positions become a single
     mask id when cfg.collapse_runs is set; the target is ids + eos."""
-    if any(i <= RESERVED_MAX for i in ids):
+    if any(i < N_RESERVED for i in ids):
         raise ValueError("input ids must not contain reserved ids")
     if not ids:
         return DenoisePair((), (), seed)

@@ -25,13 +25,6 @@ def _hyp_sort_key(item):
     return (-_normalized(cum, len(ids)), len(ids), ids)
 
 
-def _check_search(width: int, max_out: int) -> None:
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    if max_out < 1:
-        raise ValueError("max_out must be >= 1")
-
-
 def _row_top(scores: np.ndarray, width: int):
     """(row, token) pairs of the best `width` finite scores of every row by
     (-score, token). A partition finds each row's cut; every score at or
@@ -60,6 +53,10 @@ def _beam(step, width: int, max_out: int, eos_id: int) -> list[int]:
     hypothesis the order (-score, ids) is (-score, token), so ranking just
     those gives exactly the full sort's survivors.
     """
+    if width < 1:
+        raise ValueError("width must be >= 1")
+    if max_out < 1:
+        raise ValueError("max_out must be >= 1")
     live: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
     finished: list[tuple[tuple[int, ...], float]] = []
     parents = None
@@ -97,7 +94,6 @@ def beam_search(step_logprobs, width: int, max_out: int,
     ties broken toward shorter then lexicographically smaller sequences.
     Width 1 reduces exactly to greedy decoding.
     """
-    _check_search(width, max_out)
 
     def step(parents, prefixes):
         return [np.asarray(step_logprobs(ids), dtype=np.float64) for ids in prefixes]
@@ -105,27 +101,9 @@ def beam_search(step_logprobs, width: int, max_out: int,
     return _beam(step, width, max_out, eos_id)
 
 
-def greedy_decode(params: ModelParams, enc_ids, max_out: int) -> list[int]:
-    """Iterative argmax from an eos start until eos is emitted or max_out is
-    reached; ties break toward the lowest id."""
-    if max_out < 1:
-        raise ValueError("max_out must be >= 1")
-    stepper = DecoderStepper(params, enc_ids)
-    out: list[int] = []
-    tok = EOS_ID
-    for _ in range(max_out):
-        tok = int(np.argmax(log_softmax(stepper.step([tok])[0])))
-        out.append(tok)
-        if tok == EOS_ID:
-            break
-    return out
-
-
-def beam_decode(params: ModelParams, enc_ids, width: int = 5,
-                max_out: int = 32) -> list[int]:
-    """Length-normalized beam search over the model's decoder, all live
-    hypotheses advanced by one incremental step."""
-    _check_search(width, max_out)
+def _decode(params: ModelParams, enc_ids, width: int, max_out: int) -> list[int]:
+    """The beam core over the model's decoder, all live hypotheses advanced
+    by one incremental step."""
     stepper = DecoderStepper(params, enc_ids)
 
     def step(parents, prefixes):
@@ -134,3 +112,16 @@ def beam_decode(params: ModelParams, enc_ids, width: int = 5,
         return log_softmax(stepper.step([ids[-1] for ids in prefixes], parents))
 
     return _beam(step, width, max_out, EOS_ID)
+
+
+def greedy_decode(params: ModelParams, enc_ids, max_out: int) -> list[int]:
+    """The width-1 beam: from an eos start, take the token with the best
+    cum + lp until eos is emitted or max_out is reached; ties break toward
+    the lowest id."""
+    return _decode(params, enc_ids, 1, max_out)
+
+
+def beam_decode(params: ModelParams, enc_ids, width: int = 5,
+                max_out: int = 32) -> list[int]:
+    """Length-normalized beam search over the model's decoder."""
+    return _decode(params, enc_ids, width, max_out)

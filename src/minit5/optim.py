@@ -23,8 +23,14 @@ def _check_finite(name: str, g: np.ndarray) -> None:
         raise DivergedError(f"diverged: non-finite gradient for {name}")
 
 
-def _trainable(mask, name: str) -> bool:
-    return True if mask is None else bool(mask.get(name, False))
+def _trainable_grads(params, grads, mask):
+    """(name, param, grad) of every tensor with a gradient that the mask
+    leaves trainable, in name order; a non-finite gradient raises
+    DivergedError before its tensor is updated."""
+    for name in sorted(params):
+        if name in grads and (mask is None or mask.get(name, False)):
+            _check_finite(name, grads[name])
+            yield name, params[name], grads[name]
 
 
 @dataclass
@@ -48,12 +54,7 @@ def adafactor_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     state.step += 1
     t = state.step
     beta = 1.0 - t ** decay_exponent
-    for name in sorted(params):
-        if name not in grads or not _trainable(mask, name):
-            continue
-        g = grads[name]
-        _check_finite(name, g)
-        p = params[name]
+    for name, p, g in _trainable_grads(params, grads, mask):
         g2 = g * g
         slot = state.slots.setdefault(name, {})
         if g.ndim >= 2:
@@ -99,12 +100,7 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     b1, b2 = betas
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    for name in sorted(params):
-        if name not in grads or not _trainable(mask, name):
-            continue
-        g = grads[name]
-        _check_finite(name, g)
-        p = params[name]
+    for name, p, g in _trainable_grads(params, grads, mask):
         p -= lr * weight_decay * p
         m, v = _adam_moments(state.slots.setdefault(name, {}), g, betas)
         p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
@@ -133,12 +129,7 @@ def radam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                          / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho_t))
     else:
         rect = None
-    for name in sorted(params):
-        if name not in grads or not _trainable(mask, name):
-            continue
-        g = grads[name]
-        _check_finite(name, g)
-        p = params[name]
+    for name, p, g in _trainable_grads(params, grads, mask):
         m, v = _adam_moments(state.slots.setdefault(name, {}), g, betas)
         m_hat = m / c1
         if rect is None:
@@ -150,14 +141,13 @@ def radam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
 def make_optimizer(kind: str, lr: float):
     """Returns (state, step_fn(params, grads, mask)) for a configured optimizer."""
-    kind = kind.lower()
-    if kind == "adafactor":
-        state = AdafactorState()
-        return state, lambda p, g, m=None: adafactor_step(p, g, state, lr, mask=m)
-    if kind == "adamw":
-        state = AdamState()
-        return state, lambda p, g, m=None: adamw_step(p, g, state, lr, mask=m)
-    if kind == "radam":
-        state = AdamState()
-        return state, lambda p, g, m=None: radam_step(p, g, state, lr, mask=m)
-    raise ValueError(f"unknown optimizer {kind!r}")
+    # built per call, so a step function rebound on this module (as
+    # perfbench's tracer does) is the one that runs
+    table = {"adafactor": (AdafactorState, adafactor_step),
+             "adamw": (AdamState, adamw_step),
+             "radam": (AdamState, radam_step)}
+    if kind.lower() not in table:
+        raise ValueError(f"unknown optimizer {kind!r}")
+    state_cls, step = table[kind.lower()]
+    state = state_cls()
+    return state, lambda p, g, m=None: step(p, g, state, lr, mask=m)

@@ -8,6 +8,7 @@ import unicodedata
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .metrics import ENTAILMENT_CLASSES
 from .ner import LabelTable, OTHER, normalize_tag, tag_class, validate_bio
 from .unigram import EOS_ID, MASK_ID, PAD_ID, UnigramVocab, decode, encode
 
@@ -27,7 +28,7 @@ class SentencePairExample:
     def __post_init__(self):
         if self.similarity is not None and not 1.0 <= self.similarity <= 5.0:
             raise ValueError(f"similarity {self.similarity} outside [1, 5]")
-        if self.entailment is not None and self.entailment not in ("entail", "none"):
+        if self.entailment is not None and self.entailment not in ENTAILMENT_CLASSES:
             raise ValueError(f"entailment label {self.entailment!r}")
 
 
@@ -200,13 +201,18 @@ def strip_accents(text: str) -> str:
     return unicodedata.normalize("NFC", stripped)
 
 
+def check_windows(size: int, stride: int) -> None:
+    """Windows overlap and advance: size > stride > 0."""
+    if not size > stride > 0:
+        raise ValueError(f"need window size {size} > stride {stride} > 0")
+
+
 def sliding_windows(ids, size: int = 512, stride: int = 256,
                     parent: str = "") -> list[WindowedExample]:
     """Overlapping windows at offsets 0, stride, 2*stride, ... while the next
     window still ends inside the sequence; an over-length sequence gets a
     final window clamped to end exactly at the sequence end."""
-    if not size > stride > 0:
-        raise ValueError("need size > stride > 0")
+    check_windows(size, stride)
     ids = tuple(ids)
     n = len(ids)
     if n <= size:

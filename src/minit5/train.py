@@ -8,7 +8,7 @@ import os
 import socket
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,23 +18,20 @@ from .config import RunConfig
 from .corpus import PackedDocument, Sentence
 from .corruption import CorruptionConfig, make_pretrain_batch
 from .decoding import beam_decode, greedy_decode
-from .metrics import (classification_report, format_pair_task_report, mse,
-                      pearson)
+from .metrics import (ENTAILMENT_CLASSES, classification_report,
+                      format_pair_task_report, mse, pearson)
 from .model import (ModelConfig, ModelParams, TrainableMask,
-                    accumulate_loss_and_grad, apply_trainable_mask,
-                    embedding_only_mask, init_model, predict_entailment,
-                    predict_similarity, zero_grads)
+                    accumulate_loss_and_grad, embedding_only_mask, init_model,
+                    predict_entailment, predict_similarity, zero_grads)
 from .ner import (LabelTable, NerScorer, extract_entities, format_ner_report,
                   parse_tagged_output, to_bio, merge_windows,
                   write_conll_predictions)
 from .optim import DivergedError, make_optimizer
-from .tasks import (NerExample, SentencePairExample, assin_input_ids,
-                    build_ner_target, make_similarity_target, ner_input_ids,
-                    parse_score_string, read_conll, read_pairs_tsv,
-                    strip_accents, window_ner_example)
+from .tasks import (SentencePairExample, assin_input_ids, build_ner_target,
+                    make_similarity_target, ner_input_ids, parse_score_string,
+                    read_conll, read_pairs_tsv, strip_accents,
+                    window_ner_example)
 from .unigram import EOS_ID, PAD_ID, UnigramVocab, decode, encode
-
-ENTAILMENT_LABELS = ("entail", "none")
 
 
 class DataError(Exception):
@@ -211,7 +208,6 @@ def _train_loop(params: ModelParams, items: list, objective: str,
                 units += u
             for g in grads.values():
                 g /= units
-            apply_trainable_mask(grads, mask)
             if not math.isfinite(loss_sum):
                 raise DivergedError("diverged: non-finite training loss")
             step_fn(params.tensors, grads, mask)
@@ -315,60 +311,51 @@ def run_pretrain(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 def _read_split(cfg: RunConfig, path: str, what: str) -> list:
-    """The examples of a fine-tuning split. A missing or empty split, or a
-    sentence pair without the task's label, is a data error naming the file."""
+    """The examples of a fine-tuning split, accents stripped when the run
+    asks for it. A missing or empty split, or a sentence pair without the
+    task's label, is a data error naming the file."""
     if cfg.task not in ("similarity", "entailment", "ner"):
         raise DataError(f"task {cfg.task!r} is not a fine-tuning task")
     path = _require_file(path, what)
     if cfg.task == "ner":
         examples = read_conll(path)
+        if cfg.strip_accents:
+            examples = [replace(ex, words=tuple(map(strip_accents, ex.words)))
+                        for ex in examples]
     else:
         examples = read_pairs_tsv(path)
         for ex in examples:
             # a sentence pair's label fields are named after their tasks
             if getattr(ex, cfg.task) is None:
                 raise DataError(f"{path}: example {ex.id} has no {cfg.task} label")
+        if cfg.strip_accents:
+            examples = [replace(ex, sentence1=strip_accents(ex.sentence1),
+                                sentence2=strip_accents(ex.sentence2))
+                        for ex in examples]
     if not examples:
         raise DataError(f"{path}: {what} has no examples")
     return examples
 
 
-def _pair_words(cfg: RunConfig, text: str) -> str:
-    return strip_accents(text) if cfg.strip_accents else text
-
-
-def _pair_enc(cfg, vocab, ex: SentencePairExample, limit: int) -> np.ndarray:
-    ids = assin_input_ids(vocab, _pair_words(cfg, ex.sentence1),
-                          _pair_words(cfg, ex.sentence2))[:limit]
+def _pair_enc(vocab, ex: SentencePairExample, limit: int) -> np.ndarray:
+    ids = assin_input_ids(vocab, ex.sentence1, ex.sentence2)[:limit]
     return np.asarray(ids, dtype=np.int64)
 
 
-def _similarity_items(cfg, vocab, examples, generate: bool, limit: int) -> list:
+def _pair_items(vocab, examples, objective: str, limit: int) -> list:
+    """Sentence-pair training items: the generated score string for "lm",
+    the score for "regression", the label index for "classification"."""
     items = []
     for ex in examples:
-        enc = _pair_enc(cfg, vocab, ex, limit)
-        if generate:
+        enc = _pair_enc(vocab, ex, limit)
+        if objective == "lm":
             tgt = make_similarity_target(ex.similarity, vocab)[:limit]
             items.append(_lm_item(enc, tgt))
-        else:
+        elif objective == "regression":
             items.append((enc, float(ex.similarity)))
+        else:
+            items.append((enc, ENTAILMENT_CLASSES.index(ex.entailment)))
     return items
-
-
-def _entailment_items(cfg, vocab, examples, limit: int) -> list:
-    items = []
-    for ex in examples:
-        items.append((_pair_enc(cfg, vocab, ex, limit),
-                      ENTAILMENT_LABELS.index(ex.entailment)))
-    return items
-
-
-def _ner_doc_words(cfg: RunConfig, example: NerExample) -> NerExample:
-    if not cfg.strip_accents:
-        return example
-    return NerExample(example.doc_id,
-                      tuple(strip_accents(w) for w in example.words),
-                      example.tags)
 
 
 def _ner_enc(vocab, words, limit: int) -> np.ndarray:
@@ -378,7 +365,6 @@ def _ner_enc(vocab, words, limit: int) -> np.ndarray:
 def _ner_items(cfg, vocab, table, examples, limit: int) -> list:
     items = []
     for ex in examples:
-        ex = _ner_doc_words(cfg, ex)
         for offset, words, tags in window_ner_example(ex, cfg.ner_window,
                                                       cfg.ner_stride):
             target_text = build_ner_target(list(words), list(tags), table)
@@ -397,7 +383,7 @@ def predict_similarity_scores(params, cfg, vocab, examples,
         if predict_override is not None:
             scores.append(float(predict_override(ex)))
             continue
-        enc = _pair_enc(cfg, vocab, ex, limit)
+        enc = _pair_enc(vocab, ex, limit)
         if cfg.output_strategy == "generate":
             generated = greedy_decode(params, enc,
                                       max_out=min(cfg.gen_max_tokens, limit))
@@ -417,8 +403,8 @@ def predict_entailment_labels(params, cfg, vocab, examples,
         if predict_override is not None:
             labels.append(predict_override(ex))
             continue
-        probs = predict_entailment(params, _pair_enc(cfg, vocab, ex, limit))
-        labels.append(ENTAILMENT_LABELS[int(np.argmax(probs))])
+        probs = predict_entailment(params, _pair_enc(vocab, ex, limit))
+        labels.append(ENTAILMENT_CLASSES[int(np.argmax(probs))])
     return labels
 
 
@@ -447,7 +433,6 @@ def evaluate_ner(params, cfg, vocab, table, examples, predict_override=None):
     rows = []
     malformed = 0
     for ex in examples:
-        ex = _ner_doc_words(cfg, ex)
         per_window = []
         for offset, words, _tags in window_ner_example(ex, cfg.ner_window,
                                                        cfg.ner_stride):
@@ -472,40 +457,39 @@ def run_finetune(cfg: RunConfig):
     val_ex = _read_split(cfg, cfg.val_path, "validation data") if cfg.val_path else None
 
     limit = _length_limit(cfg, params)
-    maximize = False
-    val_fn = None
-    if cfg.task == "similarity":
-        generate = cfg.output_strategy == "generate"
-        items = _similarity_items(cfg, vocab, train_ex, generate, limit)
-        objective = "lm" if generate else "regression"
-        if val_ex is not None:
-            gold = [ex.similarity for ex in val_ex]
-
-            def val_fn(p):
-                preds, _ = predict_similarity_scores(p, cfg, vocab, val_ex)
-                val_mse = mse(preds, gold)
-                return val_mse, val_mse
-    elif cfg.task == "entailment":
-        items = _entailment_items(cfg, vocab, train_ex, limit)
+    if cfg.task == "entailment":
         objective = "classification"
-        if val_ex is not None:
-            val_items = _entailment_items(cfg, vocab, val_ex, limit)
-
-            def val_fn(p):
-                ce = batch_loss(p, val_items, "classification")
-                return ce, ce
+    elif cfg.task == "similarity" and cfg.output_strategy != "generate":
+        objective = "regression"
     else:
-        items = _ner_items(cfg, vocab, table, train_ex, limit)
         objective = "lm"
-        maximize = True
-        if val_ex is not None:
-            val_items = _ner_items(cfg, vocab, table, val_ex, limit)
 
-            def val_fn(p):
+    def make_items(examples):
+        if cfg.task == "ner":
+            return _ner_items(cfg, vocab, table, examples, limit)
+        return _pair_items(vocab, examples, objective, limit)
+
+    items = make_items(train_ex)
+    val_fn = None
+    if val_ex is not None and cfg.task == "similarity":
+        gold = [ex.similarity for ex in val_ex]
+
+        def val_fn(p):
+            preds, _ = predict_similarity_scores(p, cfg, vocab, val_ex)
+            val_mse = mse(preds, gold)
+            return val_mse, val_mse
+    elif val_ex is not None:
+        val_items = make_items(val_ex)
+
+        def val_fn(p):
+            loss = batch_loss(p, val_items, objective)
+            if cfg.task == "ner":
                 report, _, _ = evaluate_ner(p, cfg, vocab, table, val_ex)
-                return batch_loss(p, val_items, "lm"), report.micro.f1
+                return loss, report.micro.f1
+            return loss, loss
 
-    return _fit(cfg, params, items, objective, val_fn, maximize)
+    return _fit(cfg, params, items, objective, val_fn,
+                maximize=cfg.task == "ner")
 
 
 def _with_counts(report: str, **counts: int) -> str:

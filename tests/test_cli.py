@@ -437,3 +437,119 @@ out_dir = {tmp_path / "out"}
     err = capsys.readouterr().err
     assert str(tmp_path / f"{split}.data") in err
     assert ("has no examples" if kind == "empty" else f"has no {task} label") in err
+
+
+def _tiny_task_files(tmp_path, task, accented=True):
+    """A vocabulary covering both accented and plain spellings, and
+    train/val/test splits of a sentence-pair or NER task; with
+    accented=False the splits are written already stripped."""
+    from minit5.tasks import strip_accents
+    words = ["São", "ação", "três", "café", "maçã", "avó", "pé", "irmã"]
+    plain = [strip_accents(w) for w in words]
+    vocab = train_vocab([" ".join(words), " ".join(plain), " ".join(WORDS),
+                         "ASSIN sentence1: x", "sentence2: y",
+                         "Recognize Entities: x [Person] [Local] [Other]",
+                         "0 1 2 3 4 5 6 7 8 9 . ,"], vocab_size=120)
+    vocab.save(tmp_path / "vocab.tsv")
+    rng = random.Random(4)
+    text = (lambda w: w) if accented else strip_accents
+    for name, n in (("train", 8), ("val", 4), ("test", 4)):
+        if task == "ner":
+            docs = []
+            for _ in range(n):
+                row = [rng.choice(words + WORDS) for _ in range(5)]
+                docs.append("".join(f"{text(w)} {'B-LOC' if w in words else 'O'}\n"
+                                    for w in row))
+            body = "\n".join(docs) + "\n"
+        else:
+            body = PAIR_HEADER + "".join(
+                f"{i}\t{text(' '.join(rng.choice(words) for _ in range(3)))}"
+                f"\t{text(' '.join(rng.choice(words) for _ in range(3)))}"
+                f"\t{rng.choice(['1.0', '3.5', '5.0'])}"
+                f"\t{rng.choice(['entail', 'none'])}\n" for i in range(n))
+        write(tmp_path / f"{name}.data", body)
+
+
+def _tiny_task_config(tmp_path, task, extra=""):
+    cfg = tmp_path / "task.cfg"
+    write(cfg, f"""[run]
+task = {task}
+max_epochs = 2
+batch_size = 4
+lr = 0.003
+seq_len = 32
+deterministic = true
+label_language = en
+ner_window = 4
+ner_stride = 2
+beam_width = 2
+{extra}
+
+[model]
+d_model = 16
+n_heads = 2
+d_ff = 32
+n_enc_layers = 1
+n_dec_layers = 1
+
+[paths]
+vocab = {tmp_path / "vocab.tsv"}
+train = {tmp_path / "train.data"}
+val = {tmp_path / "val.data"}
+test = {tmp_path / "test.data"}
+out_dir = {tmp_path / "out"}
+""")
+    return str(cfg)
+
+
+@pytest.mark.parametrize("line", ["beam_width = 0", "gen_max_tokens = 0",
+                                  "seq_len = 0", "mask_rate = 0",
+                                  "mask_rate = 1.5", "ner_window = 2",
+                                  "ner_stride = 0", "label_language = xx"])
+def test_out_of_range_config_value_is_usage_error_before_training(tmp_path,
+                                                                  capsys, line):
+    """A config value outside its range exits 1 when the config loads, even
+    where the task never uses the value, and nothing is trained or written."""
+    _tiny_task_files(tmp_path, "ner")
+    cfg = _tiny_task_config(tmp_path, "ner", extra=line)
+    assert main(["--config", cfg, "finetune"]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "checkpoint.bin").exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--vocab-size", "--seed-size"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_train_vocab_sizes_below_one_are_usage_errors(tmp_path, capsys, flag,
+                                                      value):
+    corpus = make_corpus_file(tmp_path)
+    out = tmp_path / "vocab.tsv"
+    rc = main(["train-vocab", "--corpus", corpus, "--output", str(out),
+               flag, value])
+    assert rc == 1
+    assert f"usage error: {flag} must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task,extra", [("similarity", "output_strategy = generate"),
+                                        ("similarity", ""), ("entailment", ""),
+                                        ("ner", "")])
+def test_strip_accents_run_equals_run_on_pre_stripped_splits(tmp_path, task,
+                                                             extra):
+    """With strip_accents = true, fine-tuning and evaluating on accented
+    splits writes the same bytes as on copies stripped beforehand."""
+    outputs = []
+    for accented in (True, False):
+        root = tmp_path / ("accented" if accented else "plain")
+        root.mkdir()
+        _tiny_task_files(root, task, accented)
+        cfg = _tiny_task_config(root, task, "strip_accents = true\n" + extra)
+        assert main(["--config", cfg, "finetune"]) == 0
+        assert main(["--config", cfg, "evaluate", "--checkpoint",
+                     str(root / "out" / "checkpoint.bin")]) == 0
+        outputs.append({name: (root / "out" / name).read_bytes()
+                        for name in sorted(os.listdir(root / "out"))})
+    assert outputs[0] == outputs[1]
+    names = set(outputs[0])
+    assert {"checkpoint.bin", "train_log.tsv", "eval_test.txt"} <= names
+    assert ("predictions_test.conll" in names) == (task == "ner")
