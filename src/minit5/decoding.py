@@ -27,18 +27,20 @@ def _hyp_sort_key(item):
 
 def _row_top(scores: np.ndarray, width: int):
     """(row, token) pairs of the best `width` finite scores of every row by
-    (-score, token). A partition finds each row's cut; every score at or
-    above it is kept, so ties at the cut survive into the small lexsort."""
-    finite = scores > -np.inf
-    k = min(width, scores.shape[1])
-    neg = -scores
-    cut = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
-    rows, toks = np.nonzero(finite & (neg <= cut))
-    order = np.lexsort((toks, neg[rows, toks], rows))
-    rows, toks = rows[order], toks[order]
-    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
-    keep = rank < width
-    return rows[keep], toks[keep]
+    (-score, token). Each pass takes every row's argmax, which is the lowest
+    token on a tie, and masks it out, so ties at the cut resolve as in the
+    full sort."""
+    left = scores.copy()
+    rows = np.arange(len(left))
+    k = min(width, left.shape[1])
+    toks = np.empty((len(left), k), dtype=np.intp)
+    best = np.empty((len(left), k))
+    for t in range(k):
+        toks[:, t] = top = left.argmax(axis=1)
+        best[:, t] = left[rows, top]
+        left[rows, top] = -np.inf
+    keep = best.ravel() > -np.inf
+    return np.repeat(rows, k)[keep], toks.ravel()[keep]
 
 
 def _beam(step, width: int, max_out: int, eos_id: int) -> list[int]:

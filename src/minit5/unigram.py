@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import filterfalse
+from operator import itemgetter
 from typing import Iterable
 
 from .atomic import atomic_write
@@ -24,6 +26,7 @@ MAX_SEED_PIECE_LEN = 8
 _UNK_PENALTY = 10.0  # unknown fallback scores this far below the worst piece
 
 NEG_INF = float("-inf")
+_ABSENT = object()  # a piece-table miss: no piece starts with the substring
 
 
 def _to_internal(text: str) -> str:
@@ -44,27 +47,32 @@ def _logadd(a: float, b: float) -> float:
     return a + math.log1p(math.exp(b - a))
 
 
-def _unk_log_prob(scored: dict[str, float]) -> float:
+def _unk_log_prob(log_probs: Iterable[float]) -> float:
     """Unknown-character fallback score: _UNK_PENALTY below the worst piece."""
-    return min(scored.values(), default=0.0) - _UNK_PENALTY
+    return min(log_probs, default=0.0) - _UNK_PENALTY
 
 
 class UnigramVocab:
     """Piece table with log-probabilities; ids 0-3 are reserved controls."""
 
-    def __init__(self, pieces: list[tuple[str, float]]):
-        if len(pieces) < N_RESERVED or tuple(p for p, _ in pieces[:N_RESERVED]) != RESERVED_PIECES:
-            raise ValueError("vocabulary must start with the reserved pieces")
+    def __init__(self, pieces: list[tuple[str, float]], source: str | None = None):
+        """`source`, the file the rows were read from, names it in errors."""
         self.pieces = list(pieces)
+        where = f"{source}: " if source else ""
+        if tuple(p for p, _ in self.pieces[:N_RESERVED]) != RESERVED_PIECES:
+            raise ValueError(f"{where}vocabulary must start with the reserved pieces")
         self._ids = {p: i for i, (p, _) in enumerate(self.pieces)}
         if len(self._ids) != len(self.pieces):
-            raise ValueError("piece strings must be unique")
-        for piece, lp in self.pieces:
-            if not math.isfinite(lp):
-                raise ValueError(f"piece {piece!r} has non-finite log-prob {lp}")
-        self._scored = {p: lp for p, lp in self.pieces[N_RESERVED:]}
-        self._max_piece_len = max((len(p) for p in self._scored), default=1)
-        self._unk_lp = _unk_log_prob(self._scored)
+            raise ValueError(f"{where}piece strings must be unique")
+        log_probs = list(map(itemgetter(1), self.pieces))
+        # a sum is finite only if every term is (after an overflow, no row fails)
+        if not math.isfinite(sum(log_probs)):
+            for row, (piece, lp) in enumerate(self.pieces):
+                if not math.isfinite(lp):
+                    raise ValueError(f"{source}:{row}: log-prob {lp} is not finite" if source
+                                     else f"piece {piece!r} has non-finite log-prob {lp}")
+        self._table = _piece_table(self.pieces[N_RESERVED:])
+        self._unk_lp = _unk_log_prob(log_probs[N_RESERVED:])
 
     @classmethod
     def from_scored(cls, scored: dict[str, float]) -> "UnigramVocab":
@@ -74,10 +82,6 @@ class UnigramVocab:
         return cls(rows)
 
     def __len__(self) -> int:
-        return len(self.pieces)
-
-    @property
-    def size(self) -> int:
         return len(self.pieces)
 
     def id_of(self, piece: str) -> int | None:
@@ -90,15 +94,14 @@ class UnigramVocab:
         return self.pieces[idx][1]
 
     def scored_body(self) -> dict[str, float]:
-        return dict(self._scored)
+        return dict(self.pieces[N_RESERVED:])
 
     @property
     def unk_log_prob(self) -> float:
         return self._unk_lp
 
     def covers(self, text: str) -> bool:
-        internal = _to_internal(text)
-        return all(ch in self._ids for ch in internal)
+        return all(ch in self._ids for ch in _to_internal(text))
 
     def save(self, path: str) -> None:
         with atomic_write(path) as fh:
@@ -107,20 +110,19 @@ class UnigramVocab:
 
     @classmethod
     def load(cls, path: str) -> "UnigramVocab":
-        rows: list[tuple[str, float]] = []
+        """Line k holds id k; blank lines may only end the file."""
         with open(path, "r", encoding="utf-8", newline="\n") as fh:
-            for lineno, line in enumerate(fh):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    piece, lp = line.split("\t")
-                    rows.append((piece, float(lp)))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: bad vocabulary line") from exc
-                if not math.isfinite(rows[-1][1]):
-                    raise ValueError(f"{path}:{lineno}: log-prob {lp} is not finite")
-        return cls(rows)
+            lines = fh.read().split("\n")
+        while lines and not lines[-1]:
+            lines.pop()
+        rows: list[tuple[str, float]] = []
+        for lineno, line in enumerate(lines):
+            try:
+                piece, lp = line.split("\t")
+                rows.append((piece, float(lp)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad vocabulary line") from exc
+        return cls(rows, source=path)
 
 
 def build_seed_vocab(corpus: list[str], seed_size: int) -> UnigramVocab:
@@ -171,29 +173,44 @@ def _weighted_internal(corpus: Iterable[str]) -> dict[str, int]:
     return dict(weights)
 
 
-def _sentence_edges(sent: str, scored: dict[str, float], unk_lp: float,
-                    max_len: int) -> list[list[tuple[int, str, float]]]:
-    """Lattice edges per start position: (end, piece-or-None-for-unk, log_prob)."""
+def _piece_table(scored: dict[str, float] | list[tuple[str, float]]
+                 ) -> dict[str, float | None]:
+    """Every piece's log-prob, and None for every other prefix of a piece. Each
+    piece adds its prefix chain up to the first existing entry: a linear build."""
+    table: dict[str, float | None] = dict(scored)
+    # parents are sliced and looked up in C (load time); a missing one walks up its chain
+    for prefix in filterfalse(table.__contains__, map(itemgetter(slice(None, -1)), list(table))):
+        while prefix and prefix not in table:
+            table[prefix] = None
+            prefix = prefix[:-1]
+    return table
+
+
+def _sentence_edges(sent: str, table: dict[str, float | None],
+                    unk_lp: float) -> list[list[tuple[int, str, float]]]:
+    """Lattice edges per start position: (end, piece-or-None-for-unk, log_prob),
+    in ascending end, the unknown edge last. The walk from a position stops at
+    the first substring that is no piece's prefix (see _piece_table)."""
     n = len(sent)
-    edges: list[list[tuple[int, str, float]]] = [[] for _ in range(n)]
+    edges: list[list[tuple[int, str, float]]] = []
     for i in range(n):
-        found_single = False
-        for j in range(i + 1, min(n, i + max_len) + 1):
+        row = []
+        for j in range(i + 1, n + 1):
             piece = sent[i:j]
-            lp = scored.get(piece)
+            lp = table.get(piece, _ABSENT)
+            if lp is _ABSENT:
+                break
             if lp is not None:
-                edges[i].append((j, piece, lp))
-                if j == i + 1:
-                    found_single = True
-        if not found_single:
-            edges[i].append((i + 1, None, unk_lp))  # unknown-character fallback
+                row.append((j, piece, lp))
+        if not row or row[0][0] != i + 1:
+            row.append((i + 1, None, unk_lp))  # unknown-character fallback
+        edges.append(row)
     return edges
 
 
-def _forward_backward(sent: str, scored: dict[str, float], unk_lp: float,
-                      max_len: int):
+def _forward_backward(sent: str, table: dict[str, float | None], unk_lp: float):
     """Returns (edges, alpha, beta, logZ) for one sentence."""
-    edges = _sentence_edges(sent, scored, unk_lp, max_len)
+    edges = _sentence_edges(sent, table, unk_lp)
     n = len(sent)
     alpha = [NEG_INF] * (n + 1)
     alpha[0] = 0.0
@@ -218,12 +235,13 @@ _COUNT_FLOOR = 1e-100  # keeps every retained piece at a finite log-prob
 
 
 def _em_on_prepared(sentences: dict[str, int], scored: dict[str, float],
-                    unk_lp: float, max_len: int) -> tuple[dict[str, float], float]:
+                    unk_lp: float) -> tuple[dict[str, float], float]:
     """One EM pass over pre-weighted sentences; returns (new scores, pre-update LL)."""
+    table = _piece_table(scored)
     counts: dict[str, float] = {}
     loglik = 0.0
     for sent, weight in sentences.items():
-        edges, alpha, beta, logz = _forward_backward(sent, scored, unk_lp, max_len)
+        edges, alpha, beta, logz = _forward_backward(sent, table, unk_lp)
         if logz == NEG_INF:
             continue
         loglik += weight * logz
@@ -251,10 +269,8 @@ def em_step(corpus: list[str], vocab: UnigramVocab) -> tuple[UnigramVocab, float
     """One EM iteration: expected piece counts by forward-backward, then
     renormalization. Returns the updated vocabulary and the pre-update corpus
     log-likelihood. Piece order is preserved."""
-    sentences = _weighted_internal(corpus)
-    scored = vocab.scored_body()
     new_scored, loglik = _em_on_prepared(
-        sentences, scored, vocab.unk_log_prob, vocab._max_piece_len)
+        _weighted_internal(corpus), vocab.scored_body(), vocab.unk_log_prob)
     rows = list(vocab.pieces[:N_RESERVED]) + [
         (p, new_scored[p]) for p, _ in vocab.pieces[N_RESERVED:]]
     return UnigramVocab(rows), loglik
@@ -299,7 +315,7 @@ def _best_path(sent: str, edges: list[list[tuple[int, str, float]]]
 def encode(vocab: UnigramVocab, text: str) -> list[int]:
     """Viterbi-encode text to piece ids; unknown characters map to UNK_ID."""
     internal = _to_internal(text)
-    edges = _sentence_edges(internal, vocab._scored, vocab._unk_lp, vocab._max_piece_len)
+    edges = _sentence_edges(internal, vocab._table, vocab._unk_lp)
     return [UNK_ID if piece is None else vocab._ids[piece]
             for _, _, piece in _best_path(internal, edges)[1]]
 
@@ -322,23 +338,23 @@ def decode(vocab: UnigramVocab, ids: list[int]) -> str:
     return _to_text("".join(parts))
 
 
-def _viterbi_piece_counts(sentences: dict[str, int], scored: dict[str, float],
-                          unk_lp: float, max_len: int) -> Counter:
+def _viterbi_piece_counts(sentences: dict[str, int], table: dict[str, float | None],
+                          unk_lp: float) -> Counter:
     """Weighted counts of the pieces on each sentence's best path, which are
     the pieces encode emits."""
     counts: Counter[str] = Counter()
     for sent, weight in sentences.items():
-        edges = _sentence_edges(sent, scored, unk_lp, max_len)
+        edges = _sentence_edges(sent, table, unk_lp)
         for _, _, piece in _best_path(sent, edges)[1]:
             if piece is not None:
                 counts[piece] += weight
     return counts
 
 
-def _segment_without_self(piece: str, scored: dict[str, float], unk_lp: float,
-                          max_len: int) -> float:
+def _segment_without_self(piece: str, table: dict[str, float | None],
+                          unk_lp: float) -> float:
     """Best log-prob of segmenting `piece` without using the piece itself."""
-    edges = _sentence_edges(piece, scored, unk_lp, max_len)
+    edges = _sentence_edges(piece, table, unk_lp)
     edges[0] = [e for e in edges[0] if e[0] != len(piece)]  # the full span is `piece`
     return _best_path(piece, edges)[0]
 
@@ -362,21 +378,15 @@ def prune_vocab(corpus: list[str], vocab: UnigramVocab, target_size: int,
         raise ValueError(
             f"target_size {target_size} below minimum {min_size} "
             "(reserved ids plus single characters)")
-    max_len = vocab._max_piece_len
     while N_RESERVED + len(scored) > target_size:
         for _ in range(2):
-            scored, _ = _em_on_prepared(sentences, scored, _unk_log_prob(scored), max_len)
-        unk_lp = _unk_log_prob(scored)
-        usage = _viterbi_piece_counts(sentences, scored, unk_lp, max_len)
+            scored, _ = _em_on_prepared(sentences, scored, _unk_log_prob(scored.values()))
+        unk_lp = _unk_log_prob(scored.values())
+        table = _piece_table(scored)  # one per round, shared by every piece below
+        usage = _viterbi_piece_counts(sentences, table, unk_lp)
         multis = [p for p in scored if len(p) > 1]
-        losses: list[tuple[float, str]] = []
-        for p in multis:
-            used = usage.get(p, 0)
-            if used == 0:
-                losses.append((0.0, p))
-                continue
-            alt = _segment_without_self(p, scored, unk_lp, max_len)
-            losses.append((used * (scored[p] - alt), p))
+        losses = [(usage[p] * (scored[p] - _segment_without_self(p, table, unk_lp))
+                   if usage[p] else 0.0, p) for p in multis]
         losses.sort(key=lambda kv: (-kv[0], kv[1]))
         target_multi = target_size - N_RESERVED - len(singles)
         keep_n = max(target_multi, int(len(multis) * shrink_factor))

@@ -39,6 +39,26 @@ def best_segmentation(s: str, scored: dict[str, float]) -> tuple[str, ...] | Non
     return min(segs, key=key)
 
 
+def reference_edges(sent: str, scored: dict[str, float], unk_lp: float,
+                    max_len: int) -> list[list[tuple[int, str | None, float]]]:
+    """Lattice edges by the bounded probe: every substring of at most max_len
+    characters at every position, looked up in the piece dict; edges per start
+    position in ascending end, the unknown edge last where no single character
+    is a piece."""
+    n = len(sent)
+    edges = [[] for _ in range(n)]
+    for i in range(n):
+        found_single = False
+        for j in range(i + 1, min(n, i + max_len) + 1):
+            lp = scored.get(sent[i:j])
+            if lp is not None:
+                edges[i].append((j, sent[i:j], lp))
+                found_single = found_single or j == i + 1
+        if not found_single:
+            edges[i].append((i + 1, None, unk_lp))
+    return edges
+
+
 def enumerate_expected_counts(s: str, scored: dict[str, float]):
     """Exact posterior piece counts and likelihood by enumerating every
     segmentation of one sentence."""

@@ -372,6 +372,16 @@ out_dir = {tmp_path / "eval"}
             assert rc == 2
             assert f"bad.tsv:10: log-prob {value} is not finite" in capsys.readouterr().err
 
+    def test_interior_blank_vocabulary_line_is_data_error(self, tmp_path, capsys):
+        corpus, vocab_path, _ = pipeline_files(tmp_path)
+        lines = open(vocab_path, encoding="utf-8").read().splitlines()
+        write(tmp_path / "bad.tsv", "\n".join(lines[:10] + [""] + lines[10:]) + "\n")
+        rc = main(["make-pretrain-data", "--vocab", str(tmp_path / "bad.tsv"),
+                   "--corpus", corpus, "--output", str(tmp_path / "pairs.bin")])
+        assert rc == 2
+        assert "bad.tsv:10: bad vocabulary line" in capsys.readouterr().err
+        assert not (tmp_path / "pairs.bin").exists()
+
 
 PAIR_HEADER = "id\tsentence1\tsentence2\tsimilarity\tentailment\n"
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minit5.decoding import beam_decode, beam_search, greedy_decode
+from minit5.decoding import _row_top, beam_decode, beam_search, greedy_decode
 from minit5.model import ModelConfig, init_model
 from minit5.optim import AdamState, adamw_step
 from minit5.model import loss_and_grad
@@ -259,3 +259,18 @@ class TestTopWidthExpansion:
             for width in (1, 2, 3, 5):
                 assert beam_search(step, width, 4) == \
                     full_sort_beam(step, width, 4, EOS_ID), (seed, width)
+
+
+def test_row_top_equals_the_full_row_sort():
+    # few distinct values give ties at every cut; -inf entries never survive
+    rng = np.random.default_rng(5)
+    for trial in range(400):
+        n_rows, v = int(rng.integers(1, 6)), int(rng.integers(1, 12))
+        scores = rng.integers(-3, 1, size=(n_rows, v)).astype(np.float64)
+        scores[rng.random((n_rows, v)) < 0.3] = -np.inf
+        width = int(rng.integers(1, v + 3))
+        want = [(r, t) for r in range(n_rows)
+                for t in sorted(range(v), key=lambda t: (-scores[r, t], t))[:width]
+                if scores[r, t] > -np.inf]
+        rows, toks = _row_top(scores, width)
+        assert list(zip(rows.tolist(), toks.tolist())) == want, trial

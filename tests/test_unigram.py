@@ -7,10 +7,12 @@ import pytest
 from minit5.unigram import (BOUNDARY, EOS_ID, MASK_ID, PAD_ID, RESERVED_PIECES,
                             UNK_ID, UnigramVocab, build_seed_vocab, decode,
                             em_step, encode, prune_vocab, train_vocab)
-from minit5.unigram import (_segment_without_self, _viterbi_piece_counts,
-                            _weighted_internal)
+from minit5 import unigram
+from minit5.unigram import (_piece_table, _segment_without_self, _sentence_edges,
+                            _viterbi_piece_counts, _weighted_internal)
 
-from oracles import all_segmentations, best_segmentation, enumerate_expected_counts
+from oracles import (all_segmentations, best_segmentation, enumerate_expected_counts,
+                     reference_edges)
 
 PT_WORDS = ["casa", "gato", "cão", "água", "pão", "maçã", "coração", "você",
             "então", "também", "história", "rápido", "número", "São", "Paulo",
@@ -144,8 +146,8 @@ class TestPrune:
         # frequency log-probs of "ab"/"abc" text give exact ties (seeds 79 and
         # 88 here); on a tie, pruning must count the pieces encode picks
         def counts_and_emitted(vocab, corpus):
-            usage = _viterbi_piece_counts(_weighted_internal(corpus), vocab.scored_body(),
-                                          vocab.unk_log_prob, vocab._max_piece_len)
+            usage = _viterbi_piece_counts(_weighted_internal(corpus), vocab._table,
+                                          vocab.unk_log_prob)
             return usage, Counter(vocab.piece(i) for line in corpus
                                   for i in encode(vocab, line))
 
@@ -167,7 +169,8 @@ class TestPrune:
         # "a" is no piece, so the only other way through "ab" is <unk> + "b"
         scored = {"ab": math.log(0.5), "b": math.log(0.5)}
         unk_lp = math.log(0.5) - 10.0
-        assert _segment_without_self("ab", scored, unk_lp, 2) == unk_lp + math.log(0.5)
+        assert _segment_without_self("ab", _piece_table(scored), unk_lp) == \
+            unk_lp + math.log(0.5)
 
     def test_target_below_minimum(self):
         corpus = ["abcdefgh"]
@@ -271,8 +274,7 @@ class TestEncode:
             for p in (p for p in pieces if len(p) > 1):
                 alt = max(sum(scored[q] for q in seg)
                           for seg in all_segmentations(p, set(pieces) - {p}))
-                assert _segment_without_self(p, scored, vocab.unk_log_prob,
-                                             vocab._max_piece_len) == \
+                assert _segment_without_self(p, vocab._table, vocab.unk_log_prob) == \
                     pytest.approx(alt, rel=0.0, abs=1e-12), (trial, p)
 
 
@@ -322,6 +324,71 @@ class TestDecode:
         assert failures == 0
 
 
+def random_lattice_case(rng: random.Random) -> tuple[dict[str, float], str]:
+    """A random vocabulary over a, b, c and the boundary marker, and text for it.
+    Some single characters stay uncovered and the text may hold an X no piece
+    covers; pieces may open with the boundary marker; one piece is longer than
+    all others, and in half the cases its shorter prefixes are no pieces."""
+    alphabet = "abc" + BOUNDARY
+    pieces = {ch for ch in alphabet if rng.random() < 0.8}
+    for _ in range(rng.randrange(1, 12)):
+        pieces.add("".join(rng.choice(alphabet) for _ in range(rng.randrange(2, 5))))
+    longest = "".join(rng.choice(alphabet) for _ in range(rng.randrange(6, 10)))
+    pieces.add(longest)
+    if rng.random() < 0.5:
+        pieces -= {longest[:k] for k in range(2, len(longest))}
+    scored = {p: math.log(rng.random() + 0.01) for p in sorted(pieces)}
+    choices = sorted(pieces) + list(alphabet) + ["X", longest]
+    text = "".join(rng.choice(choices) for _ in range(rng.randrange(0, 8)))
+    return scored, text.replace(BOUNDARY, " ")
+
+
+def bounded_probe(sent, table, unk_lp):
+    """The reference edge builder behind the _sentence_edges signature."""
+    scored = {p: lp for p, lp in table.items() if lp is not None}
+    return reference_edges(sent, scored, unk_lp, max(map(len, scored), default=1))
+
+
+class TestPrefixTable:
+    def test_table_holds_pieces_and_exactly_their_other_prefixes(self):
+        rng = random.Random(7)
+        for trial in range(500):
+            scored, _ = random_lattice_case(rng)
+            prefixes = {p[:k] for p in scored for k in range(1, len(p))} - set(scored)
+            assert _piece_table(scored) == {**scored, **dict.fromkeys(prefixes)}, trial
+
+    def test_edges_equal_the_bounded_probe_edge_for_edge(self):
+        fixed = [({"a": -1.0, "b": -1.0, "c": -1.0, "d": -1.0, "abcd": -2.0}, "abcdabcab"),
+                 ({"b": -1.0, "abcd": -2.0}, "aabcdXabc"),
+                 ({BOUNDARY + "ab": -1.0, "a": -2.0, BOUNDARY: -3.0}, " ab a  b")]
+        rng = random.Random(11)
+        cases = fixed + [random_lattice_case(rng) for _ in range(600)]
+        for trial, (scored, text) in enumerate(cases):
+            sent = text.replace(" ", BOUNDARY)
+            unk_lp = min(scored.values()) - 10.0
+            want = reference_edges(sent, scored, unk_lp, max(map(len, scored)))
+            assert _sentence_edges(sent, _piece_table(scored), unk_lp) == want, trial
+
+    def test_encode_segment_and_em_step_bitwise_over_both_builders(self, monkeypatch):
+        rng = random.Random(13)
+        for trial in range(500):
+            scored, text = random_lattice_case(rng)
+            corpus = [text, text[::-1], text[1:] + "a", "ab c" + text]
+            vocab = make_vocab(scored)
+
+            def outputs():
+                segments = [_segment_without_self(p, vocab._table, vocab.unk_log_prob)
+                            for p in scored if len(p) > 1]
+                new, loglik = em_step(corpus, vocab)
+                return repr(([encode(vocab, line) for line in corpus], segments,
+                             new.pieces, loglik))
+
+            got = outputs()
+            with monkeypatch.context() as patch:
+                patch.setattr(unigram, "_sentence_edges", bounded_probe)
+                assert outputs() == got, trial
+
+
 class TestVocabFile:
     def test_format_and_round_trip(self, tmp_path):
         corpus = pt_corpus(40, seed=21)
@@ -358,6 +425,27 @@ class TestVocabFile:
         path = tmp_path / "bad.tsv"
         path.write_text("a\t0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="reserved"):
+            UnigramVocab.load(path)
+
+    def test_blank_line_before_the_last_piece_is_a_bad_line(self, tmp_path):
+        # the line number is the id, so a skipped blank line would shift every later id
+        path = tmp_path / "bad.tsv"
+        header = "".join(f"{p}\t0\n" for p in RESERVED_PIECES)
+        path.write_text(header + "a\t-1\n\nb\t-2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="bad.tsv:5: bad vocabulary line"):
+            UnigramVocab.load(path)
+        path.write_text(header + "a\t-1\nb\t-2\n\n\n", encoding="utf-8")
+        vocab = UnigramVocab.load(path)
+        assert (len(vocab), vocab.id_of("a"), vocab.id_of("b")) == (6, 4, 5)
+
+    def test_reserved_and_duplicate_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("a\t0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="bad.tsv: vocabulary must start with the reserved"):
+            UnigramVocab.load(path)
+        header = "".join(f"{p}\t0\n" for p in RESERVED_PIECES)
+        path.write_text(header + "a\t-1\na\t-2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="bad.tsv: piece strings must be unique"):
             UnigramVocab.load(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
