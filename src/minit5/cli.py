@@ -132,7 +132,11 @@ def _cmd_train_vocab(args):
     if args.seed_size is not None and args.seed_size < 1:
         raise UsageError("--seed-size must be >= 1")
     with open(args.corpus, "r", encoding="utf-8") as fh:
-        sentences = [line.rstrip("\n") for line in fh if line.strip()]
+        numbered = [(k, line.rstrip("\n")) for k, line in enumerate(fh, 1) if line.strip()]
+    for lineno, line in numbered:
+        if "\t" in line:  # it would become a piece the vocabulary file cannot hold
+            raise DataError(f"{args.corpus}:{lineno}: tab in a corpus line")
+    sentences = [line for _, line in numbered]
     if not sentences:
         raise DataError(f"{args.corpus}: empty corpus")
     vocab = train_vocab(sentences, vocab_size=args.vocab_size,

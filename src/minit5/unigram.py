@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import reduce
 from itertools import filterfalse
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Iterable
+
+import numpy as np
 
 from .atomic import atomic_write
 
@@ -77,9 +80,7 @@ class UnigramVocab:
     @classmethod
     def from_scored(cls, scored: dict[str, float]) -> "UnigramVocab":
         """Build from non-reserved piece log-probs, ranked by probability."""
-        ranked = sorted(scored.items(), key=lambda kv: (-kv[1], kv[0]))
-        rows = [(p, 0.0) for p in RESERVED_PIECES] + ranked
-        return cls(rows)
+        return cls([(p, 0.0) for p in RESERVED_PIECES] + list(_ranked(scored).items()))
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -104,6 +105,11 @@ class UnigramVocab:
         return all(ch in self._ids for ch in _to_internal(text))
 
     def save(self, path: str) -> None:
+        """Raises ValueError, writing nothing, on a piece the format cannot hold."""
+        for piece, _ in self.pieces:
+            if "\t" in piece or "\n" in piece:
+                raise ValueError(f"piece {piece!r} holds a tab or newline, which "
+                                 "the vocabulary file cannot store")
         with atomic_write(path) as fh:
             for piece, lp in self.pieces:
                 fh.write(f"{piece}\t{lp:.17g}\n")
@@ -135,6 +141,11 @@ def build_seed_vocab(corpus: list[str], seed_size: int) -> UnigramVocab:
     sentences = _weighted_internal(corpus)
     if not sentences:
         raise ValueError("corpus is empty")
+    return UnigramVocab.from_scored(_seed_scores(sentences, seed_size))
+
+
+def _seed_scores(sentences: dict[str, int], seed_size: int) -> dict[str, float]:
+    """build_seed_vocab's log-probs over weighted sentences, ranked."""
     char_freq: Counter[str] = Counter()
     sub_freq: Counter[str] = Counter()
     for sent, weight in sentences.items():
@@ -159,8 +170,12 @@ def build_seed_vocab(corpus: list[str], seed_size: int) -> UnigramVocab:
     kept = dict(ranked[:budget])
     freqs: dict[str, float] = {**char_freq, **kept}
     total = sum(freqs.values())
-    scored = {p: math.log(f / total) for p, f in freqs.items()}
-    return UnigramVocab.from_scored(scored)
+    return _ranked({p: math.log(f / total) for p, f in freqs.items()})
+
+
+def _ranked(scored: dict[str, float]) -> dict[str, float]:
+    """Pieces by descending log-prob, then by string: the vocabulary's id order."""
+    return dict(sorted(scored.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
 def _weighted_internal(corpus: Iterable[str]) -> dict[str, int]:
@@ -208,69 +223,103 @@ def _sentence_edges(sent: str, table: dict[str, float | None],
     return edges
 
 
-def _forward_backward(sent: str, table: dict[str, float | None], unk_lp: float):
-    """Returns (edges, alpha, beta, logZ) for one sentence."""
-    edges = _sentence_edges(sent, table, unk_lp)
-    n = len(sent)
-    alpha = [NEG_INF] * (n + 1)
-    alpha[0] = 0.0
-    for i in range(n):
-        if alpha[i] == NEG_INF:
-            continue
-        base = alpha[i]
-        for j, _, lp in edges[i]:
-            alpha[j] = _logadd(alpha[j], base + lp)
-    beta = [NEG_INF] * (n + 1)
-    beta[n] = 0.0
-    for i in range(n - 1, -1, -1):
-        acc = NEG_INF
-        for j, _, lp in edges[i]:
-            if beta[j] != NEG_INF:
-                acc = _logadd(acc, lp + beta[j])
-        beta[i] = acc
-    return edges, alpha, beta, alpha[n]
-
-
 _COUNT_FLOOR = 1e-100  # keeps every retained piece at a finite log-prob
 
 
-def _em_on_prepared(sentences: dict[str, int], scored: dict[str, float],
-                    unk_lp: float) -> tuple[dict[str, float], float]:
-    """One EM pass over pre-weighted sentences; returns (new scores, pre-update LL)."""
-    table = _piece_table(scored)
-    counts: dict[str, float] = {}
-    loglik = 0.0
-    for sent, weight in sentences.items():
-        edges, alpha, beta, logz = _forward_backward(sent, table, unk_lp)
-        if logz == NEG_INF:
-            continue
-        loglik += weight * logz
-        for i in range(len(sent)):
-            if alpha[i] == NEG_INF:
-                continue
-            for j, piece, lp in edges[i]:
-                if piece is None or beta[j] == NEG_INF:
-                    continue
-                gamma = math.exp(alpha[i] + lp + beta[j] - logz)
-                if gamma > 0.0:
-                    counts[piece] = counts.get(piece, 0.0) + weight * gamma
-    total = 0.0
-    floored: dict[str, float] = {}
-    for piece in scored:
-        c = max(counts.get(piece, 0.0), _COUNT_FLOOR)
-        floored[piece] = c
-        total += c
-    log_total = math.log(total)
-    new_scored = {p: math.log(c) - log_total for p, c in floored.items()}
-    return new_scored, loglik
+class _Lattice:
+    """Every weighted sentence's edges as flat int arrays, from one
+    _sentence_edges sweep; pruning masks out dropped pieces' edges (keep), as
+    single characters, and so unknown edges, always survive. Positions are
+    global, edges in the builder's (sentence, start, row) order. EM sweeps
+    start levels across all sentences with np.logaddexp, which rounds like
+    _logadd, in the scalar recurrence's order: its bytes equal that walk's."""
+
+    def __init__(self, sentences: dict[str, int], scored: dict[str, float]):
+        self.sentences = sentences
+        self._index = {p: k for k, p in enumerate(scored)}
+        table = _piece_table(scored)
+        rows: list[int] = []  # six columns, flat
+        first: list[int] = []
+        pos = 0
+        for k, sent in enumerate(sentences):
+            first.append(pos)
+            for i, row in enumerate(_sentence_edges(sent, table, 0.0)):
+                for rank, (j, piece, _) in enumerate(row):  # the unknown piece is -1
+                    rows += (pos + i, pos + j, i, rank, self._index.get(piece, -1), k)
+            pos += len(sent) + 1
+        self._n_pos = pos
+        self._first = np.array(first, dtype=np.int64)
+        self._last = self._first + np.array([len(s) for s in sentences], dtype=np.int64)
+        self._weight = np.array(list(sentences.values()), dtype=np.float64)
+        self._set_edges(np.array(rows, dtype=np.int64).reshape(-1, 6).T)
+
+    def _set_edges(self, cols: np.ndarray) -> None:
+        """Groups edges by start level, stably; each level's backward terms
+        sit in a dense [start, rank] grid."""
+        self._cols = cols
+        self._start, self._end, level, rank, self._piece, self._sent = cols
+        order = np.argsort(level, kind="stable")
+        self._lstart, self._lend, self._lpiece = (
+            self._start[order], self._end[order], self._piece[order])
+        level, rank = level[order], rank[order]
+        cuts = np.flatnonzero(np.diff(level, prepend=-1, append=-1)).tolist()
+        self._levels = []
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            starts, row = np.unique(self._lstart[a:b], return_inverse=True)
+            width = int(rank[a:b].max()) + 1
+            self._levels.append((a, b, starts, row * width + rank[a:b], width))
+
+    def keep(self, scored: dict[str, float]) -> None:
+        """Drops the edges of every piece not in scored."""
+        alive = np.zeros(len(self._index) + 1, dtype=bool)
+        alive[[self._index[p] for p in scored]] = True
+        alive[-1] = True  # unknown edges
+        self._set_edges(self._cols[:, alive[self._piece]])
+
+    def em(self, scored: dict[str, float]) -> tuple[dict[str, float], float]:
+        """One EM pass: (new scores in scored's order, pre-update log-likelihood)."""
+        idx = [self._index[p] for p in scored]
+        lp_of = np.zeros(len(self._index) + 1)
+        lp_of[idx] = list(scored.values())
+        lp_of[-1] = _unk_log_prob(scored.values())
+        alpha = np.full(self._n_pos, NEG_INF)
+        alpha[self._first] = 0.0
+        lp = lp_of[self._lpiece]
+        for a, b, _, _, _ in self._levels:  # one level's edges all end apart
+            ends = self._lend[a:b]
+            alpha[ends] = np.logaddexp(alpha[ends], alpha[self._lstart[a:b]] + lp[a:b])
+        beta = np.full(self._n_pos, NEG_INF)
+        beta[self._last] = 0.0
+        for a, b, starts, cells, width in reversed(self._levels):
+            terms = np.full(len(starts) * width, NEG_INF)  # -inf adds exactly nothing
+            terms[cells] = lp[a:b] + beta[self._lend[a:b]]
+            terms = terms.reshape(-1, width)
+            acc = terms[:, 0]
+            for r in range(1, width):  # in row order, as the scalar sum
+                acc = np.logaddexp(acc, terms[:, r])
+            beta[starts] = acc
+        logz = alpha[self._last]
+        loglik = reduce(add, (w * z for w, z in zip(self.sentences.values(), logz.tolist())
+                              if z != NEG_INF), 0.0)  # sequential, as the scalar sum
+        on = (self._piece >= 0) & (logz[self._sent] != NEG_INF)
+        start, end, piece, sent = self._start[on], self._end[on], self._piece[on], self._sent[on]
+        x = alpha[start] + lp_of[piece] + beta[end] - logz[sent]
+        # math.exp, not np.exp: numpy's SIMD exp rounds some inputs differently
+        gamma = np.fromiter(map(math.exp, x.tolist()), np.float64, len(x))
+        # bincount adds in edge order, the scalar walk's order
+        counts = np.bincount(piece, weights=self._weight[sent] * gamma,
+                             minlength=len(self._index))
+        floored = np.maximum(counts[idx], _COUNT_FLOOR).tolist()
+        log_total = math.log(reduce(add, floored, 0.0))
+        return dict(zip(scored, [math.log(c) - log_total for c in floored])), loglik
 
 
 def em_step(corpus: list[str], vocab: UnigramVocab) -> tuple[UnigramVocab, float]:
     """One EM iteration: expected piece counts by forward-backward, then
     renormalization. Returns the updated vocabulary and the pre-update corpus
     log-likelihood. Piece order is preserved."""
-    new_scored, loglik = _em_on_prepared(
-        _weighted_internal(corpus), vocab.scored_body(), vocab.unk_log_prob)
+    scored = vocab.scored_body()
+    new_scored, loglik = _Lattice(_weighted_internal(corpus), scored).em(scored)
     rows = list(vocab.pieces[:N_RESERVED]) + [
         (p, new_scored[p]) for p, _ in vocab.pieces[N_RESERVED:]]
     return UnigramVocab(rows), loglik
@@ -368,10 +417,17 @@ def prune_vocab(corpus: list[str], vocab: UnigramVocab, target_size: int,
     top shrink_factor fraction (never dropping below the target).
     Single characters and reserved ids are always retained.
     """
+    sentences, scored = _weighted_internal(corpus), vocab.scored_body()
+    return UnigramVocab.from_scored(
+        _prune(_Lattice(sentences, scored), scored, target_size, shrink_factor))
+
+
+def _prune(lattice: _Lattice, scored: dict[str, float], target_size: int,
+           shrink_factor: float) -> dict[str, float]:
+    """prune_vocab on scores over a lattice of them, masked to each round's
+    survivors."""
     if not 0.0 < shrink_factor < 1.0:
         raise ValueError("shrink_factor must be in (0, 1)")
-    sentences = _weighted_internal(corpus)
-    scored = vocab.scored_body()
     singles = {p for p in scored if len(p) == 1}
     min_size = N_RESERVED + len(singles)
     if target_size < min_size:
@@ -380,10 +436,10 @@ def prune_vocab(corpus: list[str], vocab: UnigramVocab, target_size: int,
             "(reserved ids plus single characters)")
     while N_RESERVED + len(scored) > target_size:
         for _ in range(2):
-            scored, _ = _em_on_prepared(sentences, scored, _unk_log_prob(scored.values()))
+            scored, _ = lattice.em(scored)
         unk_lp = _unk_log_prob(scored.values())
         table = _piece_table(scored)  # one per round, shared by every piece below
-        usage = _viterbi_piece_counts(sentences, table, unk_lp)
+        usage = _viterbi_piece_counts(lattice.sentences, table, unk_lp)
         multis = [p for p in scored if len(p) > 1]
         losses = [(usage[p] * (scored[p] - _segment_without_self(p, table, unk_lp))
                    if usage[p] else 0.0, p) for p in multis]
@@ -397,7 +453,8 @@ def prune_vocab(corpus: list[str], vocab: UnigramVocab, target_size: int,
         for lp in scored.values():
             log_total = _logadd(log_total, lp)
         scored = {p: lp - log_total for p, lp in scored.items()}
-    return UnigramVocab.from_scored(scored)
+        lattice.keep(scored)
+    return scored
 
 
 def train_vocab(corpus: list[str], vocab_size: int = 32000, *,
@@ -418,11 +475,12 @@ def train_vocab(corpus: list[str], vocab_size: int = 32000, *,
             f"plus {N_RESERVED} reserved ids")
     if seed_size is None:
         seed_size = max(n_chars, 4 * vocab_size)
-    vocab = build_seed_vocab(corpus, seed_size)
+    scored = _seed_scores(sentences, seed_size)
+    lattice = _Lattice(sentences, scored)  # the one build; pruning masks it
     for _ in range(2):
-        vocab, _ = em_step(corpus, vocab)
-    if len(vocab) > vocab_size:
-        vocab = prune_vocab(corpus, vocab, vocab_size, shrink_factor)
+        scored, _ = lattice.em(scored)
+    if N_RESERVED + len(scored) > vocab_size:
+        scored = _ranked(_prune(lattice, scored, vocab_size, shrink_factor))
     for _ in range(2):
-        vocab, _ = em_step(corpus, vocab)
-    return UnigramVocab.from_scored(vocab.scored_body())
+        scored, _ = lattice.em(scored)
+    return UnigramVocab.from_scored(scored)

@@ -72,6 +72,116 @@ def enumerate_expected_counts(s: str, scored: dict[str, float]):
     return counts, z
 
 
+# --- scalar EM reference ---------------------------------------------------
+# Sentence-by-sentence EM, the reference that unigram._Lattice.em must match
+# bit for bit. It walks the same edge builder and sums with _logadd in each
+# lattice row's order.
+
+def reference_forward_backward(sent: str, table, unk_lp: float):
+    """Returns (edges, alpha, beta, logZ) for one sentence."""
+    from minit5.unigram import _logadd, _sentence_edges
+    edges = _sentence_edges(sent, table, unk_lp)
+    n = len(sent)
+    alpha = [NEG_INF] * (n + 1)
+    alpha[0] = 0.0
+    for i in range(n):
+        if alpha[i] == NEG_INF:
+            continue
+        base = alpha[i]
+        for j, _, lp in edges[i]:
+            alpha[j] = _logadd(alpha[j], base + lp)
+    beta = [NEG_INF] * (n + 1)
+    beta[n] = 0.0
+    for i in range(n - 1, -1, -1):
+        acc = NEG_INF
+        for j, _, lp in edges[i]:
+            if beta[j] != NEG_INF:
+                acc = _logadd(acc, lp + beta[j])
+        beta[i] = acc
+    return edges, alpha, beta, alpha[n]
+
+
+def reference_em(sentences: dict[str, int], scored: dict[str, float],
+                 unk_lp: float) -> tuple[dict[str, float], float]:
+    """One EM pass over pre-weighted sentences; returns (new scores, pre-update LL)."""
+    from minit5.unigram import _COUNT_FLOOR, _piece_table
+    table = _piece_table(scored)
+    counts: dict[str, float] = {}
+    loglik = 0.0
+    for sent, weight in sentences.items():
+        edges, alpha, beta, logz = reference_forward_backward(sent, table, unk_lp)
+        if logz == NEG_INF:
+            continue
+        loglik += weight * logz
+        for i in range(len(sent)):
+            if alpha[i] == NEG_INF:
+                continue
+            for j, piece, lp in edges[i]:
+                if piece is None or beta[j] == NEG_INF:
+                    continue
+                gamma = math.exp(alpha[i] + lp + beta[j] - logz)
+                if gamma > 0.0:
+                    counts[piece] = counts.get(piece, 0.0) + weight * gamma
+    total = 0.0
+    floored: dict[str, float] = {}
+    for piece in scored:
+        c = max(counts.get(piece, 0.0), _COUNT_FLOOR)
+        floored[piece] = c
+        total += c
+    log_total = math.log(total)
+    new_scored = {p: math.log(c) - log_total for p, c in floored.items()}
+    return new_scored, loglik
+
+
+def reference_prune(sentences: dict[str, int], scored: dict[str, float],
+                    target_size: int, shrink_factor: float = 0.75) -> dict[str, float]:
+    """Pruning rounds over reference_em; the surviving scores, unranked."""
+    from minit5.unigram import (N_RESERVED, _logadd, _piece_table, _segment_without_self,
+                                _unk_log_prob, _viterbi_piece_counts)
+    singles = {p for p in scored if len(p) == 1}
+    while N_RESERVED + len(scored) > target_size:
+        for _ in range(2):
+            scored, _ = reference_em(sentences, scored, _unk_log_prob(scored.values()))
+        unk_lp = _unk_log_prob(scored.values())
+        table = _piece_table(scored)
+        usage = _viterbi_piece_counts(sentences, table, unk_lp)
+        multis = [p for p in scored if len(p) > 1]
+        losses = [(usage[p] * (scored[p] - _segment_without_self(p, table, unk_lp))
+                   if usage[p] else 0.0, p) for p in multis]
+        losses.sort(key=lambda kv: (-kv[0], kv[1]))
+        keep_n = max(target_size - N_RESERVED - len(singles),
+                     int(len(multis) * shrink_factor))
+        keep = {p for _, p in losses[:keep_n]}
+        scored = {p: lp for p, lp in scored.items() if len(p) == 1 or p in keep}
+        log_total = NEG_INF
+        for lp in scored.values():
+            log_total = _logadd(log_total, lp)
+        scored = {p: lp - log_total for p, lp in scored.items()}
+    return scored
+
+
+def reference_train_vocab(corpus: list[str], vocab_size: int):
+    """Seed, two EM passes, pruning, two more passes, each through a fresh
+    vocabulary as the trainer once did; returns the final UnigramVocab."""
+    from minit5.unigram import (N_RESERVED, UnigramVocab, _weighted_internal,
+                                build_seed_vocab)
+    sentences = _weighted_internal(corpus)
+    n_chars = len({ch for s in sentences for ch in s})
+    vocab = build_seed_vocab(corpus, max(n_chars, 4 * vocab_size))
+
+    def em_twice(vocab):
+        for _ in range(2):
+            scored, _ = reference_em(sentences, vocab.scored_body(), vocab.unk_log_prob)
+            vocab = UnigramVocab(vocab.pieces[:N_RESERVED] + list(scored.items()))
+        return vocab
+
+    vocab = em_twice(vocab)
+    if len(vocab) > vocab_size:
+        vocab = UnigramVocab.from_scored(
+            reference_prune(sentences, vocab.scored_body(), vocab_size))
+    return UnigramVocab.from_scored(em_twice(vocab).scored_body())
+
+
 # --- finite differences ----------------------------------------------------
 
 def central_diff_grads(loss_fn, tensors: dict[str, np.ndarray],

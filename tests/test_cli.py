@@ -541,6 +541,18 @@ def test_train_vocab_sizes_below_one_are_usage_errors(tmp_path, capsys, flag,
     assert not out.exists()
 
 
+def test_train_vocab_rejects_a_tab_in_the_corpus(tmp_path, capsys):
+    """A tab would become a single-character piece that the tab-separated
+    vocabulary file cannot hold, so no later stage could load it."""
+    corpus = tmp_path / "tabs.txt"
+    write(corpus, "casa azul\n\nsol\tmar\n")
+    out = tmp_path / "vocab.tsv"
+    rc = main(["train-vocab", "--corpus", str(corpus), "--output", str(out)])
+    assert rc == 2
+    assert f"data error: {corpus}:3: tab in a corpus line" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("task,extra", [("similarity", "output_strategy = generate"),
                                         ("similarity", ""), ("entailment", ""),
                                         ("ner", "")])

@@ -2,17 +2,20 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from minit5.unigram import (BOUNDARY, EOS_ID, MASK_ID, PAD_ID, RESERVED_PIECES,
                             UNK_ID, UnigramVocab, build_seed_vocab, decode,
                             em_step, encode, prune_vocab, train_vocab)
 from minit5 import unigram
-from minit5.unigram import (_piece_table, _segment_without_self, _sentence_edges,
+from minit5.unigram import (N_RESERVED, _Lattice, _logadd, _piece_table, _prune,
+                            _segment_without_self, _sentence_edges,
                             _viterbi_piece_counts, _weighted_internal)
 
 from oracles import (all_segmentations, best_segmentation, enumerate_expected_counts,
-                     reference_edges)
+                     reference_edges, reference_em, reference_prune,
+                     reference_train_vocab)
 
 PT_WORDS = ["casa", "gato", "cão", "água", "pão", "maçã", "coração", "você",
             "então", "também", "história", "rápido", "número", "São", "Paulo",
@@ -389,6 +392,75 @@ class TestPrefixTable:
                 assert outputs() == got, trial
 
 
+class TestEmMatchesTheScalarReference:
+    """The level-swept EM must reproduce the scalar recurrence bit for bit."""
+
+    def test_logaddexp_rounds_like_logadd(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(0.0, 50.0, 200_000)
+        b = np.concatenate([rng.normal(0.0, 50.0, 100_000),  # random
+                            a[100_000:150_000],  # equal
+                            a[150_000:175_000] - rng.uniform(30.0, 800.0, 25_000)])
+        b = np.concatenate([b, np.full(25_000, -np.inf)])  # widely separated, -inf
+        a[:1000] = -np.inf
+        b[:500] = -np.inf  # both -inf
+        for x, y in ((a, b), (b, a)):
+            want = [_logadd(p, q) for p, q in zip(x.tolist(), y.tolist())]
+            got = np.logaddexp(x, y)
+            assert got.tobytes() == np.array(want).tobytes()
+
+    def test_em_step_equals_the_reference_bitwise(self):
+        rng = random.Random(17)
+        for trial in range(320):
+            scored, text = random_lattice_case(rng)
+            # steep scores underflow gammas to 0; below -1e308 every path of two
+            # or more pieces overflows to -inf, and so do most sentences' logZ
+            kind = trial % 4
+            if kind == 2:
+                scored = {p: 400.0 * lp - 1.0 for p, lp in scored.items()}
+            elif kind == 3:
+                scored = {p: -1e308 - 5e307 * rng.random() for p in scored}
+            corpus = [text, text[::-1], text[1:] + "a", "ab c" + text, text]
+            vocab = make_vocab(scored)
+            with np.errstate(over="ignore"):
+                new, loglik = em_step(corpus, vocab)
+            want, want_ll = reference_em(_weighted_internal(corpus), scored,
+                                         vocab.unk_log_prob)
+            assert repr((list(new.scored_body().items()), loglik)) == \
+                repr((list(want.items()), want_ll)), trial
+
+    @pytest.mark.parametrize("n_sentences,seed_size,target", [(60, 500, 90), (200, 2000, 150)])
+    def test_prune_and_train_vocab_equal_the_reference_bitwise(self, n_sentences,
+                                                               seed_size, target):
+        corpus = pt_corpus(n_sentences, seed=n_sentences)
+        vocab = build_seed_vocab(corpus, seed_size)
+        want = UnigramVocab.from_scored(
+            reference_prune(_weighted_internal(corpus), vocab.scored_body(), target))
+        assert repr(prune_vocab(corpus, vocab, target).pieces) == repr(want.pieces)
+        assert repr(train_vocab(corpus, target).pieces) == \
+            repr(reference_train_vocab(corpus, target).pieces)
+
+    def test_masked_lattice_equals_a_fresh_build(self):
+        corpus = pt_corpus(80, seed=4)
+        sentences = _weighted_internal(corpus)
+        scored = build_seed_vocab(corpus, 600).scored_body()
+        n_singles = sum(len(p) == 1 for p in scored)
+        one_round = N_RESERVED + n_singles + int((len(scored) - n_singles) * 0.75)
+        masked = _Lattice(sentences, scored)
+        survivors = _prune(masked, scored, one_round, 0.75)
+        assert len(survivors) < len(scored)
+        fresh = _Lattice(sentences, survivors)
+
+        def edges(lattice):
+            names = list(lattice._index) + [None]
+            return [(s, e, names[k], t) for s, e, k, t in zip(
+                *(a.tolist() for a in (lattice._start, lattice._end, lattice._piece,
+                                       lattice._sent)))]
+
+        assert edges(masked) == edges(fresh)
+        assert repr(masked.em(survivors)) == repr(fresh.em(survivors))
+
+
 class TestVocabFile:
     def test_format_and_round_trip(self, tmp_path):
         corpus = pt_corpus(40, seed=21)
@@ -418,6 +490,16 @@ class TestVocabFile:
         vocab.pieces[-1] = (vocab.pieces[-1][0], "not a number")
         with pytest.raises(ValueError):
             vocab.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["vocab.tsv"]
+
+    @pytest.mark.parametrize("piece", ["\t", "a\tb", "\n", "a\n"])
+    def test_save_rejects_a_piece_the_format_cannot_hold(self, tmp_path, piece):
+        path = tmp_path / "vocab.tsv"
+        make_vocab({"a": math.log(0.5)}).save(path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="tab or newline"):
+            make_vocab({"a": math.log(0.5), piece: math.log(0.5)}).save(path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["vocab.tsv"]
 
