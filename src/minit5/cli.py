@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import corpus as corpus_mod
 from .atomic import atomic_write
 from .checkpoint import load_checkpoint
@@ -19,8 +17,8 @@ from .config import load_run_config
 from .corruption import CorruptionConfig, make_pretrain_batch, write_pair_cache
 from .decoding import beam_decode
 from .optim import DivergedError
-from .train import (DataError, LockError, check_vocab_size, load_packed_corpus,
-                    run_evaluate, run_finetune, run_pretrain)
+from .train import (DataError, LockError, check_vocab_size, encoder_input,
+                    load_packed_corpus, run_evaluate, run_finetune, run_pretrain)
 from .unigram import EOS_ID, UnigramVocab, decode, encode, train_vocab
 
 
@@ -146,14 +144,13 @@ def _cmd_train_vocab(args):
 
 
 def _cmd_make_pretrain_data(args):
-    if not 0.0 < args.mask_rate < 1.0:
-        raise UsageError("--mask-rate must be in (0, 1)")
-    if args.max_len < 1:
-        raise UsageError("--max-len must be >= 1")
+    try:
+        cfg = CorruptionConfig(mask_rate=args.mask_rate, max_len=args.max_len,
+                               seed=args.data_seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     vocab = UnigramVocab.load(args.vocab)
     docs = load_packed_corpus(args.corpus)
-    cfg = CorruptionConfig(mask_rate=args.mask_rate, max_len=args.max_len,
-                           seed=args.data_seed)
     pairs = make_pretrain_batch(docs, vocab, cfg)
     write_pair_cache(args.output, pairs, cfg.max_len)
     print(f"wrote {len(pairs)} pairs to {args.output}")
@@ -207,8 +204,7 @@ def _cmd_decode(args):
         lines = [line.rstrip("\n") for line in fh]
     with atomic_write(args.output) as fh:
         for line in lines:
-            enc = np.asarray(encode(vocab, line)[:params.cfg.max_len - 1] + [EOS_ID],
-                             dtype=np.int64)
+            enc = encoder_input(encode(vocab, line) + [EOS_ID], params.cfg.max_len)
             out = beam_decode(params, enc, width=args.beam, max_out=max_out)
             fh.write(decode(vocab, out) + "\n")
 

@@ -198,58 +198,56 @@ def _relative_bucket_matrix(nq: int, nk: int, bidirectional: bool,
     return out
 
 
-def _attn_probs(q, k, bias):
-    """softmax(q k^T / sqrt(dk) + bias) over the keys, built in place in the
-    fresh score array."""
+def _heads(m, n_heads):
+    """[..., n, d] -> [..., H, n, d/H] as a view of m."""
+    return m.reshape(m.shape[:-1] + (n_heads, -1)).swapaxes(-3, -2)
+
+
+def _merge_heads(m):
+    """[..., H, n, dk] -> [... * n, H * dk]: the inverse of _heads on [n, d]."""
+    return m.swapaxes(-3, -2).reshape(-1, m.shape[-3] * m.shape[-1])
+
+
+def _attend(q, k, v, bias):
+    """p = softmax(q k^T / sqrt(dk) + bias) over the keys, built in place in
+    the fresh score array, and o = p v, both in the head layout."""
     s = q @ np.swapaxes(k, -1, -2)
     s *= 1.0 / math.sqrt(q.shape[-1])
     s += bias
-    return _softmax_rows(s)
+    p = _softmax_rows(s)
+    return p, p @ v
 
 
 def _attn_fwd(h_q, h_kv, wq, wk, wv, wo, n_heads, add_bias):
     """Multi-head attention; add_bias [H-or-1, nq, nk] is added to the scaled
     scores (mask positions carry -inf)."""
-    nq, d = h_q.shape
-    nk = h_kv.shape[0]
-    dk = d // n_heads
-    scale = 1.0 / math.sqrt(dk)
-    q = (h_q @ wq).reshape(nq, n_heads, dk).transpose(1, 0, 2)
-    k = (h_kv @ wk).reshape(nk, n_heads, dk).transpose(1, 0, 2)
-    v = (h_kv @ wv).reshape(nk, n_heads, dk).transpose(1, 0, 2)
-    p = _attn_probs(q, k, add_bias)
-    o = (p @ v).transpose(1, 0, 2).reshape(nq, d)
-    out = o @ wo
-    cache = (h_q, h_kv, q, k, v, p, o, wq, wk, wv, wo, scale)
-    return out, cache
+    q = _heads(h_q @ wq, n_heads)
+    k = _heads(h_kv @ wk, n_heads)
+    v = _heads(h_kv @ wv, n_heads)
+    p, o = _attend(q, k, v, add_bias)
+    o = _merge_heads(o)
+    return o @ wo, (h_q, h_kv, q, k, v, p, o, wq, wk, wv, wo)
 
 
 def _attn_bwd(dout, cache):
     """Returns (dh_q, dh_kv, dwq, dwk, dwv, dwo, ds) where ds is the gradient
     w.r.t. the additive bias (for relative-bias tables)."""
-    h_q, h_kv, q, k, v, p, o, wq, wk, wv, wo, scale = cache
-    nq, d = h_q.shape
-    n_heads = q.shape[0]
-    dk_dim = d // n_heads
+    h_q, h_kv, q, k, v, p, o, wq, wk, wv, wo = cache
+    scale = 1.0 / math.sqrt(q.shape[-1])
     dwo = o.T @ dout
-    do = (dout @ wo.T).reshape(nq, n_heads, dk_dim).transpose(1, 0, 2)
+    do = _heads(dout @ wo.T, q.shape[0])
     ds = do @ v.transpose(0, 2, 1)  # dL/dp, turned into dL/ds in place
-    dv = p.transpose(0, 2, 1) @ do
+    dv = _merge_heads(p.transpose(0, 2, 1) @ do)
     ds -= (ds * p).sum(axis=-1, keepdims=True)
     ds *= p
     dq = ds @ k
     dq *= scale
     dkk = ds.transpose(0, 2, 1) @ q
     dkk *= scale
-    dq_flat = dq.transpose(1, 0, 2).reshape(nq, d)
-    dk_flat = dkk.transpose(1, 0, 2).reshape(-1, d)
-    dv_flat = dv.transpose(1, 0, 2).reshape(-1, d)
-    dwq = h_q.T @ dq_flat
-    dwk = h_kv.T @ dk_flat
-    dwv = h_kv.T @ dv_flat
-    dh_q = dq_flat @ wq.T
-    dh_kv = dk_flat @ wk.T + dv_flat @ wv.T
-    return dh_q, dh_kv, dwq, dwk, dwv, dwo, ds
+    dq, dkk = _merge_heads(dq), _merge_heads(dkk)
+    dh_q = dq @ wq.T
+    dh_kv = dkk @ wk.T + dv @ wv.T
+    return dh_q, dh_kv, h_q.T @ dq, h_kv.T @ dkk, h_kv.T @ dv, dwo, ds
 
 
 def _key_mask_bias(valid: np.ndarray) -> np.ndarray:
@@ -303,18 +301,17 @@ def _embed_fwd(params: ModelParams, ids: np.ndarray, mask_bias: np.ndarray,
     return x, mask_bias + t[rel_table][:, buckets], (ids, rel_table, buckets)
 
 
-def _embed_bwd(params: ModelParams, cache, dx, d_scores: list, grads):
-    """d_scores: the self-attention score gradients in the order backprop
-    produced them, scattered into the relative-bucket table if there is one."""
+def _embed_bwd(cache, dx, d_scores: list, grads):
+    """d_scores: the self-attention score gradients [H, n, n] in the order
+    backprop produced them, scattered into the relative-bucket table if there
+    is one."""
     ids, rel_table, buckets = cache
     np.add.at(grads["tok_emb"], ids, dx)
     if rel_table is None:
         grads["pos_emb"][:ids.size] += dx
         return
-    gb = grads[rel_table]
     for ds in d_scores:
-        for h in range(params.cfg.n_heads):
-            np.add.at(gb[h], buckets.ravel(), ds[h].ravel())
+        np.add.at(grads[rel_table], (slice(None), buckets), ds)
 
 
 def _attn_sublayer_fwd(params: ModelParams, ln: str, w: str, x, bias, kv=None):
@@ -381,7 +378,7 @@ def _stack_bwd(params: ModelParams, cache, dstates, grads):
             d_scores.append(ds)
         else:
             d_kv = dh_kv if d_kv is None else d_kv + dh_kv
-    _embed_bwd(params, cache["embed"], dx, d_scores, grads)
+    _embed_bwd(cache["embed"], dx, d_scores, grads)
     return d_kv
 
 
@@ -439,19 +436,9 @@ class DecoderStepper:
         self.self_kv: list[tuple[np.ndarray, np.ndarray]] = []
         enc_states, enc_cache = _encoder_fwd(params, _check_ids(cfg, enc_ids, "enc_ids"))
         self.cross_bias = _key_mask_bias(enc_cache["valid"])
-        dk = cfg.d_model // cfg.n_heads
-
-        def heads(m):  # [nk, d] -> [H, nk, dk], as in _attn_fwd
-            return m.reshape(-1, cfg.n_heads, dk).transpose(1, 0, 2)
-
-        self.cross_kv = [(heads(enc_states @ t[f"dec.{i}.cross.wk"]),
-                          heads(enc_states @ t[f"dec.{i}.cross.wv"]))
+        self.cross_kv = [(_heads(enc_states @ t[f"dec.{i}.cross.wk"], cfg.n_heads),
+                          _heads(enc_states @ t[f"dec.{i}.cross.wv"], cfg.n_heads))
                          for i in range(cfg.n_dec_layers)]
-
-    @staticmethod
-    def _attend(q, k, v, bias, wo):
-        o = _attn_probs(q, k, bias) @ v
-        return o.reshape(q.shape[0], -1) @ wo
 
     def step(self, tokens, parents=None) -> np.ndarray:
         """Append tokens[r] to the prefix of row parents[r] of the previous
@@ -465,7 +452,6 @@ class DecoderStepper:
         if parents is not None and self.self_kv:
             parents = np.asarray(parents, dtype=np.int64)
             self.self_kv = [(k[parents], v[parents]) for k, v in self.self_kv]
-        rows, n_heads = tokens.size, cfg.n_heads
         x = t["tok_emb"][tokens]
         if cfg.position_scheme == LEARNED_ABSOLUTE:
             x += t["pos_emb"][n - 1]
@@ -474,8 +460,8 @@ class DecoderStepper:
             buckets = _relative_bucket_matrix(1, n, bidirectional=False, q_start=n - 1)[0]
             self_bias = t["dec_rel_bias"][:, None, buckets]
 
-        def heads(m):  # [rows, d] -> [rows, H, 1, dk]
-            return m.reshape(rows, n_heads, 1, -1)
+        def heads(m):  # [rows, d] -> [rows, H, 1, dk]: one position per row
+            return _heads(m[:, None], cfg.n_heads)
 
         new_kv = []
         for i in range(cfg.n_dec_layers):
@@ -487,12 +473,12 @@ class DecoderStepper:
                 k = np.concatenate((k_old, k), axis=2)
                 v = np.concatenate((v_old, v), axis=2)
             new_kv.append((k, v))
-            x1 = x + self._attend(heads(h @ t[f"{p}.self.wq"]), k, v, self_bias,
-                                  t[f"{p}.self.wo"])
+            _, o = _attend(heads(h @ t[f"{p}.self.wq"]), k, v, self_bias)
+            x1 = x + _merge_heads(o) @ t[f"{p}.self.wo"]
             hc, _ = _rmsnorm_fwd(x1, t[f"{p}.ln2.g"])
             kc, vc = self.cross_kv[i]
-            x2 = x1 + self._attend(heads(hc @ t[f"{p}.cross.wq"]), kc, vc,
-                                   self.cross_bias, t[f"{p}.cross.wo"])
+            _, o = _attend(heads(hc @ t[f"{p}.cross.wq"]), kc, vc, self.cross_bias)
+            x2 = x1 + _merge_heads(o) @ t[f"{p}.cross.wo"]
             x, _ = _ffn_sublayer_fwd(self.params, f"{p}.ln3.g", f"{p}.ffn", x2)
         self.self_kv = new_kv
         self.n_pos = n
@@ -601,10 +587,7 @@ def regression_head(pool: np.ndarray, w: np.ndarray, b: np.ndarray) -> float:
 
 def classification_head(pool: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Two-class probabilities (entail, none) via softmax over a linear layer."""
-    z = pool @ w + b
-    z = z - np.max(z)
-    e = np.exp(z)
-    return e / e.sum()
+    return _softmax_rows(pool @ w + b)
 
 
 def predict_similarity(params: ModelParams, enc_ids) -> float:

@@ -198,20 +198,13 @@ def extract_entities(tags: list[str]) -> list[EntitySpan]:
     start = None
     cls = None
     for i, tag in enumerate(tags):
-        if tag.startswith("B-"):
-            if start is not None:
-                spans.append(EntitySpan(start, i - 1, cls))
-            start, cls = i, CLASS_OF_TAG[tag[2:]]
-        elif tag.startswith("I-") and start is not None and CLASS_OF_TAG[tag[2:]] == cls:
+        if tag.startswith("I-") and start is not None and CLASS_OF_TAG[tag[2:]] == cls:
             continue
-        elif tag.startswith("I-"):
-            # defensive: orphan I-X behaves like B-X (repaired input)
-            if start is not None:
-                spans.append(EntitySpan(start, i - 1, cls))
+        if start is not None:
+            spans.append(EntitySpan(start, i - 1, cls))
+        if tag.startswith(("B-", "I-")):  # an orphan I-X opens a span, as repair_bio's B-X
             start, cls = i, CLASS_OF_TAG[tag[2:]]
         else:
-            if start is not None:
-                spans.append(EntitySpan(start, i - 1, cls))
             start, cls = None, None
     if start is not None:
         spans.append(EntitySpan(start, len(tags) - 1, cls))

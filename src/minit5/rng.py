@@ -55,9 +55,3 @@ class Xoshiro256StarStar:
     def random(self) -> float:
         """Uniform double in [0, 1) from the top 53 bits."""
         return (self.next_u64() >> 11) * (2.0 ** -53)
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates using this generator."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_u64() % (i + 1)
-            items[i], items[j] = items[j], items[i]

@@ -337,9 +337,14 @@ def _read_split(cfg: RunConfig, path: str, what: str) -> list:
     return examples
 
 
+def encoder_input(ids: list[int], limit: int) -> np.ndarray:
+    """Encoder ids ending in EOS, cut to at most limit ids with the EOS kept."""
+    return np.asarray(ids if len(ids) <= limit else ids[:limit - 1] + [EOS_ID],
+                      dtype=np.int64)
+
+
 def _pair_enc(vocab, ex: SentencePairExample, limit: int) -> np.ndarray:
-    ids = assin_input_ids(vocab, ex.sentence1, ex.sentence2)[:limit]
-    return np.asarray(ids, dtype=np.int64)
+    return encoder_input(assin_input_ids(vocab, ex.sentence1, ex.sentence2), limit)
 
 
 def _pair_items(vocab, examples, objective: str, limit: int) -> list:
@@ -359,7 +364,7 @@ def _pair_items(vocab, examples, objective: str, limit: int) -> list:
 
 
 def _ner_enc(vocab, words, limit: int) -> np.ndarray:
-    return np.asarray(ner_input_ids(vocab, list(words))[:limit], dtype=np.int64)
+    return encoder_input(ner_input_ids(vocab, list(words)), limit)
 
 
 def _ner_items(cfg, vocab, table, examples, limit: int) -> list:

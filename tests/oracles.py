@@ -257,6 +257,16 @@ def attention_out_of_place(h_q, h_kv, wq, wk, wv, wo, n_heads, add_bias, dout):
             h_kv.T @ dkk, h_kv.T @ dv, o.T @ dout, ds)
 
 
+def relative_bias_grad_per_head(table, buckets, d_scores):
+    """A relative-bias table gradient plus each [H, n, n] score gradient in
+    d_scores, in order, scattered one head at a time into that head's row."""
+    table = table.copy()
+    for ds in d_scores:
+        for h in range(table.shape[0]):
+            np.add.at(table[h], buckets.ravel(), ds[h].ravel())
+    return table
+
+
 # --- decoding --------------------------------------------------------------
 
 def exhaustive_decode(step_fn, vocab_size: int, max_out: int, eos_id: int):

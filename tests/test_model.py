@@ -8,11 +8,12 @@ from minit5.model import (ModelConfig, classification_head,
                           init_model, loss_and_grad, loss_xent,
                           parameter_count, regression_head)
 from minit5.model import (_attn_bwd, _attn_fwd, _causal_bias, _dgelu,
-                          _encoder_fwd, _gelu, _key_mask_bias, _softmax_rows,
+                          _embed_bwd, _embed_fwd, _encoder_fwd, _gelu,
+                          _key_mask_bias, _softmax_rows,
                           _xent_sum_and_dlogits, log_softmax)
 
 from oracles import (attention_out_of_place, central_diff_grads, dgelu_pow,
-                     gelu_pow, max_rel_error)
+                     gelu_pow, max_rel_error, relative_bias_grad_per_head)
 
 CFG = ModelConfig(vocab_size=12, d_model=16, n_heads=2, d_ff=24,
                   n_enc_layers=1, n_dec_layers=1, max_len=12)
@@ -223,6 +224,21 @@ class TestNumerics:
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("bidirectional", [True, False], ids=["enc", "dec"])
+    def test_relative_bias_gradient_equals_per_head_scatter(self, bidirectional):
+        params = init_model(RELATIVE_UNTIED, seed=2)
+        rng = np.random.default_rng(8)
+        n, n_heads = 9, RELATIVE_UNTIED.n_heads
+        ids = rng.integers(4, RELATIVE_UNTIED.vocab_size, size=n)
+        table = "enc_rel_bias" if bidirectional else "dec_rel_bias"
+        _, _, cache = _embed_fwd(params, ids, _causal_bias(n), table, bidirectional)
+        d_scores = [rng.normal(size=(n_heads, n, n)) for _ in range(2)]
+        start = rng.normal(size=params.tensors[table].shape)
+        grads = {"tok_emb": np.zeros_like(params.tensors["tok_emb"]), table: start.copy()}
+        _embed_bwd(cache, np.zeros((n, RELATIVE_UNTIED.d_model)), d_scores, grads)
+        want = relative_bias_grad_per_head(start, cache[2], d_scores)
+        assert np.array_equal(grads[table], want)
 
 
 @pytest.mark.slow

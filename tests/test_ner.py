@@ -212,17 +212,18 @@ class TestExtractEntities:
         assert extract_entities(["O", "O"]) == []
 
     def test_exhaustive_small_sequences_vs_reference(self):
+        """Every sequence, valid or not: an invalid one (an orphan I-X) gives
+        the spans of its repair, which the reference reads."""
         options = ("O", "B-PER", "I-PER", "B-LOC", "I-LOC")
         for n in range(1, 7):
             for combo in itertools.product(options, repeat=n):
                 tags = list(combo)
-                try:
-                    validate_bio(tags)
-                except ValueError:
-                    continue
-                got = {(s.start, s.end, s.class_label)
-                       for s in extract_entities(tags)}
-                assert got == reference_spans(tags), tags
+                repaired = repair_bio(tags)
+                validate_bio(repaired)
+                spans = extract_entities(tags)
+                assert spans == extract_entities(repaired), tags
+                got = {(s.start, s.end, s.class_label) for s in spans}
+                assert got == reference_spans(repaired), tags
 
 
 class TestEntityPrf:

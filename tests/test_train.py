@@ -11,10 +11,12 @@ from minit5.checkpoint import save_checkpoint
 from minit5.config import RunConfig
 from minit5.model import init_model
 from minit5.optim import DivergedError
-from minit5.train import (DataError, LockError, _model_config, _train_loop,
-                          acquire_lock, load_packed_corpus, run_evaluate,
-                          run_finetune, run_pretrain)
-from minit5.unigram import UnigramVocab, train_vocab
+from minit5.tasks import SentencePairExample, assin_input_ids, ner_input_ids
+from minit5.train import (DataError, LockError, _model_config, _ner_enc,
+                          _pair_items, _train_loop, acquire_lock,
+                          load_packed_corpus, run_evaluate, run_finetune,
+                          run_pretrain)
+from minit5.unigram import EOS_ID, UnigramVocab, train_vocab
 
 WORDS = ["casa", "gato", "azul", "verde", "sol", "mar", "rio", "dia"]
 
@@ -410,6 +412,26 @@ class TestEvaluateWithInjectedPredictions:
                                        max_len=16), 0)
         with pytest.raises(DataError, match="vocab size"):
             run_evaluate(cfg, wrong, split="test")
+
+
+class TestEncoderInputCut:
+    """An over-long encoder input is cut to the limit with its closing EOS
+    kept, as `minit5 decode` cuts its inputs."""
+
+    def test_over_long_pair_and_ner_inputs_end_in_eos(self):
+        vocab = train_vocab([" ".join(WORDS)] * 4, vocab_size=60)
+        ex = SentencePairExample("p1", " ".join(WORDS), " ".join(WORDS[::-1]), 3.0)
+        words = WORDS * 2
+        full_pair = assin_input_ids(vocab, ex.sentence1, ex.sentence2)
+        full_ner = ner_input_ids(vocab, words)
+        limit = 12
+        assert min(len(full_pair), len(full_ner)) > limit
+        (enc, _), = _pair_items(vocab, [ex], "regression", limit)
+        for got, full in ((enc, full_pair), (_ner_enc(vocab, words, limit), full_ner)):
+            assert got.tolist() == full[:limit - 1] + [EOS_ID]
+        for limit in (len(full_pair), len(full_pair) + 5):
+            (enc, _), = _pair_items(vocab, [ex], "regression", limit)
+            assert enc.tolist() == full_pair
 
 
 class TestSyntheticNerEndToEnd:
