@@ -94,8 +94,6 @@ def _run_config(args):
         overrides["deterministic"] = True
     try:
         return load_run_config(args.config, overrides)
-    except FileNotFoundError as exc:
-        raise DataError(str(exc)) from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -176,10 +174,7 @@ def _cmd_finetune(args):
 
 def _cmd_evaluate(args):
     cfg = _run_config(args)
-    try:
-        params = load_checkpoint(args.checkpoint)
-    except FileNotFoundError as exc:
-        raise DataError(str(exc)) from exc
+    params = load_checkpoint(args.checkpoint)
     report = run_evaluate(cfg, params, split=args.split)
     for key, value in report.items():
         if isinstance(value, float):
@@ -193,11 +188,8 @@ def _cmd_decode(args):
         raise UsageError("--beam must be >= 1")
     if args.max_out < 1:
         raise UsageError("--max-out must be >= 1")
-    try:
-        params = load_checkpoint(args.checkpoint)
-        vocab = UnigramVocab.load(args.vocab)
-    except FileNotFoundError as exc:
-        raise DataError(str(exc)) from exc
+    params = load_checkpoint(args.checkpoint)
+    vocab = UnigramVocab.load(args.vocab)
     check_vocab_size(params, vocab)
     max_out = min(args.max_out, params.cfg.max_len)
     with open(args.input, "r", encoding="utf-8") as fh:
@@ -218,7 +210,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, LockError, FileNotFoundError, ValueError) as exc:
+    except (DataError, LockError, OSError, ValueError) as exc:
+        # OSError: an input that is missing, a directory or unreadable; its
+        # message names the path
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except DivergedError as exc:

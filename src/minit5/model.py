@@ -10,7 +10,11 @@ gradient checks tight at desk scale.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -23,6 +27,11 @@ RELATIVE_BUCKET = "relative-bucket"
 REL_BUCKETS = 32
 REL_MAX_DISTANCE = 128
 NORM_EPS = 1e-6
+# A microbatch with at least this many decoder positions in total runs on
+# two threads (accumulate_loss_and_grad): the smallest total at which two
+# threads won every repeat, at batch 4 and 8, in two sweeps over 32 to 2048
+# positions at V=8k, d=64 (BENCH_11.json).
+HELPER_MIN_POSITIONS = 1024
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
@@ -256,11 +265,19 @@ def _key_mask_bias(valid: np.ndarray) -> np.ndarray:
     return bias[None, None, :]
 
 
+_causal = np.zeros((1, 0, 0))
+
+
 def _causal_bias(n: int) -> np.ndarray:
-    m = np.zeros((n, n))
-    iu = np.triu_indices(n, k=1)
-    m[iu] = -np.inf
-    return m[None, :, :]
+    """[1, n, n] causal mask: a read-only view of the largest one built so
+    far, whose top-left corner is every shorter mask."""
+    global _causal
+    m = _causal
+    if m.shape[1] < n:
+        m = np.triu(np.full((n, n), -np.inf), k=1)[None]
+        m.flags.writeable = False
+        _causal = m
+    return m[:, :n, :n]
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +299,7 @@ def _check_ids(cfg: ModelConfig, ids: np.ndarray, what: str) -> np.ndarray:
 
 
 def _check_range(cfg: ModelConfig, ids: np.ndarray, what: str) -> None:
-    if np.any(ids < 0) or np.any(ids >= cfg.vocab_size):
+    if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
         raise ValueError(f"{what} contains ids outside the vocabulary")
 
 
@@ -301,17 +318,40 @@ def _embed_fwd(params: ModelParams, ids: np.ndarray, mask_bias: np.ndarray,
     return x, mask_bias + t[rel_table][:, buckets], (ids, rel_table, buckets)
 
 
-def _embed_bwd(cache, dx, d_scores: list, grads):
+class _Record(list):
+    """Gradient additions kept in order, as _grad_add's argument tuples, for a
+    later replay into the gradient buffers."""
+
+    def replay(self, grads: dict[str, np.ndarray]) -> None:
+        for op in self:
+            _grad_add(grads, *op)
+
+
+def _grad_add(sink, name: str, value, index=None, scatter: bool = False) -> None:
+    """grads[name] += value, or grads[name][index] += value, or with scatter
+    np.add.at(grads[name], index, value). sink is the grads dict, written
+    now, or a _Record that keeps the addition for its replay."""
+    if isinstance(sink, _Record):
+        sink.append((name, value, index, scatter))
+    elif scatter:
+        np.add.at(sink[name], index, value)
+    elif index is None:
+        sink[name] += value
+    else:
+        sink[name][index] += value
+
+
+def _embed_bwd(cache, dx, d_scores: list, sink):
     """d_scores: the self-attention score gradients [H, n, n] in the order
     backprop produced them, scattered into the relative-bucket table if there
     is one."""
     ids, rel_table, buckets = cache
-    np.add.at(grads["tok_emb"], ids, dx)
+    _grad_add(sink, "tok_emb", dx, ids, scatter=True)
     if rel_table is None:
-        grads["pos_emb"][:ids.size] += dx
+        _grad_add(sink, "pos_emb", dx, slice(ids.size))
         return
     for ds in d_scores:
-        np.add.at(grads[rel_table], (slice(None), buckets), ds)
+        _grad_add(sink, rel_table, ds, (slice(None), buckets), scatter=True)
 
 
 def _attn_sublayer_fwd(params: ModelParams, ln: str, w: str, x, bias, kv=None):
@@ -324,19 +364,19 @@ def _attn_sublayer_fwd(params: ModelParams, ln: str, w: str, x, bias, kv=None):
     return x + a, ("self" if kv is None else "cross", ln, w, c_ln, c_attn)
 
 
-def _attn_sublayer_bwd(params: ModelParams, cache, dx, grads):
+def _attn_sublayer_bwd(params: ModelParams, cache, dx, sink):
     """Returns (dx, d_kv, d_scores); d_kv is None for self-attention, whose
     key/value gradient flows back through the norm into dx."""
     kind, ln, w, c_ln, c_attn = cache
     dh_q, dh_kv, dwq, dwk, dwv, dwo, ds = _attn_bwd(dx, c_attn)
-    grads[f"{w}.wq"] += dwq
-    grads[f"{w}.wk"] += dwk
-    grads[f"{w}.wv"] += dwv
-    grads[f"{w}.wo"] += dwo
+    _grad_add(sink, f"{w}.wq", dwq)
+    _grad_add(sink, f"{w}.wk", dwk)
+    _grad_add(sink, f"{w}.wv", dwv)
+    _grad_add(sink, f"{w}.wo", dwo)
     if kind == "self":
         dh_q, dh_kv = dh_q + dh_kv, None
     dh, dg = _rmsnorm_bwd(dh_q, c_ln)
-    grads[ln] += dg
+    _grad_add(sink, ln, dg)
     return dh + dx, dh_kv, ds
 
 
@@ -349,36 +389,37 @@ def _ffn_sublayer_fwd(params: ModelParams, ln: str, w: str, x):
     return x + act @ t[f"{w}.w2"], ("ffn", ln, w, c_ln, h, u, tanh_u, act)
 
 
-def _ffn_sublayer_bwd(params: ModelParams, cache, dx, grads):
+def _ffn_sublayer_bwd(params: ModelParams, cache, dx, sink):
     _, ln, w, c_ln, h, u, tanh_u, act = cache
     t = params.tensors
     du = dx @ t[f"{w}.w2"].T
-    grads[f"{w}.w2"] += act.T @ dx
+    _grad_add(sink, f"{w}.w2", act.T @ dx)
     du *= _dgelu(u, tanh_u)
-    grads[f"{w}.w1"] += h.T @ du
+    _grad_add(sink, f"{w}.w1", h.T @ du)
     dh, dg = _rmsnorm_bwd(du @ t[f"{w}.w1"].T, c_ln)
-    grads[ln] += dg
+    _grad_add(sink, ln, dg)
     return dh + dx
 
 
-def _stack_bwd(params: ModelParams, cache, dstates, grads):
+def _stack_bwd(params: ModelParams, cache, dstates, sink):
     """Backprop through the encoder or the decoder, sublayers in reverse;
     returns the gradient w.r.t. the states cross-attention read (None when
     there is no cross-attention)."""
     g_final, c_final = cache["final"]
     dx, dg = _rmsnorm_bwd(dstates, c_final)
-    grads[g_final] += dg
+    _grad_add(sink, g_final, dg)
     d_kv, d_scores = None, []
+    keep_scores = cache["embed"][1] is not None  # a relative-bias table reads them
     for sub in reversed(cache["sublayers"]):
         if sub[0] == "ffn":
-            dx = _ffn_sublayer_bwd(params, sub, dx, grads)
+            dx = _ffn_sublayer_bwd(params, sub, dx, sink)
             continue
-        dx, dh_kv, ds = _attn_sublayer_bwd(params, sub, dx, grads)
-        if sub[0] == "self":
-            d_scores.append(ds)
-        else:
+        dx, dh_kv, ds = _attn_sublayer_bwd(params, sub, dx, sink)
+        if sub[0] == "cross":
             d_kv = dh_kv if d_kv is None else d_kv + dh_kv
-    _embed_bwd(cache["embed"], dx, d_scores, grads)
+        elif keep_scores:
+            d_scores.append(ds)
+    _embed_bwd(cache["embed"], dx, d_scores, sink)
     return d_kv
 
 
@@ -511,16 +552,15 @@ def forward(params: ModelParams, enc_ids, dec_ids) -> np.ndarray:
     return logits
 
 
-def _backward_lm(params: ModelParams, cache, dlogits, grads):
+def _lm_head_bwd(params: ModelParams, dec_states, dlogits, sink):
+    """Adds the output projection's gradient; returns d dec_states."""
     # BLAS runs this [d, V] product ~1.7x faster than dlogits.T @ dec_states
-    g = cache["dec_states"].T @ dlogits
+    g = dec_states.T @ dlogits
     if params.cfg.tie_embeddings:
-        grads["tok_emb"] += g.T
+        _grad_add(sink, "tok_emb", g.T)
     else:
-        grads["out_proj"] += g
-    d_dec = dlogits @ _output_matrix(params).T
-    d_enc = _stack_bwd(params, cache["dec"], d_dec, grads)
-    _stack_bwd(params, cache["enc"], d_enc, grads)
+        _grad_add(sink, "out_proj", g)
+    return dlogits @ _output_matrix(params).T
 
 
 def loss_xent(logits: np.ndarray, target_ids) -> float:
@@ -531,14 +571,15 @@ def loss_xent(logits: np.ndarray, target_ids) -> float:
     keep = target_ids != PAD_ID
     if not np.any(keep):
         raise ValueError("all target positions are padded")
-    return float(_xent_fwd(logits, target_ids, keep)[0] / np.count_nonzero(keep))
+    loss_sum = _xent_fwd(np.array(logits), target_ids, keep)[0]
+    return float(loss_sum / np.count_nonzero(keep))
 
 
-def _xent_fwd(logits, target_ids, keep):
-    """Summed cross-entropy over the kept rows, with one exp per logit:
-    returns (loss_sum, e, s) where e = exp(logits - row max) is a fresh
-    array and s its row sums. logits itself is not written."""
-    z = logits - logits.max(axis=-1, keepdims=True)
+def _xent_fwd(z, target_ids, keep):
+    """Summed cross-entropy over the kept rows, with one exp per logit, in
+    place: z holds the logits and is overwritten with e = exp(logits - row
+    max). Returns (loss_sum, e, s), s the row sums of e."""
+    z -= z.max(axis=-1, keepdims=True)
     z_t = z[np.arange(target_ids.size), target_ids]
     e = np.exp(z, out=z)
     s = e.sum(axis=-1, keepdims=True)
@@ -547,7 +588,8 @@ def _xent_fwd(logits, target_ids, keep):
 
 def _xent_sum_and_dlogits(logits, target_ids, keep):
     """Summed cross-entropy and its gradient softmax - onehot(target), zero
-    on the rows that are not kept; the gradient is built in e's buffer."""
+    on the rows that are not kept; the gradient is built in the logits'
+    buffer, which is overwritten."""
     loss_sum, e, s = _xent_fwd(logits, target_ids, keep)
     e /= s
     e[np.arange(target_ids.size), target_ids] -= 1.0
@@ -566,11 +608,11 @@ def encoder_mean_pool(params: ModelParams, enc_ids) -> np.ndarray:
     return _pooled_fwd(params, enc_ids)[0]
 
 
-def _pooled_bwd(params: ModelParams, cache, dpool, grads):
+def _pooled_bwd(params: ModelParams, cache, dpool, sink):
     valid = cache["valid"]
     dstates = np.zeros((valid.size, dpool.size))
     dstates[valid] = dpool / np.count_nonzero(valid)
-    _stack_bwd(params, cache, dstates, grads)
+    _stack_bwd(params, cache, dstates, sink)
 
 
 def sigmoid(z: float) -> float:
@@ -639,6 +681,97 @@ def apply_trainable_mask(grads: dict[str, np.ndarray],
     return grads
 
 
+def _lm_example(params: ModelParams, example, sink):
+    """(loss sum, non-pad targets) of one (enc_ids, dec_in, targets) example;
+    its gradient goes through sink, and is not computed when sink is None."""
+    enc_ids, dec_in, targets = example
+    logits, cache = _forward_lm(params, enc_ids, dec_in)
+    targets = np.asarray(targets, dtype=np.int64)
+    keep = targets != PAD_ID
+    if not np.any(keep):
+        raise ValueError("all target positions are padded")
+    units = int(np.count_nonzero(keep))
+    if sink is None:
+        return _xent_fwd(logits, targets, keep)[0], units
+    loss_sum, dlogits = _xent_sum_and_dlogits(logits, targets, keep)
+    del logits  # dlogits' buffer
+    d_dec = _lm_head_bwd(params, cache["dec_states"], dlogits, sink)
+    del dlogits  # [n, V]: freed before the stacks' backward
+    d_enc = _stack_bwd(params, cache["dec"], d_dec, sink)
+    _stack_bwd(params, cache["enc"], d_enc, sink)
+    return loss_sum, units
+
+
+def _pooled_example(params: ModelParams, objective: str, example, sink):
+    """(loss, 1) of one (enc_ids, target) example of a pooled head."""
+    enc_ids, target = example
+    pool, cache = _pooled_fwd(params, enc_ids)
+    loss, dz = pooled_loss(params, objective, pool, target)
+    if sink is not None:
+        w, b = _pooled_head(objective)
+        # dz is a float for regression and a 2-vector for classification
+        _grad_add(sink, w, np.multiply.outer(pool, dz))
+        _grad_add(sink, b, dz)
+        _pooled_bwd(params, cache, np.dot(params.tensors[w], dz), sink)
+    return loss, 1
+
+
+def _blas_callers() -> int:
+    """How many threads can call BLAS at once without oversubscribing: the
+    CPUs this process may use over BLAS's thread count, which OpenBLAS takes
+    from OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else one per CPU."""
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        threads = os.environ.get(var, "").strip()
+        if threads.isdigit() and int(threads) > 0:
+            return cpus // int(threads)
+    return 1
+
+
+def _on_two_threads(run_one, batch, grads):
+    """Yields run_one(example, sink) for the examples in order. This thread
+    runs examples 0, 2, 4, ... with sink grads; a helper thread, one example
+    ahead, runs 1, 3, 5, ... each into a _Record, which this thread replays
+    into grads before it starts its next example. So every buffer receives
+    the sequential loop's additions in the sequential order, however the
+    threads are scheduled. A failing example raises at its turn, and the
+    helper is joined before this returns or raises."""
+    go, done = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def helper():
+        for example in batch[1::2]:
+            if not go.get():
+                return
+            record = None if grads is None else _Record()
+            try:
+                done.put((run_one(example, record), record))
+            except BaseException as exc:  # noqa: BLE001 - raised by the caller
+                done.put((exc, None))
+                return
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        for i in range(0, len(batch), 2):
+            ahead = i + 1 < len(batch)
+            if ahead:
+                go.put(True)
+            yield run_one(batch[i], grads)
+            if ahead:
+                out, record = done.get()
+                if isinstance(out, BaseException):
+                    raise out
+                if record is not None:
+                    record.replay(grads)
+                yield out
+    finally:
+        go.put(False)
+        thread.join()
+
+
 def accumulate_loss_and_grad(params: ModelParams, batch, objective: str,
                              grads: dict[str, np.ndarray] | None):
     """Add unnormalized loss and gradient sums for a (micro)batch into grads.
@@ -648,37 +781,30 @@ def accumulate_loss_and_grad(params: ModelParams, batch, objective: str,
     same grads buffers and normalizing once reproduces a single large batch
     bit for bit, which is what makes gradient accumulation exact. With grads
     None the backward pass is skipped: the same loss sum, forward only.
+
+    A batch of two or more examples with at least HELPER_MIN_POSITIONS
+    decoder positions in total (pooled heads have none) runs on two threads,
+    with the same bytes, when two threads can call BLAS at once
+    (_blas_callers, _on_two_threads).
     """
     if not batch:
         raise ValueError("empty batch")
-    loss_sum = 0.0
-    units = 0
     if objective == "lm":
-        for enc_ids, dec_in, targets in batch:
-            logits, cache = _forward_lm(params, enc_ids, dec_in)
-            targets = np.asarray(targets, dtype=np.int64)
-            keep = targets != PAD_ID
-            if not np.any(keep):
-                raise ValueError("all target positions are padded")
-            units += int(np.count_nonzero(keep))
-            if grads is None:
-                loss_sum += _xent_fwd(logits, targets, keep)[0]
-                continue
-            part, dlogits = _xent_sum_and_dlogits(logits, targets, keep)
-            loss_sum += part
-            _backward_lm(params, cache, dlogits, grads)
-        return loss_sum, units
-    w, b = _pooled_head(objective)
-    for enc_ids, target in batch:
-        pool, cache = _pooled_fwd(params, enc_ids)
-        loss, dz = pooled_loss(params, objective, pool, target)
+        run_one = functools.partial(_lm_example, params)
+        positions = sum(len(dec_in) for _, dec_in, _ in batch)
+    else:
+        _pooled_head(objective)  # an unknown objective fails before any example
+        run_one = functools.partial(_pooled_example, params, objective)
+        positions = 0
+    if len(batch) > 1 and positions >= HELPER_MIN_POSITIONS and _blas_callers() > 1:
+        parts = _on_two_threads(run_one, batch, grads)
+    else:
+        parts = (run_one(example, grads) for example in batch)
+    loss_sum, units = 0.0, 0
+    for loss, n in parts:
         loss_sum += loss
-        if grads is not None:
-            # dz is a float for regression and a 2-vector for classification
-            grads[w] += np.multiply.outer(pool, dz)
-            grads[b] += dz
-            _pooled_bwd(params, cache, np.dot(params.tensors[w], dz), grads)
-    return loss_sum, len(batch)
+        units += n
+    return loss_sum, units
 
 
 def loss_and_grad(params: ModelParams, batch, objective: str = "lm",

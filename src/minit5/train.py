@@ -110,6 +110,8 @@ def _require_file(path: str, what: str) -> str:
         raise DataError(f"no {what} path configured")
     if not os.path.exists(path):
         raise DataError(f"{what} not found: {path}")
+    if not os.path.isfile(path):
+        raise DataError(f"{what} is not a file: {path}")
     return path
 
 

@@ -575,3 +575,33 @@ def test_strip_accents_run_equals_run_on_pre_stripped_splits(tmp_path, task,
     names = set(outputs[0])
     assert {"checkpoint.bin", "train_log.tsv", "eval_test.txt"} <= names
     assert ("predictions_test.conll" in names) == (task == "ner")
+
+
+@pytest.mark.parametrize("stage", ["preprocess", "train-vocab",
+                                   "make-pretrain-data-vocab",
+                                   "make-pretrain-data-corpus",
+                                   "pretrain-config-corpus"])
+def test_a_directory_given_as_an_input_is_a_data_error_naming_it(tmp_path, capsys,
+                                                                 stage):
+    corpus, vocab_path, packed = pipeline_files(tmp_path)
+    folder = tmp_path / "a-folder"
+    folder.mkdir()
+    out = str(tmp_path / "out.bin")
+    argv = {
+        "preprocess": ["preprocess", str(folder), "--output", out],
+        "train-vocab": ["train-vocab", "--corpus", str(folder), "--output", out],
+        "make-pretrain-data-vocab": ["make-pretrain-data", "--vocab", str(folder),
+                                     "--corpus", packed, "--output", out],
+        "make-pretrain-data-corpus": ["make-pretrain-data", "--vocab", vocab_path,
+                                      "--corpus", str(folder), "--output", out],
+    }.get(stage)
+    if argv is None:
+        cfg = tmp_path / "p.cfg"
+        write(cfg, pretrain_config_text(vocab_path, folder, tmp_path / "run"))
+        argv = ["--config", str(cfg), "pretrain"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert str(folder) in err
+    assert not os.path.exists(out)

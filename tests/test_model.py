@@ -1,12 +1,16 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from minit5.model import (ModelConfig, classification_head,
-                          embedding_only_mask, encoder_mean_pool, forward,
-                          init_model, loss_and_grad, loss_xent,
-                          parameter_count, regression_head)
+from minit5 import model
+from minit5.model import (ModelConfig, accumulate_loss_and_grad,
+                          classification_head, embedding_only_mask,
+                          encoder_mean_pool, forward, init_model,
+                          loss_and_grad, loss_xent, parameter_count,
+                          regression_head, zero_grads)
 from minit5.model import (_attn_bwd, _attn_fwd, _causal_bias, _dgelu,
                           _embed_bwd, _embed_fwd, _encoder_fwd, _gelu,
                           _key_mask_bias, _softmax_rows,
@@ -180,7 +184,7 @@ class TestNumerics:
         targets[[2, 7]] = 0
         keep = targets != 0
         rows = np.arange(9)
-        loss_sum, dlogits = _xent_sum_and_dlogits(logits, targets, keep)
+        loss_sum, dlogits = _xent_sum_and_dlogits(logits.copy(), targets, keep)
         lp = log_softmax(logits)
         assert loss_sum == float(-np.sum(lp[rows, targets][keep]))
         want = np.exp(lp)
@@ -239,6 +243,155 @@ class TestNumerics:
         _embed_bwd(cache, np.zeros((n, RELATIVE_UNTIED.d_model)), d_scores, grads)
         want = relative_bias_grad_per_head(start, cache[2], d_scores)
         assert np.array_equal(grads[table], want)
+
+
+def helper_cases():
+    """Named (config, objective, batch) params: every objective, learned and
+    relative positions, tied and untied heads, odd and even batch sizes."""
+    rng = np.random.default_rng(11)
+
+    def ids(n):
+        out = rng.integers(1, 40, n)
+        out[rng.random(n) < 0.2] = 0
+        out[0] = 5
+        return out
+
+    cases = []
+    for scheme in ("learned-absolute", "relative-bucket"):
+        for tied in (True, False):
+            cfg = ModelConfig(vocab_size=40, d_model=8, n_heads=2, d_ff=12,
+                              n_enc_layers=2, n_dec_layers=2, max_len=16,
+                              position_scheme=scheme, tie_embeddings=tied)
+            for size in (2, 3, 4, 5):
+                lm = []
+                for _ in range(size):
+                    tgt = ids(int(rng.integers(1, 16)))
+                    lm.append((ids(int(rng.integers(1, 16))),
+                               np.concatenate(([1], tgt[:-1])), tgt))
+                pooled = [ids(int(rng.integers(1, 16))) for _ in range(size)]
+                for objective, batch in (
+                        ("lm", lm),
+                        ("regression", [(e, float(rng.uniform(1, 5))) for e in pooled]),
+                        ("classification", [(e, int(rng.integers(0, 2))) for e in pooled])):
+                    name = f"{scheme}-{'tied' if tied else 'untied'}-{objective}-{size}"
+                    cases.append(pytest.param(cfg, objective, batch, id=name))
+    return cases
+
+
+class TestHelperThread:
+    """accumulate_loss_and_grad on two threads (threshold patched to 0, room
+    for two BLAS callers) against the sequential loop: loss sum, units and
+    every gradient byte, the sign of zero included; errors; no thread left
+    behind."""
+
+    @pytest.mark.parametrize("env,callers", [
+        ({}, 1), ({"OPENBLAS_NUM_THREADS": "1"}, 2), ({"OMP_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 1), ({"OPENBLAS_NUM_THREADS": "x"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 1)])
+    def test_blas_callers_divides_the_cpus_by_blas_threads(self, monkeypatch, env,
+                                                           callers):
+        """An unpinned BLAS already runs a thread per CPU, and a second caller
+        only oversubscribes them."""
+        monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert model._blas_callers() == callers
+
+    @staticmethod
+    def run(monkeypatch, threaded, params, batch, objective, with_grads):
+        monkeypatch.setattr(model, "HELPER_MIN_POSITIONS", 0 if threaded else 10**9)
+        monkeypatch.setattr(model, "_blas_callers", lambda: 2)
+        calls = []
+        two = model._on_two_threads
+        monkeypatch.setattr(model, "_on_two_threads",
+                            lambda *a: calls.append(1) or two(*a))
+        grads = zero_grads(params) if with_grads else None
+        threads = threading.active_count()
+        try:
+            loss, units = accumulate_loss_and_grad(params, batch, objective, grads)
+            out = (np.float64(loss).tobytes(), units)
+        except ValueError as exc:
+            out = ("raised", str(exc))
+        assert threading.active_count() == threads
+        assert calls == ([1] if threaded else [])
+        return out, grads
+
+    @staticmethod
+    def assert_same_bytes(grads_a, grads_b):
+        assert (grads_a is None) == (grads_b is None)
+        for name in grads_a or {}:
+            assert grads_a[name].tobytes() == grads_b[name].tobytes(), name
+
+    @pytest.mark.parametrize("with_grads", [True, False], ids=["grads", "no-grads"])
+    @pytest.mark.parametrize("cfg,objective,batch", helper_cases())
+    def test_two_threads_equal_the_sequential_loop_bitwise(self, monkeypatch, cfg,
+                                                           objective, batch, with_grads):
+        params = init_model(cfg, seed=4)
+        seq, g_seq = self.run(monkeypatch, False, params, batch, objective, with_grads)
+        two, g_two = self.run(monkeypatch, True, params, batch, objective, with_grads)
+        assert seq[0] != "raised"
+        assert two == seq
+        self.assert_same_bytes(g_seq, g_two)
+
+    @pytest.mark.parametrize("with_grads", [True, False], ids=["grads", "no-grads"])
+    @pytest.mark.parametrize("bad", [1, 2], ids=["helper", "main"])
+    @pytest.mark.parametrize("fault", ["all-pad-target", "out-of-range-id"])
+    def test_errors_raise_as_in_the_sequential_loop(self, monkeypatch, fault, bad,
+                                                    with_grads):
+        params = init_model(CFG, seed=4)
+        batch = small_batch() * 3
+        enc, dec, tgt = batch[bad]
+        if fault == "all-pad-target":
+            batch[bad] = (enc, dec, np.zeros_like(tgt))
+        else:
+            batch[bad] = (np.concatenate((enc, [CFG.vocab_size])), dec, tgt)
+        seq, g_seq = self.run(monkeypatch, False, params, batch, "lm", with_grads)
+        two, g_two = self.run(monkeypatch, True, params, batch, "lm", with_grads)
+        assert seq[0] == "raised"
+        assert two == seq
+        # the examples before the failing one were added, in both paths
+        self.assert_same_bytes(g_seq, g_two)
+
+    def test_concurrent_calls_under_rapid_switching(self, monkeypatch):
+        """Four callers at once, each with its own helper, on lengths that
+        grow the shared causal mask while the others read it, with the
+        interpreter switching threads every microsecond."""
+        cases = [p.values for p in helper_cases() if p.values[1] == "lm"][::4]
+        want = []
+        for cfg, objective, batch in cases:
+            params = init_model(cfg, seed=4)
+            want.append(self.run(monkeypatch, False, params, batch, objective, True))
+        got = [None] * len(cases)
+
+        def caller(k):
+            cfg, objective, batch = cases[k]
+            grads = zero_grads(init_model(cfg, seed=4))
+            loss, units = accumulate_loss_and_grad(init_model(cfg, seed=4), batch,
+                                                   objective, grads)
+            got[k] = (np.float64(loss).tobytes(), units), grads
+
+        monkeypatch.setattr(model, "HELPER_MIN_POSITIONS", 0)
+        monkeypatch.setattr(model, "_causal", np.zeros((1, 0, 0)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for start in range(0, len(cases), 4):
+                callers = [threading.Thread(target=caller, args=(k,))
+                           for k in range(start, min(start + 4, len(cases)))]
+                for t in callers:
+                    t.start()
+                for t in callers:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for (out_w, grads_w), (out_g, grads_g) in zip(want, got):
+            assert out_g == out_w
+            self.assert_same_bytes(grads_w, grads_g)
 
 
 @pytest.mark.slow

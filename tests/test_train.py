@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from minit5 import model
 from minit5.checkpoint import save_checkpoint
 from minit5.config import RunConfig
 from minit5.model import init_model
@@ -87,7 +88,8 @@ class TestPretrain:
             b = open(os.path.join(cfg2.out_dir, name), "rb").read()
             assert a == b, name
 
-    def test_gradient_accumulation_matches_large_batch_bitwise(self, tmp_path):
+    @staticmethod
+    def big_and_accumulated_runs(tmp_path):
         big = pretrain_cfg(tmp_path, "big", batch_size=8, grad_accum_steps=1,
                            max_epochs=2)
         accum = pretrain_cfg(tmp_path, "accum", batch_size=2,
@@ -97,6 +99,30 @@ class TestPretrain:
         assert [r.train_loss for r in la.records] == [r.train_loss for r in lb.records]
         for name in pa.tensors:
             assert np.array_equal(pa.tensors[name], pb.tensors[name]), name
+        return pa, la
+
+    def test_gradient_accumulation_matches_large_batch_bitwise(self, tmp_path):
+        self.big_and_accumulated_runs(tmp_path)
+
+    def test_gradient_accumulation_on_two_threads_matches_sequential_bitwise(
+            self, tmp_path, monkeypatch):
+        """The same comparison with every microbatch on two threads, which
+        also equals the sequential runs byte for byte."""
+        (tmp_path / "seq").mkdir()
+        (tmp_path / "two").mkdir()
+        seq, seq_log = self.big_and_accumulated_runs(tmp_path / "seq")
+        monkeypatch.setattr(model, "HELPER_MIN_POSITIONS", 0)
+        monkeypatch.setattr(model, "_blas_callers", lambda: 2)
+        calls = []
+        two_threads = model._on_two_threads
+        monkeypatch.setattr(model, "_on_two_threads",
+                            lambda *a: calls.append(1) or two_threads(*a))
+        two, two_log = self.big_and_accumulated_runs(tmp_path / "two")
+        assert calls
+        assert [r.train_loss for r in seq_log.records] == \
+            [r.train_loss for r in two_log.records]
+        for name in seq.tensors:
+            assert seq.tensors[name].tobytes() == two.tensors[name].tobytes(), name
 
     def test_missing_inputs_raise_data_error(self, tmp_path):
         cfg = pretrain_cfg(tmp_path, "x")
