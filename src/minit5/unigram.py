@@ -3,7 +3,9 @@
 Training is EM over segmentation lattices followed by likelihood-ranked
 pruning; application is Viterbi segmentation. Whitespace is made reversible
 by mapping spaces to a boundary marker character before segmentation, so
-decode(encode(s)) == s for any text whose characters are covered.
+decode(encode(s)) == s for any text that `UnigramVocab.covers`: every
+character is a piece and none is a literal marker, which encode reads as an
+unknown character, not as a space.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ _UNK_PENALTY = 10.0  # unknown fallback scores this far below the worst piece
 
 NEG_INF = float("-inf")
 _ABSENT = object()  # a piece-table miss: no piece starts with the substring
+_ENCODE_MEMO_WORDS = 1 << 15  # a vocabulary's encode memo stops growing here
 
 
 def _to_internal(text: str) -> str:
@@ -55,6 +58,31 @@ def _unk_log_prob(log_probs: Iterable[float]) -> float:
     return min(log_probs, default=0.0) - _UNK_PENALTY
 
 
+def _cuts_words(pieces: Iterable[str]) -> bool:
+    """Whether text may be cut before every boundary marker: no piece holds a
+    marker after its first character, so no piece spans a cut."""
+    return BOUNDARY not in "".join(map(itemgetter(slice(1, None)), pieces))
+
+
+def _words(sent: str, cut: bool) -> list[str]:
+    """An internal-form sentence's segments for Viterbi: its words, each with
+    its leading marker, where cut is true; else the whole sentence."""
+    if not cut:
+        return [sent] if sent else []
+    head, *rest = sent.split(BOUNDARY)
+    return ([head] if head else []) + [BOUNDARY + word for word in rest]
+
+
+def _weighted_words(sentences: dict[str, int], cut: bool) -> Counter:
+    """The distinct segments (see _words) of weighted sentences, each weighted
+    by its occurrences."""
+    words: Counter[str] = Counter()
+    for sent, weight in sentences.items():
+        for word in _words(sent, cut):
+            words[word] += weight
+    return words
+
+
 class UnigramVocab:
     """Piece table with log-probabilities; ids 0-3 are reserved controls."""
 
@@ -76,6 +104,8 @@ class UnigramVocab:
                                      else f"piece {piece!r} has non-finite log-prob {lp}")
         self._table = _piece_table(self.pieces[N_RESERVED:])
         self._unk_lp = _unk_log_prob(log_probs[N_RESERVED:])
+        self._cut = _cuts_words(self._ids)
+        self._memo: dict[str, tuple[int, ...]] = {}  # encode's ids per word
 
     @classmethod
     def from_scored(cls, scored: dict[str, float]) -> "UnigramVocab":
@@ -102,7 +132,9 @@ class UnigramVocab:
         return self._unk_lp
 
     def covers(self, text: str) -> bool:
-        return all(ch in self._ids for ch in _to_internal(text))
+        """Whether decode(encode(text)) == text: every character is a piece,
+        and none is a literal boundary marker, which encode reads as unknown."""
+        return BOUNDARY not in text and all(ch in self._ids for ch in _to_internal(text))
 
     def save(self, path: str) -> None:
         """Raises ValueError, writing nothing, on a piece the format cannot hold."""
@@ -148,16 +180,14 @@ def _seed_scores(sentences: dict[str, int], seed_size: int) -> dict[str, float]:
     """build_seed_vocab's log-probs over weighted sentences, ranked."""
     char_freq: Counter[str] = Counter()
     sub_freq: Counter[str] = Counter()
-    for sent, weight in sentences.items():
-        n = len(sent)
+    # substrings of each distinct word: the boundary marker may only open a
+    # piece, so pieces never span across words
+    for word, weight in _weighted_words(sentences, True).items():
+        n = len(word)
         for i in range(n):
-            char_freq[sent[i]] += weight
+            char_freq[word[i]] += weight
             for j in range(i + 2, min(n, i + MAX_SEED_PIECE_LEN) + 1):
-                # the boundary marker may only open a piece: pieces never
-                # span across words
-                if sent[j - 1] == BOUNDARY:
-                    break
-                sub_freq[sent[i:j]] += weight
+                sub_freq[word[i:j]] += weight
     if seed_size < len(char_freq):
         raise ValueError(
             f"seed_size {seed_size} is below the {len(char_freq)} distinct characters")
@@ -361,12 +391,30 @@ def _best_path(sent: str, edges: list[list[tuple[int, str, float]]]
     return best[n][0], path_to(n)
 
 
+def _viterbi(word: str, table: dict[str, float | None], unk_lp: float
+             ) -> list[str | None]:
+    """The pieces on a word's best path, None for an unknown character."""
+    return [piece for _, _, piece in _best_path(word, _sentence_edges(word, table, unk_lp))[1]]
+
+
 def encode(vocab: UnigramVocab, text: str) -> list[int]:
-    """Viterbi-encode text to piece ids; unknown characters map to UNK_ID."""
-    internal = _to_internal(text)
-    edges = _sentence_edges(internal, vocab._table, vocab._unk_lp)
-    return [UNK_ID if piece is None else vocab._ids[piece]
-            for _, _, piece in _best_path(internal, edges)[1]]
+    """Viterbi-encode text to piece ids, one word at a time (see _words), so
+    a word encodes the same in every context; unknown characters, and a
+    literal boundary marker, map to UNK_ID."""
+    ids: list[int] = []
+    memo = vocab._memo
+    for k, chunk in enumerate(text.split(BOUNDARY)):
+        if k:
+            ids.append(UNK_ID)  # no piece covers a literal marker
+        for word in _words(_to_internal(chunk), vocab._cut):
+            word_ids = memo.get(word)
+            if word_ids is None:
+                word_ids = tuple(UNK_ID if piece is None else vocab._ids[piece]
+                                 for piece in _viterbi(word, vocab._table, vocab._unk_lp))
+                if len(memo) < _ENCODE_MEMO_WORDS:  # a full memo only stops growing
+                    memo[word] = word_ids
+            ids += word_ids
+    return ids
 
 
 def decode(vocab: UnigramVocab, ids: list[int]) -> str:
@@ -388,24 +436,40 @@ def decode(vocab: UnigramVocab, ids: list[int]) -> str:
 
 
 def _viterbi_piece_counts(sentences: dict[str, int], table: dict[str, float | None],
-                          unk_lp: float) -> Counter:
-    """Weighted counts of the pieces on each sentence's best path, which are
-    the pieces encode emits."""
+                          unk_lp: float, cut: bool) -> Counter:
+    """Weighted counts of the pieces on each word's best path, which are the
+    pieces encode emits; each distinct word is segmented once."""
     counts: Counter[str] = Counter()
-    for sent, weight in sentences.items():
-        edges = _sentence_edges(sent, table, unk_lp)
-        for _, _, piece in _best_path(sent, edges)[1]:
+    for word, weight in _weighted_words(sentences, cut).items():
+        for piece in _viterbi(word, table, unk_lp):
             if piece is not None:
                 counts[piece] += weight
     return counts
 
 
-def _segment_without_self(piece: str, table: dict[str, float | None],
-                          unk_lp: float) -> float:
-    """Best log-prob of segmenting `piece` without using the piece itself."""
-    edges = _sentence_edges(piece, table, unk_lp)
-    edges[0] = [e for e in edges[0] if e[0] != len(piece)]  # the full span is `piece`
-    return _best_path(piece, edges)[0]
+def _alternatives(pieces: Iterable[str], table: dict[str, float | None],
+                  unk_lp: float) -> dict[str, float]:
+    """Each piece's best log-prob of segmenting it without the piece itself:
+    the max over its last edges p[i:], i >= 1 (a piece, or the unknown edge of
+    an uncovered last character), of F(p[:i]) + lp. F, a string's best forward
+    score, is memoized over every prefix and takes its max over the sums
+    _best_path's best[] does, so the values equal one walk per piece bit for bit."""
+    best = {"": 0.0}  # F
+
+    def ending(s: str, first: int) -> float:
+        sums = [best[s[:k]] + lp for k in range(first, len(s))
+                if (lp := table.get(s[k:])) is not None]
+        if table.get(s[-1]) is None:  # no single-character piece
+            sums.append(best[s[:-1]] + unk_lp)
+        return max(sums)
+
+    alternatives = {}
+    for piece in pieces:
+        for i in range(1, len(piece)):
+            if piece[:i] not in best:
+                best[piece[:i]] = ending(piece[:i], 0)
+        alternatives[piece] = ending(piece, 1)
+    return alternatives
 
 
 def prune_vocab(corpus: list[str], vocab: UnigramVocab, target_size: int,
@@ -439,10 +503,11 @@ def _prune(lattice: _Lattice, scored: dict[str, float], target_size: int,
             scored, _ = lattice.em(scored)
         unk_lp = _unk_log_prob(scored.values())
         table = _piece_table(scored)  # one per round, shared by every piece below
-        usage = _viterbi_piece_counts(lattice.sentences, table, unk_lp)
+        usage = _viterbi_piece_counts(lattice.sentences, table, unk_lp, _cuts_words(scored))
         multis = [p for p in scored if len(p) > 1]
-        losses = [(usage[p] * (scored[p] - _segment_without_self(p, table, unk_lp))
-                   if usage[p] else 0.0, p) for p in multis]
+        alts = _alternatives([p for p in multis if usage[p]], table, unk_lp)
+        losses = [(usage[p] * (scored[p] - alts[p]) if usage[p] else 0.0, p)
+                  for p in multis]
         losses.sort(key=lambda kv: (-kv[0], kv[1]))
         target_multi = target_size - N_RESERVED - len(singles)
         keep_n = max(target_multi, int(len(multis) * shrink_factor))

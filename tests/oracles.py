@@ -72,6 +72,64 @@ def enumerate_expected_counts(s: str, scored: dict[str, float]):
     return counts, z
 
 
+def reference_seed_scores(corpus: list[str], seed_size: int) -> dict[str, float]:
+    """Seed log-probs by counting, in every sentence, each character and each
+    substring of 2 to 8 characters that holds the boundary marker at most at
+    its start; the top substrings by count times length fill the budget."""
+    from minit5.unigram import BOUNDARY, MAX_SEED_PIECE_LEN, RESERVED_PIECES
+    chars: dict[str, int] = {}
+    subs: dict[str, int] = {}
+    for line in corpus:
+        sent = line.replace(" ", BOUNDARY)
+        for i in range(len(sent)):
+            chars[sent[i]] = chars.get(sent[i], 0) + 1
+            for j in range(i + 2, min(len(sent), i + MAX_SEED_PIECE_LEN) + 1):
+                sub = sent[i:j]
+                if BOUNDARY not in sub[1:] and sub not in RESERVED_PIECES \
+                        and "\t" not in sub and "\n" not in sub:
+                    subs[sub] = subs.get(sub, 0) + 1
+    ranked = sorted(subs.items(), key=lambda kv: (-kv[1] * len(kv[0]), kv[0]))
+    freqs = {**chars, **dict(ranked[:seed_size - len(chars)])}
+    total = sum(freqs.values())
+    return {p: math.log(f / total) for p, f in freqs.items()}
+
+
+# --- sentence-level Viterbi reference --------------------------------------
+# The whole-sentence walks unigram once ran, which its per-word encode, usage
+# counts and prefix-memo alternatives are compared against. Each looks the
+# edge builder up in unigram when it runs, so a test may substitute it.
+
+def sentence_encode(vocab, text: str) -> list[int]:
+    """Viterbi-encode text to piece ids; unknown characters map to UNK_ID."""
+    from minit5.unigram import UNK_ID, _best_path, _sentence_edges, _to_internal
+    internal = _to_internal(text)
+    edges = _sentence_edges(internal, vocab._table, vocab._unk_lp)
+    return [UNK_ID if piece is None else vocab._ids[piece]
+            for _, _, piece in _best_path(internal, edges)[1]]
+
+
+def sentence_piece_counts(sentences: dict[str, int], table, unk_lp: float):
+    """Weighted counts of the pieces on each sentence's best path, which are
+    the pieces encode emits."""
+    from collections import Counter
+    from minit5.unigram import _best_path, _sentence_edges
+    counts = Counter()
+    for sent, weight in sentences.items():
+        edges = _sentence_edges(sent, table, unk_lp)
+        for _, _, piece in _best_path(sent, edges)[1]:
+            if piece is not None:
+                counts[piece] += weight
+    return counts
+
+
+def segment_without_self(piece: str, table, unk_lp: float) -> float:
+    """Best log-prob of segmenting `piece` without using the piece itself."""
+    from minit5.unigram import _best_path, _sentence_edges
+    edges = _sentence_edges(piece, table, unk_lp)
+    edges[0] = [e for e in edges[0] if e[0] != len(piece)]  # the full span is `piece`
+    return _best_path(piece, edges)[0]
+
+
 # --- scalar EM reference ---------------------------------------------------
 # Sentence-by-sentence EM, the reference that unigram._Lattice.em must match
 # bit for bit. It walks the same edge builder and sums with _logadd in each
@@ -136,17 +194,16 @@ def reference_em(sentences: dict[str, int], scored: dict[str, float],
 def reference_prune(sentences: dict[str, int], scored: dict[str, float],
                     target_size: int, shrink_factor: float = 0.75) -> dict[str, float]:
     """Pruning rounds over reference_em; the surviving scores, unranked."""
-    from minit5.unigram import (N_RESERVED, _logadd, _piece_table, _segment_without_self,
-                                _unk_log_prob, _viterbi_piece_counts)
+    from minit5.unigram import N_RESERVED, _logadd, _piece_table, _unk_log_prob
     singles = {p for p in scored if len(p) == 1}
     while N_RESERVED + len(scored) > target_size:
         for _ in range(2):
             scored, _ = reference_em(sentences, scored, _unk_log_prob(scored.values()))
         unk_lp = _unk_log_prob(scored.values())
         table = _piece_table(scored)
-        usage = _viterbi_piece_counts(sentences, table, unk_lp)
+        usage = sentence_piece_counts(sentences, table, unk_lp)
         multis = [p for p in scored if len(p) > 1]
-        losses = [(usage[p] * (scored[p] - _segment_without_self(p, table, unk_lp))
+        losses = [(usage[p] * (scored[p] - segment_without_self(p, table, unk_lp))
                    if usage[p] else 0.0, p) for p in multis]
         losses.sort(key=lambda kv: (-kv[0], kv[1]))
         keep_n = max(target_size - N_RESERVED - len(singles),

@@ -360,6 +360,20 @@ out_dir = {tmp_path / "eval"}
         assert main(["--config", str(cfg), "pretrain"]) == 2
         assert "'ñ' at character offset 5" in capsys.readouterr().err
 
+    def test_literal_boundary_marker_is_an_uncovered_character(self, tmp_path, capsys):
+        # the vocabulary writes spaces as U+2581; one in the text is no space
+        _, vocab_path, packed = pipeline_files(tmp_path)
+        lines = open(packed, encoding="utf-8").read().splitlines()
+        lines[2] = "gato\u2581" + lines[2]
+        write(packed, "\n".join(lines) + "\n")
+        rc = main(["make-pretrain-data", "--vocab", vocab_path, "--corpus",
+                   packed, "--output", str(tmp_path / "pairs.bin")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "characters the vocabulary does not cover" in err
+        assert "document 3" in err and "'\u2581' at character offset 4" in err
+        assert not (tmp_path / "pairs.bin").exists()
+
     def test_non_finite_vocabulary_log_prob_is_data_error(self, tmp_path, capsys):
         corpus, vocab_path, _ = pipeline_files(tmp_path)
         lines = open(vocab_path, encoding="utf-8").read().splitlines()

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import os
 import random
 from collections import Counter
 
@@ -9,13 +11,14 @@ from minit5.unigram import (BOUNDARY, EOS_ID, MASK_ID, PAD_ID, RESERVED_PIECES,
                             UNK_ID, UnigramVocab, build_seed_vocab, decode,
                             em_step, encode, prune_vocab, train_vocab)
 from minit5 import unigram
-from minit5.unigram import (N_RESERVED, _Lattice, _logadd, _piece_table, _prune,
-                            _segment_without_self, _sentence_edges,
-                            _viterbi_piece_counts, _weighted_internal)
+from minit5.unigram import (N_RESERVED, _Lattice, _alternatives, _logadd, _piece_table,
+                            _prune, _sentence_edges, _viterbi_piece_counts,
+                            _weighted_internal)
 
 from oracles import (all_segmentations, best_segmentation, enumerate_expected_counts,
                      reference_edges, reference_em, reference_prune,
-                     reference_train_vocab)
+                     reference_seed_scores, reference_train_vocab, segment_without_self,
+                     sentence_encode, sentence_piece_counts)
 
 PT_WORDS = ["casa", "gato", "cão", "água", "pão", "maçã", "coração", "você",
             "então", "também", "história", "rápido", "número", "São", "Paulo",
@@ -24,6 +27,11 @@ PT_WORDS = ["casa", "gato", "cão", "água", "pão", "maçã", "coração", "voc
 
 def make_vocab(scored: dict[str, float]) -> UnigramVocab:
     return UnigramVocab([(p, 0.0) for p in RESERVED_PIECES] + list(scored.items()))
+
+
+def make_fresh(vocab: UnigramVocab) -> UnigramVocab:
+    """The same pieces in a new vocabulary, with an empty encode memo."""
+    return UnigramVocab(vocab.pieces)
 
 
 def pt_corpus(n_sentences: int, seed: int = 0, max_words: int = 6) -> list[str]:
@@ -55,6 +63,20 @@ class TestSeedVocab:
         pieces = {p for p, _ in vocab.pieces}
         chars = {ch for line in corpus for ch in line.replace(" ", BOUNDARY)}
         assert chars <= pieces
+
+    def test_scores_equal_a_count_over_every_sentence(self):
+        rng = random.Random(3)
+        corpora = [pt_corpus(200, seed=1), ["a  b", " ab ", "ba\tb"]]
+        corpora += [["".join(rng.choice("ab c") for _ in range(rng.randrange(0, 15)))
+                     for _ in range(rng.randrange(1, 10))] for _ in range(100)]
+        for trial, corpus in enumerate(corpora):
+            n_chars = len({ch for line in corpus for ch in line})
+            if not n_chars:
+                continue
+            for size in (n_chars, n_chars + 7, 400):
+                want = reference_seed_scores(corpus, size)
+                got = build_seed_vocab(corpus, size).scored_body()
+                assert repr(sorted(got.items())) == repr(sorted(want.items())), trial
 
     def test_reserved_spellings_never_become_pieces(self):
         vocab = build_seed_vocab(["x <unk> y", "<M> <M>"], 200)
@@ -150,7 +172,7 @@ class TestPrune:
         # 88 here); on a tie, pruning must count the pieces encode picks
         def counts_and_emitted(vocab, corpus):
             usage = _viterbi_piece_counts(_weighted_internal(corpus), vocab._table,
-                                          vocab.unk_log_prob)
+                                          vocab.unk_log_prob, vocab._cut)
             return usage, Counter(vocab.piece(i) for line in corpus
                                   for i in encode(vocab, line))
 
@@ -172,8 +194,10 @@ class TestPrune:
         # "a" is no piece, so the only other way through "ab" is <unk> + "b"
         scored = {"ab": math.log(0.5), "b": math.log(0.5)}
         unk_lp = math.log(0.5) - 10.0
-        assert _segment_without_self("ab", _piece_table(scored), unk_lp) == \
+        assert segment_without_self("ab", _piece_table(scored), unk_lp) == \
             unk_lp + math.log(0.5)
+        assert _alternatives(["ab"], _piece_table(scored), unk_lp) == \
+            {"ab": unk_lp + math.log(0.5)}
 
     def test_target_below_minimum(self):
         corpus = ["abcdefgh"]
@@ -277,8 +301,104 @@ class TestEncode:
             for p in (p for p in pieces if len(p) > 1):
                 alt = max(sum(scored[q] for q in seg)
                           for seg in all_segmentations(p, set(pieces) - {p}))
-                assert _segment_without_self(p, vocab._table, vocab.unk_log_prob) == \
+                assert segment_without_self(p, vocab._table, vocab.unk_log_prob) == \
                     pytest.approx(alt, rel=0.0, abs=1e-12), (trial, p)
+            assert encode(vocab, s) == sentence_encode(vocab, s), trial
+
+
+def load_perfbench_gen():
+    """perfbench/gen.py, the benchmark's text and vocabulary generator."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", os.path.join(root, "perfbench", "gen.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPerWordEncode:
+    """encode segments each word on its own and memoizes its ids."""
+
+    def test_a_word_encodes_the_same_after_any_prefix(self):
+        corpus = pt_corpus(60, seed=17)
+        vocab = train_vocab(corpus, vocab_size=100)
+        assert vocab._cut
+        rng = random.Random(5)
+        for prefix in corpus[:20] + ["", " ", "casa  "]:
+            for word in rng.sample(PT_WORDS, 5) + ["X", "casaX"]:
+                assert encode(vocab, f"{prefix} {word}") == \
+                    encode(vocab, prefix) + encode(make_fresh(vocab), f" {word}"), (prefix, word)
+
+    def test_equals_the_sentence_level_encode_on_benchmark_text(self):
+        gen = load_perfbench_gen()
+        lex = gen.language()
+        for seed, size in ((5, 32000), (1, 8000), (11, 8000)):
+            rng = random.Random(seed)
+            lines = gen.sentences(rng, lex, 6000) + gen.packed_documents(rng, lex, 8, 40)
+            lines += [" ".join(row[1:3]) for row in gen.pair_rows(rng, lex, 30, 0)]
+            vocab = gen.build_vocab(lex, size, lines)
+            for line in lines:
+                assert encode(vocab, line) == sentence_encode(vocab, line), (seed, line)
+
+    def test_equals_the_sentence_level_encode_on_random_lattices(self):
+        rng = random.Random(29)
+        for trial in range(500):
+            scored, text = random_lattice_case(rng)
+            vocab = make_vocab(scored)
+            for line in (text, " " + text, text + "  ab"):
+                assert encode(vocab, line) == sentence_encode(vocab, line), trial
+
+    def test_a_piece_holding_a_marker_inside_turns_the_cut_off(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        make_vocab({"a": math.log(0.1), "b": math.log(0.1), BOUNDARY: math.log(0.1),
+                    "a" + BOUNDARY + "b": math.log(0.7)}).save(path)
+        vocab = UnigramVocab.load(path)
+        assert not vocab._cut
+        assert [vocab.piece(i) for i in encode(vocab, "a b a")] == \
+            ["a" + BOUNDARY + "b", BOUNDARY, "a"]
+        cut = make_vocab({"a": math.log(0.1), "b": math.log(0.1),
+                          BOUNDARY + "b": math.log(0.8)})
+        assert cut._cut
+        assert [cut.piece(i) for i in encode(cut, "a b")] == ["a", BOUNDARY + "b"]
+
+    def test_results_past_the_memo_capacity_equal_those_below_it(self, monkeypatch):
+        corpus = pt_corpus(80, seed=19)
+        vocab = train_vocab(corpus, vocab_size=150)
+        text = corpus + ["casa gato", "gato casa", "casa"]
+        want = [encode(make_fresh(vocab), line) for line in text]
+        monkeypatch.setattr(unigram, "_ENCODE_MEMO_WORDS", 3)
+        small = make_fresh(vocab)
+        assert [encode(small, line) for line in text] == want
+        assert [encode(small, line) for line in text] == want
+        assert len(small._memo) == 3
+
+    def test_a_literal_marker_is_an_unknown_character(self):
+        vocab = make_vocab({**dict.fromkeys("ogat" + BOUNDARY, math.log(0.1)),
+                            "gato": math.log(0.25), BOUNDARY + "gato": math.log(0.25)})
+        assert vocab.covers("o gato")
+        assert not vocab.covers("o" + BOUNDARY + "gato")
+        assert encode(vocab, "o" + BOUNDARY + "gato") == \
+            [vocab.id_of("o"), UNK_ID, vocab.id_of("gato")]
+        assert encode(vocab, BOUNDARY) == [UNK_ID]
+        assert decode(vocab, encode(vocab, "o gato")) == "o gato"
+
+    def test_prefix_memo_alternatives_equal_the_scalar_walk(self):
+        rng = random.Random(31)
+        cases = [random_lattice_case(rng)[0] for _ in range(600)]
+        cases.append(build_seed_vocab(pt_corpus(80, seed=4), 600).scored_body())
+        for trial, scored in enumerate(cases):
+            table = _piece_table(scored)
+            unk_lp = min(scored.values()) - 10.0
+            multis = [p for p in scored if len(p) > 1]
+            want = {p: segment_without_self(p, table, unk_lp) for p in multis}
+            assert repr(_alternatives(multis, table, unk_lp)) == repr(want), trial
+
+    def test_usage_counts_equal_the_sentence_level_counts(self):
+        corpus = pt_corpus(200, seed=2)
+        sentences = _weighted_internal(corpus)
+        vocab = train_vocab(corpus, vocab_size=120)
+        assert _viterbi_piece_counts(sentences, vocab._table, vocab.unk_log_prob, True) == \
+            sentence_piece_counts(sentences, vocab._table, vocab.unk_log_prob)
 
 
 class TestDecode:
@@ -380,7 +500,7 @@ class TestPrefixTable:
             vocab = make_vocab(scored)
 
             def outputs():
-                segments = [_segment_without_self(p, vocab._table, vocab.unk_log_prob)
+                segments = [segment_without_self(p, vocab._table, vocab.unk_log_prob)
                             for p in scored if len(p) > 1]
                 new, loglik = em_step(corpus, vocab)
                 return repr(([encode(vocab, line) for line in corpus], segments,
