@@ -19,7 +19,7 @@ from .decoding import beam_decode
 from .optim import DivergedError
 from .train import (DataError, LockError, check_vocab_size, encoder_input,
                     load_packed_corpus, run_evaluate, run_finetune, run_pretrain)
-from .unigram import EOS_ID, UnigramVocab, decode, encode, train_vocab
+from .unigram import BOUNDARY, EOS_ID, UnigramVocab, decode, encode, train_vocab
 
 
 class UsageError(Exception):
@@ -132,6 +132,9 @@ def _cmd_train_vocab(args):
     for lineno, line in numbered:
         if "\t" in line:  # it would become a piece the vocabulary file cannot hold
             raise DataError(f"{args.corpus}:{lineno}: tab in a corpus line")
+        if BOUNDARY in line:  # training would read it as a space, encode as <unk>
+            raise DataError(f"{args.corpus}:{lineno}: literal {BOUNDARY!r} (U+2581) "
+                            "in a corpus line")
     sentences = [line for _, line in numbered]
     if not sentences:
         raise DataError(f"{args.corpus}: empty corpus")

@@ -411,7 +411,8 @@ def encode(vocab: UnigramVocab, text: str) -> list[int]:
             if word_ids is None:
                 word_ids = tuple(UNK_ID if piece is None else vocab._ids[piece]
                                  for piece in _viterbi(word, vocab._table, vocab._unk_lp))
-                if len(memo) < _ENCODE_MEMO_WORDS:  # a full memo only stops growing
+                # only words repeat; a full memo only stops growing
+                if vocab._cut and len(memo) < _ENCODE_MEMO_WORDS:
                     memo[word] = word_ids
             ids += word_ids
     return ids

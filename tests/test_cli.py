@@ -567,6 +567,20 @@ def test_train_vocab_rejects_a_tab_in_the_corpus(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_vocab_rejects_a_literal_boundary_marker_in_the_corpus(tmp_path, capsys):
+    """Training would read a literal U+2581 as a word boundary, while encode
+    reads it as an unknown character, so pruning would rank pieces encode
+    never emits."""
+    corpus = tmp_path / "marker.txt"
+    write(corpus, "o gato bebe\n\no gato\u2581bebe\n")
+    out = tmp_path / "vocab.tsv"
+    rc = main(["train-vocab", "--corpus", str(corpus), "--output", str(out)])
+    assert rc == 2
+    assert f"data error: {corpus}:3: literal '\u2581' (U+2581) in a corpus line" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("task,extra", [("similarity", "output_strategy = generate"),
                                         ("similarity", ""), ("entailment", ""),
                                         ("ner", "")])

@@ -356,6 +356,8 @@ class TestPerWordEncode:
         assert not vocab._cut
         assert [vocab.piece(i) for i in encode(vocab, "a b a")] == \
             ["a" + BOUNDARY + "b", BOUNDARY, "a"]
+        encode(vocab, "b a b")
+        assert vocab._memo == {}  # whole texts as keys would never repeat
         cut = make_vocab({"a": math.log(0.1), "b": math.log(0.1),
                           BOUNDARY + "b": math.log(0.8)})
         assert cut._cut
@@ -497,9 +499,9 @@ class TestPrefixTable:
         for trial in range(500):
             scored, text = random_lattice_case(rng)
             corpus = [text, text[::-1], text[1:] + "a", "ab c" + text]
-            vocab = make_vocab(scored)
 
-            def outputs():
+            def outputs():  # a fresh vocabulary each call: an empty encode memo
+                vocab = make_vocab(scored)
                 segments = [segment_without_self(p, vocab._table, vocab.unk_log_prob)
                             for p in scored if len(p) > 1]
                 new, loglik = em_step(corpus, vocab)
