@@ -17,7 +17,7 @@ import struct
 import numpy as np
 
 from .atomic import atomic_write
-from .model import ModelConfig, ModelParams
+from .model import ModelConfig, ModelParams, tensor_shapes
 from .optim import AdafactorState, AdamState
 
 MAGIC = b"SQFG"
@@ -49,6 +49,18 @@ def _read_tensor(fh, path) -> tuple[str, np.ndarray]:
     count = int(np.prod(dims, dtype=np.int64)) if rank else 1
     data = np.frombuffer(_read(fh, 4 * count, path), dtype="<f4").reshape(dims)
     return name, data.astype(np.float64)
+
+
+def _check_shapes(path, tensors: dict[str, np.ndarray], want: dict) -> None:
+    """The model tensors must be exactly the ones their config builds."""
+    for name in sorted(want.keys() | tensors.keys()):
+        if name not in tensors:
+            raise ValueError(f"{path}: missing tensor {name!r}")
+        if name not in want:
+            raise ValueError(f"{path}: unexpected tensor {name!r}")
+        if tensors[name].shape != want[name]:
+            raise ValueError(f"{path}: tensor {name!r} has shape "
+                             f"{tensors[name].shape}, its config builds {want[name]}")
 
 
 def _state_tensors(opt_state) -> dict[str, np.ndarray]:
@@ -85,13 +97,18 @@ def load_checkpoint(path: str, optimizer: str | None = None):
         if version != VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         (clen,) = struct.unpack("<I", _read(fh, 4, path))
-        cfg = ModelConfig.from_dict(json.loads(_read(fh, clen, path).decode("utf-8")))
+        cfg_bytes = _read(fh, clen, path)
+        try:
+            cfg = ModelConfig.from_dict(json.loads(cfg_bytes.decode("utf-8")))
+        except ValueError as exc:  # not JSON, or not a valid ModelConfig
+            raise ValueError(f"{path}: bad model config: {exc}") from exc
         (count,) = struct.unpack("<I", _read(fh, 4, path))
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
             name, arr = _read_tensor(fh, path)
             tensors[name] = arr
     model_tensors = {k: v for k, v in tensors.items() if not k.startswith("opt/")}
+    _check_shapes(path, model_tensors, tensor_shapes(cfg))
     params = ModelParams(cfg, model_tensors)
     if optimizer is None:
         return params

@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corruption import CorruptionConfig
+from .model import ModelConfig
 from .ner import LabelTable
 from .tasks import check_windows
+from .unigram import N_RESERVED
 
 TASKS = ("pretrain", "similarity", "entailment", "ner")
 OUTPUT_STRATEGIES = ("generate", "linear-head")
@@ -70,11 +72,21 @@ class RunConfig:
             raise ValueError("patience must be >= 0")
         if self.seq_len < 1 or self.beam_width < 1 or self.gen_max_tokens < 1:
             raise ValueError("seq_len, beam_width, gen_max_tokens must be >= 1")
-        # the owning modules' checks: mask_rate in (0, 1), the window rule
-        # and a known label language
+        # the owning modules' checks: the [model] ranges (the vocabulary's
+        # size is known only once it loads), mask_rate in (0, 1), the window
+        # rule and a known label language
+        self.model_config(N_RESERVED + 1)
         CorruptionConfig(mask_rate=self.mask_rate)
         check_windows(self.ner_window, self.ner_stride)
         LabelTable(self.label_language)
+
+    def model_config(self, vocab_size: int) -> ModelConfig:
+        """The [model] section, with seq_len as the model's max_len."""
+        return ModelConfig(
+            vocab_size=vocab_size, d_model=self.d_model, n_heads=self.n_heads,
+            d_ff=self.d_ff, n_enc_layers=self.n_enc_layers,
+            n_dec_layers=self.n_dec_layers, max_len=self.seq_len,
+            position_scheme=self.position_scheme, tie_embeddings=self.tie_embeddings)
 
 
 TASK_DEFAULTS: dict[str, dict] = {

@@ -13,13 +13,13 @@ from __future__ import annotations
 import functools
 import math
 import os
-import queue
-import threading
+import typing
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .unigram import PAD_ID
+from .unigram import N_RESERVED, PAD_ID
 
 LEARNED_ABSOLUTE = "learned-absolute"
 RELATIVE_BUCKET = "relative-bucket"
@@ -50,12 +50,14 @@ class ModelConfig:
     tie_embeddings: bool = True
 
     def __post_init__(self):
-        if self.vocab_size < 5:
+        if self.vocab_size <= N_RESERVED:
             raise ValueError("vocab_size must cover the reserved ids")
+        if min(self.d_model, self.n_heads, self.d_ff, self.max_len) < 1:
+            raise ValueError("d_model, n_heads, d_ff and max_len must be >= 1")
+        if min(self.n_enc_layers, self.n_dec_layers) < 0:
+            raise ValueError("n_enc_layers and n_dec_layers must be >= 0")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
-        if self.max_len < 1:
-            raise ValueError("max_len must be >= 1")
         if self.position_scheme not in (LEARNED_ABSOLUTE, RELATIVE_BUCKET):
             raise ValueError(f"unknown position_scheme {self.position_scheme!r}")
 
@@ -63,7 +65,14 @@ class ModelConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
+    def from_dict(cls, d) -> "ModelConfig":
+        """Inverse of to_dict: d must hold exactly the fields, each of its type."""
+        types = typing.get_type_hints(cls)
+        if type(d) is not dict or d.keys() != types.keys():
+            raise ValueError(f"model config must hold exactly the keys {', '.join(types)}")
+        for key, value in d.items():
+            if type(value) is not types[key]:
+                raise ValueError(f"model config {key} must be {types[key].__name__}")
         return cls(**d)
 
 
@@ -84,53 +93,47 @@ def embedding_only_mask(params: ModelParams) -> TrainableMask:
     return {name: name == "tok_emb" for name in params.tensors}
 
 
-def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    fan_in, fan_out = shape[0], shape[-1]
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+def tensor_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in init_model's order."""
+    d, v = cfg.d_model, cfg.vocab_size
+    shapes: dict[str, tuple[int, ...]] = {"tok_emb": (v, d)}
+    if cfg.position_scheme == LEARNED_ABSOLUTE:
+        shapes["pos_emb"] = (cfg.max_len, d)
+    else:
+        shapes["enc_rel_bias"] = shapes["dec_rel_bias"] = (cfg.n_heads, REL_BUCKETS)
+    for stack, layers, attns in (("enc", cfg.n_enc_layers, ("attn",)),
+                                 ("dec", cfg.n_dec_layers, ("self", "cross"))):
+        for i in range(layers):
+            p = f"{stack}.{i}"
+            for k, a in enumerate(attns, 1):
+                shapes[f"{p}.ln{k}.g"] = (d,)
+                shapes.update({f"{p}.{a}.{w}": (d, d) for w in ("wq", "wk", "wv", "wo")})
+            shapes[f"{p}.ln{len(attns) + 1}.g"] = (d,)
+            shapes[f"{p}.ffn.w1"], shapes[f"{p}.ffn.w2"] = (d, cfg.d_ff), (cfg.d_ff, d)
+        shapes[f"{stack}.final_ln.g"] = (d,)
+    if not cfg.tie_embeddings:
+        shapes["out_proj"] = (d, v)
+    shapes.update({"reg.w": (d,), "reg.b": (1,), "cls.w": (d, 2), "cls.b": (2,)})
+    return shapes
 
 
 def init_model(cfg: ModelConfig, seed: int) -> ModelParams:
     """Deterministic initialization: embeddings ~ N(0, 1/d_model), projections
-    Glorot-uniform, normalization gains one, relative-bias tables zero."""
+    Glorot-uniform (reg.w as a [d, 1] one), normalization gains one, biases
+    and relative-bias tables zero."""
     rng = np.random.default_rng(seed)
-    d, dff, v = cfg.d_model, cfg.d_ff, cfg.vocab_size
     t: dict[str, np.ndarray] = {}
-    t["tok_emb"] = rng.normal(0.0, 1.0 / math.sqrt(d), size=(v, d))
-    if cfg.position_scheme == LEARNED_ABSOLUTE:
-        t["pos_emb"] = rng.normal(0.0, 1.0 / math.sqrt(d), size=(cfg.max_len, d))
-    else:
-        t["enc_rel_bias"] = np.zeros((cfg.n_heads, REL_BUCKETS))
-        t["dec_rel_bias"] = np.zeros((cfg.n_heads, REL_BUCKETS))
-
-    def attn_block(prefix: str):
-        for w in ("wq", "wk", "wv", "wo"):
-            t[f"{prefix}.{w}"] = _glorot(rng, (d, d))
-
-    for i in range(cfg.n_enc_layers):
-        p = f"enc.{i}"
-        t[f"{p}.ln1.g"] = np.ones(d)
-        attn_block(f"{p}.attn")
-        t[f"{p}.ln2.g"] = np.ones(d)
-        t[f"{p}.ffn.w1"] = _glorot(rng, (d, dff))
-        t[f"{p}.ffn.w2"] = _glorot(rng, (dff, d))
-    t["enc.final_ln.g"] = np.ones(d)
-    for i in range(cfg.n_dec_layers):
-        p = f"dec.{i}"
-        t[f"{p}.ln1.g"] = np.ones(d)
-        attn_block(f"{p}.self")
-        t[f"{p}.ln2.g"] = np.ones(d)
-        attn_block(f"{p}.cross")
-        t[f"{p}.ln3.g"] = np.ones(d)
-        t[f"{p}.ffn.w1"] = _glorot(rng, (d, dff))
-        t[f"{p}.ffn.w2"] = _glorot(rng, (dff, d))
-    t["dec.final_ln.g"] = np.ones(d)
-    if not cfg.tie_embeddings:
-        t["out_proj"] = _glorot(rng, (d, v))
-    t["reg.w"] = _glorot(rng, (d, 1)).reshape(d)
-    t["reg.b"] = np.zeros(1)
-    t["cls.w"] = _glorot(rng, (d, 2))
-    t["cls.b"] = np.zeros(2)
+    for name, shape in tensor_shapes(cfg).items():
+        if name.endswith("_emb"):
+            t[name] = rng.normal(0.0, 1.0 / math.sqrt(cfg.d_model), size=shape)
+        elif name.endswith(".g"):
+            t[name] = np.ones(shape)
+        elif name.endswith((".b", "_rel_bias")):
+            t[name] = np.zeros(shape)
+        else:
+            fan_out = shape[1] if len(shape) == 2 else 1
+            limit = math.sqrt(6.0 / (shape[0] + fan_out))
+            t[name] = rng.uniform(-limit, limit, size=shape)
     return ModelParams(cfg, t)
 
 
@@ -318,40 +321,30 @@ def _embed_fwd(params: ModelParams, ids: np.ndarray, mask_bias: np.ndarray,
     return x, mask_bias + t[rel_table][:, buckets], (ids, rel_table, buckets)
 
 
-class _Record(list):
-    """Gradient additions kept in order, as _grad_add's argument tuples, for a
-    later replay into the gradient buffers."""
-
-    def replay(self, grads: dict[str, np.ndarray]) -> None:
-        for op in self:
-            _grad_add(grads, *op)
-
-
-def _grad_add(sink, name: str, value, index=None, scatter: bool = False) -> None:
-    """grads[name] += value, or grads[name][index] += value, or with scatter
-    np.add.at(grads[name], index, value). sink is the grads dict, written
-    now, or a _Record that keeps the addition for its replay."""
-    if isinstance(sink, _Record):
-        sink.append((name, value, index, scatter))
-    elif scatter:
-        np.add.at(sink[name], index, value)
-    elif index is None:
-        sink[name] += value
-    else:
-        sink[name][index] += value
+def _replay(grads: dict[str, np.ndarray], additions) -> None:
+    """Adds an example's (name, value[, index, scatter]) additions into grads
+    in order: grads[name] += value, grads[name][index] += value, or with
+    scatter np.add.at(grads[name], index, value)."""
+    for name, value, *at in additions:
+        if not at:
+            grads[name] += value
+        elif at[1]:
+            np.add.at(grads[name], at[0], value)
+        else:
+            grads[name][at[0]] += value
 
 
-def _embed_bwd(cache, dx, d_scores: list, sink):
+def _embed_bwd(cache, dx, d_scores: list, out: list):
     """d_scores: the self-attention score gradients [H, n, n] in the order
     backprop produced them, scattered into the relative-bucket table if there
     is one."""
     ids, rel_table, buckets = cache
-    _grad_add(sink, "tok_emb", dx, ids, scatter=True)
+    out.append(("tok_emb", dx, ids, True))
     if rel_table is None:
-        _grad_add(sink, "pos_emb", dx, slice(ids.size))
+        out.append(("pos_emb", dx, slice(ids.size), False))
         return
     for ds in d_scores:
-        _grad_add(sink, rel_table, ds, (slice(None), buckets), scatter=True)
+        out.append((rel_table, ds, (slice(None), buckets), True))
 
 
 def _attn_sublayer_fwd(params: ModelParams, ln: str, w: str, x, bias, kv=None):
@@ -364,19 +357,16 @@ def _attn_sublayer_fwd(params: ModelParams, ln: str, w: str, x, bias, kv=None):
     return x + a, ("self" if kv is None else "cross", ln, w, c_ln, c_attn)
 
 
-def _attn_sublayer_bwd(params: ModelParams, cache, dx, sink):
+def _attn_sublayer_bwd(params: ModelParams, cache, dx, out: list):
     """Returns (dx, d_kv, d_scores); d_kv is None for self-attention, whose
     key/value gradient flows back through the norm into dx."""
     kind, ln, w, c_ln, c_attn = cache
     dh_q, dh_kv, dwq, dwk, dwv, dwo, ds = _attn_bwd(dx, c_attn)
-    _grad_add(sink, f"{w}.wq", dwq)
-    _grad_add(sink, f"{w}.wk", dwk)
-    _grad_add(sink, f"{w}.wv", dwv)
-    _grad_add(sink, f"{w}.wo", dwo)
+    out += [(f"{w}.wq", dwq), (f"{w}.wk", dwk), (f"{w}.wv", dwv), (f"{w}.wo", dwo)]
     if kind == "self":
         dh_q, dh_kv = dh_q + dh_kv, None
     dh, dg = _rmsnorm_bwd(dh_q, c_ln)
-    _grad_add(sink, ln, dg)
+    out.append((ln, dg))
     return dh + dx, dh_kv, ds
 
 
@@ -389,37 +379,37 @@ def _ffn_sublayer_fwd(params: ModelParams, ln: str, w: str, x):
     return x + act @ t[f"{w}.w2"], ("ffn", ln, w, c_ln, h, u, tanh_u, act)
 
 
-def _ffn_sublayer_bwd(params: ModelParams, cache, dx, sink):
+def _ffn_sublayer_bwd(params: ModelParams, cache, dx, out: list):
     _, ln, w, c_ln, h, u, tanh_u, act = cache
     t = params.tensors
     du = dx @ t[f"{w}.w2"].T
-    _grad_add(sink, f"{w}.w2", act.T @ dx)
+    out.append((f"{w}.w2", act.T @ dx))
     du *= _dgelu(u, tanh_u)
-    _grad_add(sink, f"{w}.w1", h.T @ du)
+    out.append((f"{w}.w1", h.T @ du))
     dh, dg = _rmsnorm_bwd(du @ t[f"{w}.w1"].T, c_ln)
-    _grad_add(sink, ln, dg)
+    out.append((ln, dg))
     return dh + dx
 
 
-def _stack_bwd(params: ModelParams, cache, dstates, sink):
+def _stack_bwd(params: ModelParams, cache, dstates, out: list):
     """Backprop through the encoder or the decoder, sublayers in reverse;
     returns the gradient w.r.t. the states cross-attention read (None when
     there is no cross-attention)."""
     g_final, c_final = cache["final"]
     dx, dg = _rmsnorm_bwd(dstates, c_final)
-    _grad_add(sink, g_final, dg)
+    out.append((g_final, dg))
     d_kv, d_scores = None, []
     keep_scores = cache["embed"][1] is not None  # a relative-bias table reads them
     for sub in reversed(cache["sublayers"]):
         if sub[0] == "ffn":
-            dx = _ffn_sublayer_bwd(params, sub, dx, sink)
+            dx = _ffn_sublayer_bwd(params, sub, dx, out)
             continue
-        dx, dh_kv, ds = _attn_sublayer_bwd(params, sub, dx, sink)
+        dx, dh_kv, ds = _attn_sublayer_bwd(params, sub, dx, out)
         if sub[0] == "cross":
             d_kv = dh_kv if d_kv is None else d_kv + dh_kv
         elif keep_scores:
             d_scores.append(ds)
-    _embed_bwd(cache["embed"], dx, d_scores, sink)
+    _embed_bwd(cache["embed"], dx, d_scores, out)
     return d_kv
 
 
@@ -552,14 +542,11 @@ def forward(params: ModelParams, enc_ids, dec_ids) -> np.ndarray:
     return logits
 
 
-def _lm_head_bwd(params: ModelParams, dec_states, dlogits, sink):
-    """Adds the output projection's gradient; returns d dec_states."""
+def _lm_head_bwd(params: ModelParams, dec_states, dlogits, out: list):
+    """Appends the output projection's gradient; returns d dec_states."""
     # BLAS runs this [d, V] product ~1.7x faster than dlogits.T @ dec_states
     g = dec_states.T @ dlogits
-    if params.cfg.tie_embeddings:
-        _grad_add(sink, "tok_emb", g.T)
-    else:
-        _grad_add(sink, "out_proj", g)
+    out.append(("tok_emb", g.T) if params.cfg.tie_embeddings else ("out_proj", g))
     return dlogits @ _output_matrix(params).T
 
 
@@ -606,13 +593,6 @@ def _pooled_fwd(params: ModelParams, enc_ids):
 def encoder_mean_pool(params: ModelParams, enc_ids) -> np.ndarray:
     """Mean of the final encoder states over non-pad positions."""
     return _pooled_fwd(params, enc_ids)[0]
-
-
-def _pooled_bwd(params: ModelParams, cache, dpool, sink):
-    valid = cache["valid"]
-    dstates = np.zeros((valid.size, dpool.size))
-    dstates[valid] = dpool / np.count_nonzero(valid)
-    _stack_bwd(params, cache, dstates, sink)
 
 
 def sigmoid(z: float) -> float:
@@ -681,9 +661,9 @@ def apply_trainable_mask(grads: dict[str, np.ndarray],
     return grads
 
 
-def _lm_example(params: ModelParams, example, sink):
-    """(loss sum, non-pad targets) of one (enc_ids, dec_in, targets) example;
-    its gradient goes through sink, and is not computed when sink is None."""
+def _lm_example(params: ModelParams, example, backward: bool):
+    """(loss sum, non-pad targets, gradient additions) of one (enc_ids,
+    dec_in, targets) example; the additions are None without backward."""
     enc_ids, dec_in, targets = example
     logits, cache = _forward_lm(params, enc_ids, dec_in)
     targets = np.asarray(targets, dtype=np.int64)
@@ -691,29 +671,35 @@ def _lm_example(params: ModelParams, example, sink):
     if not np.any(keep):
         raise ValueError("all target positions are padded")
     units = int(np.count_nonzero(keep))
-    if sink is None:
-        return _xent_fwd(logits, targets, keep)[0], units
+    if not backward:
+        return _xent_fwd(logits, targets, keep)[0], units, None
     loss_sum, dlogits = _xent_sum_and_dlogits(logits, targets, keep)
     del logits  # dlogits' buffer
-    d_dec = _lm_head_bwd(params, cache["dec_states"], dlogits, sink)
+    out: list = []
+    d_dec = _lm_head_bwd(params, cache["dec_states"], dlogits, out)
     del dlogits  # [n, V]: freed before the stacks' backward
-    d_enc = _stack_bwd(params, cache["dec"], d_dec, sink)
-    _stack_bwd(params, cache["enc"], d_enc, sink)
-    return loss_sum, units
+    d_enc = _stack_bwd(params, cache["dec"], d_dec, out)
+    if d_enc is not None:  # None without decoder layers: the loss reads no encoder
+        _stack_bwd(params, cache["enc"], d_enc, out)
+    return loss_sum, units, out
 
 
-def _pooled_example(params: ModelParams, objective: str, example, sink):
-    """(loss, 1) of one (enc_ids, target) example of a pooled head."""
+def _pooled_example(params: ModelParams, objective: str, example, backward: bool):
+    """(loss, 1, gradient additions) of one (enc_ids, target) example of a
+    pooled head; the additions are None without backward."""
     enc_ids, target = example
     pool, cache = _pooled_fwd(params, enc_ids)
     loss, dz = pooled_loss(params, objective, pool, target)
-    if sink is not None:
-        w, b = _pooled_head(objective)
-        # dz is a float for regression and a 2-vector for classification
-        _grad_add(sink, w, np.multiply.outer(pool, dz))
-        _grad_add(sink, b, dz)
-        _pooled_bwd(params, cache, np.dot(params.tensors[w], dz), sink)
-    return loss, 1
+    if not backward:
+        return loss, 1, None
+    w, b = _pooled_head(objective)
+    # dz is a float for regression and a 2-vector for classification
+    out = [(w, np.multiply.outer(pool, dz)), (b, dz)]
+    valid = cache["valid"]  # the mean pool's backward
+    dstates = np.zeros((valid.size, pool.size))
+    dstates[valid] = np.dot(params.tensors[w], dz) / np.count_nonzero(valid)
+    _stack_bwd(params, cache, dstates, out)
+    return loss, 1, out
 
 
 def _blas_callers() -> int:
@@ -731,45 +717,18 @@ def _blas_callers() -> int:
     return 1
 
 
-def _on_two_threads(run_one, batch, grads):
-    """Yields run_one(example, sink) for the examples in order. This thread
-    runs examples 0, 2, 4, ... with sink grads; a helper thread, one example
-    ahead, runs 1, 3, 5, ... each into a _Record, which this thread replays
-    into grads before it starts its next example. So every buffer receives
-    the sequential loop's additions in the sequential order, however the
-    threads are scheduled. A failing example raises at its turn, and the
-    helper is joined before this returns or raises."""
-    go, done = queue.SimpleQueue(), queue.SimpleQueue()
-
-    def helper():
-        for example in batch[1::2]:
-            if not go.get():
-                return
-            record = None if grads is None else _Record()
-            try:
-                done.put((run_one(example, record), record))
-            except BaseException as exc:  # noqa: BLE001 - raised by the caller
-                done.put((exc, None))
-                return
-
-    thread = threading.Thread(target=helper)
-    thread.start()
-    try:
+def _on_two_threads(run_one, batch):
+    """Yields run_one(example) for the examples in order. A one-worker
+    executor runs example i + 1 while this thread runs example i; the next
+    pair starts once the caller has taken both results, so at most two are
+    in flight or unconsumed at once. A failing example raises at its turn,
+    and the worker is joined before this returns or raises."""
+    with ThreadPoolExecutor(1) as pool:
         for i in range(0, len(batch), 2):
-            ahead = i + 1 < len(batch)
-            if ahead:
-                go.put(True)
-            yield run_one(batch[i], grads)
-            if ahead:
-                out, record = done.get()
-                if isinstance(out, BaseException):
-                    raise out
-                if record is not None:
-                    record.replay(grads)
-                yield out
-    finally:
-        go.put(False)
-        thread.join()
+            ahead = [pool.submit(run_one, example) for example in batch[i + 1:i + 2]]
+            yield run_one(batch[i])
+            while ahead:  # popped: no future keeps a result the caller consumed
+                yield ahead.pop().result()
 
 
 def accumulate_loss_and_grad(params: ModelParams, batch, objective: str,
@@ -782,28 +741,35 @@ def accumulate_loss_and_grad(params: ModelParams, batch, objective: str,
     bit for bit, which is what makes gradient accumulation exact. With grads
     None the backward pass is skipped: the same loss sum, forward only.
 
-    A batch of two or more examples with at least HELPER_MIN_POSITIONS
-    decoder positions in total (pooled heads have none) runs on two threads,
-    with the same bytes, when two threads can call BLAS at once
+    Each example returns its gradient additions, replayed into grads in
+    batch order, so every buffer receives the same additions in the same
+    order on either path. A batch of two or more examples with at least
+    HELPER_MIN_POSITIONS decoder positions in total (pooled heads have none)
+    runs on two threads when two threads can call BLAS at once
     (_blas_callers, _on_two_threads).
     """
     if not batch:
         raise ValueError("empty batch")
+    backward = grads is not None
     if objective == "lm":
-        run_one = functools.partial(_lm_example, params)
+        run_one = functools.partial(_lm_example, params, backward=backward)
         positions = sum(len(dec_in) for _, dec_in, _ in batch)
     else:
         _pooled_head(objective)  # an unknown objective fails before any example
-        run_one = functools.partial(_pooled_example, params, objective)
+        run_one = functools.partial(_pooled_example, params, objective,
+                                    backward=backward)
         positions = 0
     if len(batch) > 1 and positions >= HELPER_MIN_POSITIONS and _blas_callers() > 1:
-        parts = _on_two_threads(run_one, batch, grads)
+        parts = _on_two_threads(run_one, batch)
     else:
-        parts = (run_one(example, grads) for example in batch)
+        parts = map(run_one, batch)
     loss_sum, units = 0.0, 0
-    for loss, n in parts:
+    for loss, n, additions in parts:
         loss_sum += loss
         units += n
+        if backward:
+            _replay(grads, additions)
+        del additions  # freed before the next example runs
     return loss_sum, units
 
 

@@ -129,11 +129,7 @@ def load_packed_corpus(path: str) -> list[PackedDocument]:
 
 
 def _model_config(cfg: RunConfig, vocab: UnigramVocab) -> ModelConfig:
-    return ModelConfig(
-        vocab_size=len(vocab), d_model=cfg.d_model, n_heads=cfg.n_heads,
-        d_ff=cfg.d_ff, n_enc_layers=cfg.n_enc_layers,
-        n_dec_layers=cfg.n_dec_layers, max_len=cfg.seq_len,
-        position_scheme=cfg.position_scheme, tie_embeddings=cfg.tie_embeddings)
+    return cfg.model_config(len(vocab))
 
 
 def check_vocab_size(params: ModelParams, vocab: UnigramVocab) -> None:

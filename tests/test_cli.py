@@ -317,6 +317,48 @@ class TestDecodeAndDataChecks:
         assert "truncated checkpoint" in capsys.readouterr().err
         assert not outp.exists()
 
+    @pytest.mark.parametrize("fault", [
+        "config-extra-key", "config-missing-key", "config-string-vocab-size",
+        "config-list", "config-not-json", "config-zero-heads", "missing-tensor",
+        "unexpected-tensor", "misshapen-tensor"])
+    def test_decode_of_malformed_checkpoint_is_data_error(self, tmp_path, capsys,
+                                                          fault):
+        """A checkpoint whose config is not a valid ModelConfig, or whose
+        tensors are not the ones that config builds, exits 2 naming the file."""
+        import json
+        import types
+        from minit5.checkpoint import load_checkpoint, save_checkpoint
+        from minit5.model import ModelParams
+        _, vocab_path, _ = pipeline_files(tmp_path)
+        ckpt = self._checkpoint(tmp_path, 60)
+        params = load_checkpoint(ckpt)
+        d = params.cfg.to_dict()
+        tensors = dict(params.tensors)
+        config = {"config-extra-key": {**d, "dropout": 0},
+                  "config-missing-key": {k: v for k, v in d.items() if k != "d_ff"},
+                  "config-string-vocab-size": {**d, "vocab_size": "60"},
+                  "config-list": list(d.values()),
+                  "config-not-json": "{",
+                  "config-zero-heads": {**d, "n_heads": 0}}.get(fault, d)
+        if fault == "missing-tensor":
+            del tensors["enc.0.ln1.g"]
+        elif fault == "unexpected-tensor":
+            tensors["enc.1.ln1.g"] = tensors["enc.0.ln1.g"]
+        elif fault == "misshapen-tensor":
+            tensors["dec.0.self.wq"] = tensors["dec.0.self.wq"][:, :8]
+        cfg = types.SimpleNamespace(to_dict=lambda: config)
+        save_checkpoint(ckpt, ModelParams(cfg, tensors))
+        if fault == "config-not-json":  # json.dumps quoted it: '"{"' -> '{{{'
+            data = (tmp_path / "model.bin").read_bytes()
+            (tmp_path / "model.bin").write_bytes(
+                data.replace(json.dumps("{").encode(), b"{{{", 1))
+        rc, outp = self._decode(tmp_path, ckpt, vocab_path)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {ckpt}: ")
+        assert "Traceback" not in err
+        assert not outp.exists()
+
     def test_ner_evaluate_cuts_inputs_to_checkpoint_max_len(self, tmp_path, capsys):
         _, vocab_path, _ = pipeline_files(tmp_path)
         ckpt = self._checkpoint(tmp_path, 60, max_len=8)
@@ -494,7 +536,7 @@ def _tiny_task_files(tmp_path, task, accented=True):
         write(tmp_path / f"{name}.data", body)
 
 
-def _tiny_task_config(tmp_path, task, extra=""):
+def _tiny_task_config(tmp_path, task, extra="", model_extra=""):
     cfg = tmp_path / "task.cfg"
     write(cfg, f"""[run]
 task = {task}
@@ -515,6 +557,7 @@ n_heads = 2
 d_ff = 32
 n_enc_layers = 1
 n_dec_layers = 1
+{model_extra}
 
 [paths]
 vocab = {tmp_path / "vocab.tsv"}
@@ -539,6 +582,21 @@ def test_out_of_range_config_value_is_usage_error_before_training(tmp_path,
     assert main(["--config", cfg, "finetune"]) == 1
     assert "usage error" in capsys.readouterr().err
     assert not (tmp_path / "out" / "checkpoint.bin").exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line", ["n_heads = 0", "n_heads = -2", "d_model = 0",
+                                  "d_ff = 0", "n_enc_layers = -1",
+                                  "n_dec_layers = -1", "d_model = 15",
+                                  "position_scheme = sinusoid"])
+def test_out_of_range_model_value_is_usage_error_before_training(tmp_path,
+                                                                 capsys, line):
+    """The same for a [model] value: the line goes in the [model] section,
+    where the key is known, so only its range can reject it."""
+    _tiny_task_files(tmp_path, "similarity")
+    cfg = _tiny_task_config(tmp_path, "similarity", model_extra=line)
+    assert main(["--config", cfg, "finetune"]) == 1
+    assert "usage error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

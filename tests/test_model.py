@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from minit5.model import (ModelConfig, accumulate_loss_and_grad,
                           regression_head, zero_grads)
 from minit5.model import (_attn_bwd, _attn_fwd, _causal_bias, _dgelu,
                           _embed_bwd, _embed_fwd, _encoder_fwd, _gelu,
-                          _key_mask_bias, _softmax_rows,
+                          _key_mask_bias, _replay, _softmax_rows,
                           _xent_sum_and_dlogits, log_softmax)
 
 from oracles import (attention_out_of_place, central_diff_grads, dgelu_pow,
@@ -46,6 +47,23 @@ class TestInit:
         assert cfg.d_model // cfg.n_heads == 4
         with pytest.raises(ValueError, match="divisible"):
             ModelConfig(vocab_size=10, d_model=8, n_heads=3)
+
+    @pytest.mark.parametrize("name,value", [
+        ("d_model", 0), ("n_heads", 0), ("n_heads", -2), ("d_ff", 0),
+        ("max_len", 0), ("n_enc_layers", -1), ("n_dec_layers", -1)])
+    def test_sizes_out_of_range_raise_value_error(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ModelConfig(**{"vocab_size": 10, "d_model": 8, "n_heads": 2, name: value})
+
+    @pytest.mark.parametrize("n_enc,n_dec", [(0, 1), (1, 0), (0, 0)])
+    def test_stacks_without_layers_train(self, n_enc, n_dec):
+        """Layer counts may be zero. Without decoder layers the LM loss does
+        not read the encoder, so the encoder's gradient is zero."""
+        cfg = ModelConfig(vocab_size=12, d_model=16, n_heads=2, d_ff=24,
+                          n_enc_layers=n_enc, n_dec_layers=n_dec, max_len=12)
+        loss, grads = loss_and_grad(init_model(cfg, seed=1), small_batch(), "lm")
+        assert math.isfinite(loss)
+        assert grads["enc.final_ln.g"].any() == (n_dec > 0)
 
     def test_parameter_count_matches_shape_sum(self):
         cfg = ModelConfig(vocab_size=100, d_model=16, n_heads=2, d_ff=32,
@@ -240,7 +258,9 @@ class TestNumerics:
         d_scores = [rng.normal(size=(n_heads, n, n)) for _ in range(2)]
         start = rng.normal(size=params.tensors[table].shape)
         grads = {"tok_emb": np.zeros_like(params.tensors["tok_emb"]), table: start.copy()}
-        _embed_bwd(cache, np.zeros((n, RELATIVE_UNTIED.d_model)), d_scores, grads)
+        additions = []
+        _embed_bwd(cache, np.zeros((n, RELATIVE_UNTIED.d_model)), d_scores, additions)
+        _replay(grads, additions)
         want = relative_bias_grad_per_head(start, cache[2], d_scores)
         assert np.array_equal(grads[table], want)
 
@@ -355,6 +375,40 @@ class TestHelperThread:
         assert two == seq
         # the examples before the failing one were added, in both paths
         self.assert_same_bytes(g_seq, g_two)
+
+    def test_the_helper_runs_at_most_one_example_ahead(self, monkeypatch):
+        """At any time at most two examples are running or finished but not
+        yet replayed, however slowly the caller replays: a helper free to run
+        ahead would hold many examples' gradients at once."""
+        monkeypatch.setattr(model, "HELPER_MIN_POSITIONS", 0)
+        monkeypatch.setattr(model, "_blas_callers", lambda: 2)
+        lock, live, peak, started = threading.Lock(), [0], [0], []
+        replay, two = model._replay, model._on_two_threads
+
+        def counted(run_one):
+            def run(example):
+                with lock:
+                    started.append(1)
+                    live[0] += 1
+                    peak[0] = max(peak[0], live[0])
+                return run_one(example)
+            return run
+
+        def slow_replay(grads, additions):
+            time.sleep(0.01)  # time for a helper that may run ahead to do so
+            replay(grads, additions)
+            with lock:
+                live[0] -= 1
+
+        monkeypatch.setattr(model, "_replay", slow_replay)
+        monkeypatch.setattr(model, "_on_two_threads",
+                            lambda run_one, batch: two(counted(run_one), batch))
+        params = init_model(CFG, seed=4)
+        batch = small_batch() * 4
+        accumulate_loss_and_grad(params, batch, "lm", zero_grads(params))
+        assert len(started) == len(batch)
+        assert live[0] == 0
+        assert 1 <= peak[0] <= 2
 
     def test_concurrent_calls_under_rapid_switching(self, monkeypatch):
         """Four callers at once, each with its own helper, on lengths that
