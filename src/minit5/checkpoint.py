@@ -18,7 +18,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .model import ModelConfig, ModelParams, tensor_shapes
-from .optim import AdafactorState, AdamState
+from .optim import AdafactorState, AdamState, slot_shapes
 
 MAGIC = b"SQFG"
 VERSION = 1
@@ -89,7 +89,8 @@ def save_checkpoint(path: str, params: ModelParams, opt_state=None) -> None:
 
 def load_checkpoint(path: str, optimizer: str | None = None):
     """Returns ModelParams, or (ModelParams, opt_state) when an optimizer kind
-    is given and the file carries optimizer slots."""
+    is given. The optimizer tensors must be opt/step and opt/<slot>/<param>
+    slots of the shapes that kind's step builds (optim.slot_shapes)."""
     with open(path, "rb") as fh:
         if _read(fh, 4, path) != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
@@ -112,11 +113,24 @@ def load_checkpoint(path: str, optimizer: str | None = None):
     params = ModelParams(cfg, model_tensors)
     if optimizer is None:
         return params
-    opt_tensors = {k: v for k, v in tensors.items() if k.startswith("opt/")}
     state = AdafactorState() if optimizer == "adafactor" else AdamState()
-    if "opt/step" in opt_tensors:
-        state.step = int(opt_tensors.pop("opt/step")[0])
-    for key, arr in opt_tensors.items():
-        _, slot_key, name = key.split("/", 2)
+    for key in sorted(tensors.keys() - model_tensors.keys()):
+        arr = tensors[key]
+        if key == "opt/step":
+            if arr.shape != (1,) or not (arr[0] >= 0 and float(arr[0]).is_integer()):
+                raise ValueError(f"{path}: 'opt/step' must hold one step count")
+            state.step = int(arr[0])
+            continue
+        slot_key, _, name = key[len("opt/"):].partition("/")
+        if name not in model_tensors:
+            raise ValueError(f"{path}: optimizer tensor {key!r} is not opt/step "
+                             "or opt/<slot>/<model tensor>")
+        want = slot_shapes(optimizer, model_tensors[name].shape)
+        if slot_key not in want:
+            raise ValueError(f"{path}: {optimizer} keeps no slot {slot_key!r} "
+                             f"for {name!r}")
+        if arr.shape != want[slot_key]:
+            raise ValueError(f"{path}: optimizer tensor {key!r} has shape "
+                             f"{arr.shape}, its step builds {want[slot_key]}")
         state.slots.setdefault(name, {})[slot_key] = arr
     return params, state

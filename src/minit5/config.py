@@ -9,6 +9,7 @@ Adafactor at a constant 0.003 for four epochs with 15% corruption and length
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .corruption import CorruptionConfig
@@ -66,6 +67,10 @@ class RunConfig:
             raise ValueError(f"unknown output_strategy {self.output_strategy!r}")
         if self.optimizer not in ("adafactor", "adamw", "radam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1 or self.grad_accum_steps < 1 or self.max_epochs < 1:
             raise ValueError("batch_size, grad_accum_steps, max_epochs must be >= 1")
         if self.patience is not None and self.patience < 0:

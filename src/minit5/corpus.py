@@ -30,7 +30,9 @@ class Sentence:
     def __post_init__(self):
         if not self.words:
             raise ValueError("sentence must contain at least one word")
-        if any(not w or any(ch.isspace() for ch in w) for w in self.words):
+        # splitting the joined words gives them back exactly when none is
+        # empty and none holds a character that str.split splits on
+        if " ".join(self.words).split() != list(self.words):
             raise ValueError("words must be non-empty and whitespace-free")
 
     @property

@@ -83,27 +83,54 @@ class AdamState:
     slots: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
 
 
-def _adam_moments(slot, g, betas):
+# elements per block of the Adam updates: 128 KiB of float64 per operand, so
+# a block's operands and temporaries stay in a core's L2 cache
+_BLOCK = 16_384
+
+
+def _adam_blocks(p, g, slot):
+    """Matching (p, g, m, v) pieces covering one tensor, for an update in
+    place. The m and v slots are allocated C-contiguous (zeros) on first use,
+    and from then on only written into. Pieces are blocks of _BLOCK elements
+    of flat views; where a flat view of any operand would be a copy (a
+    transposed parameter or gradient), the whole arrays are the one piece."""
+    for key in ("m", "v"):
+        if key not in slot:
+            slot[key] = np.zeros(p.shape)
+    arrays = (p, g, slot["m"], slot["v"])
+    if not all(a.flags.c_contiguous for a in arrays):
+        yield arrays
+        return
+    flat = [a.reshape(-1) for a in arrays]
+    for i in range(0, p.size, _BLOCK):
+        yield tuple(a[i:i + _BLOCK] for a in flat)
+
+
+def _adam_moments(m, v, g, betas) -> None:
+    """m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g * g, in place."""
     b1, b2 = betas
-    slot["m"] = b1 * slot.get("m", 0.0) + (1.0 - b1) * g
-    slot["v"] = b2 * slot.get("v", 0.0) + (1.0 - b2) * g * g
-    return slot["m"], slot["v"]
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
 
 
 def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                state: AdamState, lr: float, *, betas=(0.9, 0.999),
                eps: float = 1e-8, weight_decay: float = 0.01, mask=None):
     """Bias-corrected Adam with decoupled weight decay, applied to the
-    parameters before the moment-based update term."""
+    parameters before the moment-based update term. Parameters and the m/v
+    slots are updated in place, one block at a time."""
     state.step += 1
     t = state.step
     b1, b2 = betas
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for name, p, g in _trainable_grads(params, grads, mask):
-        p -= lr * weight_decay * p
-        m, v = _adam_moments(state.slots.setdefault(name, {}), g, betas)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        for pb, gb, m, v in _adam_blocks(p, g, state.slots.setdefault(name, {})):
+            pb -= lr * weight_decay * pb
+            _adam_moments(m, v, gb, betas)
+            pb -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
     return params, state
 
 
@@ -116,7 +143,8 @@ def radam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                eps: float = 1e-8, mask=None):
     """Rectified Adam: while the variance-rectification length rho_t <= 4 the
     update uses bias-corrected momentum only; afterwards the rectified
-    adaptive step applies. Converges to Adam as t grows."""
+    adaptive step applies. Converges to Adam as t grows. Parameters and the
+    m/v slots are updated in place, one block at a time."""
     state.step += 1
     t = state.step
     b1, b2 = betas
@@ -130,13 +158,24 @@ def radam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     else:
         rect = None
     for name, p, g in _trainable_grads(params, grads, mask):
-        m, v = _adam_moments(state.slots.setdefault(name, {}), g, betas)
-        m_hat = m / c1
-        if rect is None:
-            p -= lr * m_hat
-        else:
-            p -= lr * rect * m_hat / (np.sqrt(v / c2) + eps)
+        for pb, gb, m, v in _adam_blocks(p, g, state.slots.setdefault(name, {})):
+            _adam_moments(m, v, gb, betas)
+            m_hat = m / c1
+            if rect is None:
+                pb -= lr * m_hat
+            else:
+                pb -= lr * rect * m_hat / (np.sqrt(v / c2) + eps)
     return params, state
+
+
+def slot_shapes(kind: str, shape: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
+    """The state slots that `kind`'s step keeps for a parameter of this
+    shape, with the shape each slot takes."""
+    if kind == "adafactor":
+        return {"row": shape[:-1], "col": shape[-1:]} if len(shape) >= 2 else {"v": shape}
+    if kind in ("adamw", "radam"):
+        return {"m": shape, "v": shape}
+    raise ValueError(f"unknown optimizer {kind!r}")
 
 
 def make_optimizer(kind: str, lr: float):

@@ -194,11 +194,13 @@ def _train_loop(params: ModelParams, items: list, objective: str,
     best_params: ModelParams | None = None
     since_best = 0
     macro = cfg.batch_size * cfg.grad_accum_steps
+    grads = zero_grads(params)  # one set of buffers, zeroed before each step
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
         epoch_loss, epoch_units = 0.0, 0
         for macro_batch in _chunks(items, macro):
-            grads = zero_grads(params)
+            for g in grads.values():
+                g.fill(0.0)
             loss_sum, units = 0.0, 0
             for micro in _chunks(macro_batch, cfg.batch_size):
                 ls, u = accumulate_loss_and_grad(params, micro, objective, grads)

@@ -15,7 +15,7 @@ from collections import Counter
 from functools import reduce
 from itertools import filterfalse
 from operator import add, itemgetter
-from typing import Iterable
+from typing import Collection, Iterable
 
 import numpy as np
 
@@ -33,6 +33,7 @@ _UNK_PENALTY = 10.0  # unknown fallback scores this far below the worst piece
 NEG_INF = float("-inf")
 _ABSENT = object()  # a piece-table miss: no piece starts with the substring
 _ENCODE_MEMO_WORDS = 1 << 15  # a vocabulary's encode memo stops growing here
+_NOT_TAB_OR_NEWLINE = bytes(b for b in range(256) if b not in b"\t\n")
 
 
 def _to_internal(text: str) -> str:
@@ -58,10 +59,14 @@ def _unk_log_prob(log_probs: Iterable[float]) -> float:
     return min(log_probs, default=0.0) - _UNK_PENALTY
 
 
-def _cuts_words(pieces: Iterable[str]) -> bool:
+def _cuts_words(pieces: Collection[str]) -> bool:
     """Whether text may be cut before every boundary marker: no piece holds a
     marker after its first character, so no piece spans a cut."""
-    return BOUNDARY not in "".join(map(itemgetter(slice(1, None)), pieces))
+    text = "\n".join(pieces)
+    if text.count("\n") != len(pieces) - 1:  # a piece holds a newline
+        return BOUNDARY not in "".join(map(itemgetter(slice(1, None)), pieces))
+    # every marker opens a piece: the first, or one after a separator
+    return text.count(BOUNDARY) == text.startswith(BOUNDARY) + text.count("\n" + BOUNDARY)
 
 
 def _words(sent: str, cut: bool) -> list[str]:
@@ -150,16 +155,25 @@ class UnigramVocab:
     def load(cls, path: str) -> "UnigramVocab":
         """Line k holds id k; blank lines may only end the file."""
         with open(path, "r", encoding="utf-8", newline="\n") as fh:
-            lines = fh.read().split("\n")
-        while lines and not lines[-1]:
-            lines.pop()
-        rows: list[tuple[str, float]] = []
-        for lineno, line in enumerate(lines):
+            body = fh.read().rstrip("\n")
+        # one split of the whole file when every line holds exactly one tab,
+        # that is when its tabs and newlines alternate from a tab to a tab
+        seps = body.encode("utf-8").translate(None, _NOT_TAB_OR_NEWLINE)
+        rows = None
+        if seps == b"\t\n" * (len(seps) // 2) + b"\t":
+            fields = body.replace("\n", "\t").split("\t")
             try:
-                piece, lp = line.split("\t")
-                rows.append((piece, float(lp)))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad vocabulary line") from exc
+                rows = list(zip(fields[::2], map(float, fields[1::2])))
+            except ValueError:  # a bad log-prob: the loop below names its line
+                pass
+        if rows is None:
+            rows = []
+            for lineno, line in enumerate(body.split("\n") if body else []):
+                try:
+                    piece, lp = line.split("\t")
+                    rows.append((piece, float(lp)))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: bad vocabulary line") from exc
         return cls(rows, source=path)
 
 

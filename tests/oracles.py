@@ -493,3 +493,61 @@ def reference_macro_f1(pred, gold, classes) -> float:
         rec = tp / (tp + fn) if tp + fn else 0.0
         total += 2 * prec * rec / (prec + rec) if prec + rec else 0.0
     return total / len(classes)
+
+
+# --- optimizers --------------------------------------------------------------
+# The whole-tensor AdamW and RAdam steps as they were before the updates went
+# in place, one block at a time: every operation allocates its result, and the
+# m and v slots are replaced each step.
+
+def _reference_trainable_grads(params, grads, mask):
+    for name in sorted(params):
+        if name in grads and (mask is None or mask.get(name, False)):
+            if not np.all(np.isfinite(grads[name])):
+                raise RuntimeError(f"diverged: non-finite gradient for {name}")
+            yield name, params[name], grads[name]
+
+
+def _reference_adam_moments(slot, g, betas):
+    b1, b2 = betas
+    slot["m"] = b1 * slot.get("m", 0.0) + (1.0 - b1) * g
+    slot["v"] = b2 * slot.get("v", 0.0) + (1.0 - b2) * g * g
+    return slot["m"], slot["v"]
+
+
+def reference_adamw_step(params, grads, state, lr, *, betas=(0.9, 0.999),
+                         eps=1e-8, weight_decay=0.01, mask=None):
+    state.step += 1
+    t = state.step
+    b1, b2 = betas
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    for name, p, g in _reference_trainable_grads(params, grads, mask):
+        p -= lr * weight_decay * p
+        m, v = _reference_adam_moments(state.slots.setdefault(name, {}), g, betas)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    return params, state
+
+
+def reference_radam_step(params, grads, state, lr, *, betas=(0.9, 0.999),
+                         eps=1e-8, mask=None):
+    state.step += 1
+    t = state.step
+    b1, b2 = betas
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    rho_inf = 2.0 / (1.0 - b2) - 1.0
+    rho_t = rho_inf - 2.0 * t * b2 ** t / c2
+    if rho_t > 4.0:
+        rect = math.sqrt(((rho_t - 4.0) * (rho_t - 2.0) * rho_inf)
+                         / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho_t))
+    else:
+        rect = None
+    for name, p, g in _reference_trainable_grads(params, grads, mask):
+        m, v = _reference_adam_moments(state.slots.setdefault(name, {}), g, betas)
+        m_hat = m / c1
+        if rect is None:
+            p -= lr * m_hat
+        else:
+            p -= lr * rect * m_hat / (np.sqrt(v / c2) + eps)
+    return params, state

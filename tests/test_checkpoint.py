@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,41 @@ def test_optimizer_state_round_trip(tmp_path, kind, state_cls, step):
     # plain load ignores the optimizer tensors
     plain = load_checkpoint(path)
     assert set(plain.tensors) == set(params.tensors)
+
+
+@pytest.mark.parametrize("kind,name,shape,message", [
+    ("adamw", "opt/x", (1,), "is not opt/step or opt/<slot>/<model tensor>"),
+    ("adamw", "opt/m/no.such.tensor", (3,), "is not opt/step or opt/<slot>/<model tensor>"),
+    ("adamw", "opt/m/", (3,), "is not opt/step or opt/<slot>/<model tensor>"),
+    ("adamw", "opt/row/tok_emb", (20,), "adamw keeps no slot 'row' for 'tok_emb'"),
+    ("radam", "opt/col/tok_emb", (16,), "radam keeps no slot 'col' for 'tok_emb'"),
+    ("adafactor", "opt/v/tok_emb", (20, 16), "adafactor keeps no slot 'v' for 'tok_emb'"),
+    ("adafactor", "opt/row/reg.w", (), "adafactor keeps no slot 'row' for 'reg.w'"),
+    ("adamw", "opt/m/tok_emb", (16, 20), "'opt/m/tok_emb' has shape"),
+    ("radam", "opt/v/reg.w", (17,), "'opt/v/reg.w' has shape"),
+    ("adafactor", "opt/row/tok_emb", (16,), "'opt/row/tok_emb' has shape"),
+    ("adafactor", "opt/col/tok_emb", (20,), "'opt/col/tok_emb' has shape"),
+    ("adafactor", "opt/v/reg.w", (16, 1), "'opt/v/reg.w' has shape"),
+    ("adamw", "opt/step", (2,), "'opt/step' must hold one step count"),
+])
+def test_malformed_optimizer_tensor_is_value_error_naming_the_file(
+        tmp_path, kind, name, shape, message):
+    params = init_model(CFG, seed=0)
+    path = tmp_path / "opt.bin"
+    save_checkpoint(path, type(params)(CFG, {**params.tensors, name: np.zeros(shape)}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+        load_checkpoint(path, optimizer=kind)
+    assert set(load_checkpoint(path).tensors) == set(params.tensors)
+
+
+@pytest.mark.parametrize("value", [-1.0, 2.5, np.nan, np.inf])
+def test_step_count_must_be_a_whole_non_negative_number(tmp_path, value):
+    params = init_model(CFG, seed=0)
+    path = tmp_path / "opt.bin"
+    save_checkpoint(path, type(params)(CFG, {**params.tensors,
+                                             "opt/step": np.array([value])}))
+    with pytest.raises(ValueError, match="'opt/step' must hold one step count"):
+        load_checkpoint(path, optimizer="adamw")
 
 
 def test_failed_save_keeps_previous_file_and_no_temp(tmp_path, monkeypatch):

@@ -572,7 +572,8 @@ out_dir = {tmp_path / "out"}
 @pytest.mark.parametrize("line", ["beam_width = 0", "gen_max_tokens = 0",
                                   "seq_len = 0", "mask_rate = 0",
                                   "mask_rate = 1.5", "ner_window = 2",
-                                  "ner_stride = 0", "label_language = xx"])
+                                  "ner_stride = 0", "label_language = xx",
+                                  "lr = -1", "lr = nan", "seed = -1"])
 def test_out_of_range_config_value_is_usage_error_before_training(tmp_path,
                                                                   capsys, line):
     """A config value outside its range exits 1 when the config loads, even

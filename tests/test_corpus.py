@@ -17,6 +17,28 @@ def make_sentences(counts):
             for i, n in enumerate(counts)]
 
 
+class TestSentence:
+    # U+200B (zero-width space) is a format character, not whitespace
+    @pytest.mark.parametrize("word,ok", [
+        ("a b", False), ("a\tb", False), ("a\xa0b", False), ("a\u2003b", False),
+        ("a\x1cb", False), ("", False), (" ", False), ("a\u200bb", True)])
+    def test_word_must_be_non_empty_and_whitespace_free(self, word, ok):
+        if ok:
+            assert Sentence(("x", word)).words == ("x", word)
+        else:
+            with pytest.raises(ValueError, match="non-empty and whitespace-free"):
+                Sentence(("x", word))
+
+    def test_validation_matches_a_per_character_isspace(self):
+        for code in range(0x3001):
+            word = f"a{chr(code)}b"
+            if any(ch.isspace() for ch in word):
+                with pytest.raises(ValueError):
+                    Sentence((word,))
+            else:
+                assert Sentence((word,)).words == (word,)
+
+
 class TestFixEncoding:
     def test_mojibake_repair_derived(self):
         # oracle: damage clean text by the UTF-8-read-as-Latin-1 round trip

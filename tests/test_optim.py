@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from minit5.optim import (AdafactorState, AdamState, DivergedError,
+from minit5.optim import (_BLOCK, AdafactorState, AdamState, DivergedError,
                           adafactor_step, adamw_step, make_optimizer,
                           radam_step)
+from oracles import reference_adamw_step, reference_radam_step
 
 
 class TestAdafactor:
@@ -204,3 +206,113 @@ class TestSharedContracts:
             losses.append(0.5 * x["x"] @ A @ x["x"] - b @ x["x"])
             step(x, {"x": g})
         assert all(l2 <= l1 + 1e-12 for l1, l2 in zip(losses[10:], losses[11:]))
+
+
+class TestBlockSteps:
+    """adamw_step and radam_step update in place, one block at a time; every
+    parameter and slot byte equals the whole-tensor steps in tests/oracles.py."""
+
+    STEPS = {"adamw": (adamw_step, reference_adamw_step),
+             "radam": (radam_step, reference_radam_step)}
+
+    @staticmethod
+    def _grads(shapes, n, seed=6):
+        rng = np.random.default_rng(seed)
+        return [{k: rng.normal(0, 1, s) for k, s in shapes.items()} for _ in range(n)]
+
+    @staticmethod
+    def _assert_same_bytes(params, ref_params, state, ref_state):
+        for name in ref_params:
+            assert params[name].tobytes() == ref_params[name].tobytes(), name
+        assert state.slots.keys() == ref_state.slots.keys()
+        for name, slot in ref_state.slots.items():
+            for key in ("m", "v"):
+                assert state.slots[name][key].tobytes() == slot[key].tobytes(), (name, key)
+
+    def _run_both(self, kind, params, grads_seq, mask=None, state=None, ref_state=None):
+        step, reference = self.STEPS[kind]
+        ref_params = {k: v.copy() for k, v in params.items()}
+        state = state if state is not None else AdamState()
+        ref_state = ref_state if ref_state is not None else AdamState()
+        for grads in grads_seq:
+            step(params, grads, state, 1e-3, mask=mask)
+            reference(ref_params, grads, ref_state, 1e-3, mask=mask)
+        self._assert_same_bytes(params, ref_params, state, ref_state)
+        return state
+
+    @pytest.mark.parametrize("kind", ["adamw", "radam"])
+    @pytest.mark.parametrize("size", [1, 7, 4096, _BLOCK, 512_000])
+    def test_twelve_steps_equal_the_whole_tensor_step(self, kind, size):
+        # twelve steps cover both RAdam phases: rho_t passes 4 at step 5
+        shapes = {"w": (size,), "b": (3,)}
+        params = {k: v * 10 for k, v in self._grads(shapes, 1, seed=7)[0].items()}
+        self._run_both(kind, params, self._grads(shapes, 12))
+
+    @pytest.mark.parametrize("kind", ["adamw", "radam"])
+    def test_transposed_parameter_and_gradient(self, kind):
+        rng = np.random.default_rng(8)
+        params = {"w": rng.normal(0, 1, (300, 70)).T}
+        grads_seq = [{"w": g.T} for g in rng.normal(0, 1, (12, 300, 70))]
+        assert not params["w"].flags.c_contiguous
+        self._run_both(kind, params, grads_seq)
+
+    @pytest.mark.parametrize("kind", ["adamw", "radam"])
+    def test_frozen_tensor_under_a_mask(self, kind):
+        shapes = {"a": (50, 40), "b": (_BLOCK + 5,)}
+        params = self._grads(shapes, 1, seed=9)[0]
+        frozen = params["a"].copy()
+        state = self._run_both(kind, params, self._grads(shapes, 12),
+                               mask={"a": False, "b": True})
+        assert params["a"].tobytes() == frozen.tobytes()
+        assert "a" not in state.slots
+
+    @pytest.mark.parametrize("kind", ["adamw", "radam"])
+    def test_state_reloaded_from_a_checkpoint(self, kind, tmp_path):
+        from minit5.checkpoint import load_checkpoint, save_checkpoint
+        from minit5.model import ModelConfig, init_model
+        cfg = ModelConfig(vocab_size=20, d_model=16, n_heads=2, d_ff=24,
+                          n_enc_layers=1, n_dec_layers=1, max_len=8)
+        model = init_model(cfg, seed=0)
+        shapes = {k: v.shape for k, v in model.tensors.items()}
+        grads_seq = self._grads(shapes, 12)
+        step, _ = self.STEPS[kind]
+        state = AdamState()
+        for grads in grads_seq[:5]:
+            step(model.tensors, grads, state, 1e-3)
+        path = tmp_path / "opt.bin"
+        save_checkpoint(path, model, opt_state=state)
+        loaded, loaded_state = load_checkpoint(path, optimizer=kind)
+        _, ref_state = load_checkpoint(path, optimizer=kind)
+        assert loaded_state.step == 5
+        self._run_both(kind, loaded.tensors, grads_seq[5:], state=loaded_state,
+                       ref_state=ref_state)
+
+    @pytest.mark.parametrize("kind", ["adamw", "radam"])
+    def test_slots_keep_their_identity(self, kind):
+        shapes = {"w": (2 * _BLOCK + 3,), "t": (4, 5)}
+        params = self._grads(shapes, 1, seed=10)[0]
+        state, step = make_optimizer(kind, 1e-3)
+        grads_seq = self._grads(shapes, 3)
+        step(params, grads_seq[0])
+        slots = {name: dict(slot) for name, slot in state.slots.items()}
+        for grads in grads_seq[1:]:
+            step(params, grads)
+        for name, slot in slots.items():
+            for key, arr in slot.items():
+                assert state.slots[name][key] is arr
+                assert arr.flags.c_contiguous
+
+    @pytest.mark.parametrize("kind", ["adamw", "radam"])
+    def test_a_later_step_allocates_no_parameter_sized_array(self, kind):
+        rng = np.random.default_rng(11)
+        params = {"tok_emb": rng.normal(0, 1, (8000, 64))}
+        grads = {"tok_emb": rng.normal(0, 1, (8000, 64))}
+        state, step = make_optimizer(kind, 1e-3)
+        step(params, grads)
+        tracemalloc.start()
+        try:
+            step(params, grads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params["tok_emb"].nbytes  # 4 MiB

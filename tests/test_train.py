@@ -194,6 +194,26 @@ class TestTrainLoopControl:
         assert len(log.records) == 3  # stops right at the 2.5 epoch
         assert log.best_epoch == 2
 
+    def test_gradient_buffers_are_allocated_once_per_run(self, tmp_path, monkeypatch):
+        """One set of buffers, zeroed before each step: the parameters equal
+        those of a loop that takes fresh gradients for every step."""
+        from minit5 import train
+        from minit5.optim import AdamState, adamw_step
+        calls = []
+        monkeypatch.setattr(train, "zero_grads",
+                            lambda p: calls.append(1) or model.zero_grads(p))
+        items = [(np.array([5, 6]), 3.0), (np.array([7]), 2.0), (np.array([4, 8]), 1.0)]
+        trained, _ = _train_loop(self._tiny_params(), items, "regression",
+                                 self._loop_cfg(tmp_path, None, max_epochs=3), None)
+        assert len(calls) == 1
+        ref, state = self._tiny_params(), AdamState()
+        for _ in range(3):
+            for item in items:
+                _, grads = model.loss_and_grad(ref, [item], "regression")
+                adamw_step(ref.tensors, grads, state, 1e-3)
+        for name, arr in ref.tensors.items():
+            assert trained.tensors[name].tobytes() == arr.tobytes(), name
+
     def test_best_checkpoint_restored(self, tmp_path):
         params = self._tiny_params()
         items = [(np.array([5, 6]), 3.0)]
