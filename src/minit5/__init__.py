@@ -7,7 +7,7 @@ from .corpus import (CorpusStats, PackedDocument, Sentence, corpus_stats,
                      split_sentences)
 from .corruption import (CorruptionConfig, DenoisePair, make_pretrain_batch,
                          mask_tokens, read_pair_cache, write_pair_cache)
-from .decoding import beam_decode, beam_search, greedy_decode
+from .decoding import beam_decode, beam_search, decode_sources, greedy_decode
 from .metrics import (accuracy, classification_report, macro_f1, mse, pearson,
                       regression_report)
 from .model import (ModelConfig, ModelParams, classification_head,

@@ -15,7 +15,7 @@ from .atomic import atomic_write
 from .checkpoint import load_checkpoint
 from .config import load_run_config
 from .corruption import CorruptionConfig, make_pretrain_batch, write_pair_cache
-from .decoding import beam_decode
+from .decoding import decode_sources
 from .optim import DivergedError
 from .train import (DataError, LockError, check_vocab_size, encoder_input,
                     load_packed_corpus, run_evaluate, run_finetune, run_pretrain)
@@ -197,10 +197,11 @@ def _cmd_decode(args):
     max_out = min(args.max_out, params.cfg.max_len)
     with open(args.input, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
+    encs = [encoder_input(encode(vocab, line) + [EOS_ID], params.cfg.max_len)
+            for line in lines]
+    outs = decode_sources(params, encs, args.beam, [max_out] * len(encs))
     with atomic_write(args.output) as fh:
-        for line in lines:
-            enc = encoder_input(encode(vocab, line) + [EOS_ID], params.cfg.max_len)
-            out = beam_decode(params, enc, width=args.beam, max_out=max_out)
+        for out in outs:
             fh.write(decode(vocab, out) + "\n")
 
 

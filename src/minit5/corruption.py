@@ -113,19 +113,30 @@ def write_pair_cache(path: str, pairs: list[DenoisePair], max_len: int) -> None:
 
 def read_pair_cache(path: str) -> tuple[list[DenoisePair], int]:
     """Read a cache written by write_pair_cache. Seeds are not stored in the
-    container, so restored pairs carry seed 0."""
+    container, so restored pairs carry seed 0. A file that is cut short or
+    holds bytes after its last pair is a ValueError naming the path."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CACHE_MAGIC:
-            raise ValueError(f"{path}: not a pair cache (bad magic {magic!r})")
-        version, max_len, count = struct.unpack("<IIQ", fh.read(16))
-        if version != CACHE_VERSION:
-            raise ValueError(f"{path}: unsupported cache version {version}")
-        pairs: list[DenoisePair] = []
-        for _ in range(count):
-            arrays: list[tuple[int, ...]] = []
-            for _ in range(2):
-                (n,) = struct.unpack("<I", fh.read(4))
-                arrays.append(struct.unpack(f"<{n}I", fh.read(4 * n)))
-            pairs.append(DenoisePair(arrays[0], arrays[1], 0))
+        data = fh.read()
+    if data[:4] != CACHE_MAGIC:
+        raise ValueError(f"{path}: not a pair cache (bad magic {data[:4]!r})")
+    pos = 4
+
+    def take(fmt: str) -> tuple:
+        nonlocal pos
+        end = pos + struct.calcsize(fmt)
+        if end > len(data):
+            raise ValueError(f"{path}: truncated pair cache")
+        out, pos = struct.unpack_from(fmt, data, pos), end
+        return out
+
+    version, max_len, count = take("<IIQ")
+    if version != CACHE_VERSION:
+        raise ValueError(f"{path}: unsupported cache version {version}")
+    pairs: list[DenoisePair] = []
+    for _ in range(count):
+        arrays = [take(f"<{take('<I')[0]}I") for _ in range(2)]
+        pairs.append(DenoisePair(arrays[0], arrays[1], 0))
+    if pos != len(data):
+        raise ValueError(f"{path}: {len(data) - pos} bytes after the last of "
+                         f"{count} pairs")
     return pairs, max_len

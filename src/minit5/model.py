@@ -179,9 +179,11 @@ def _softmax_rows(s: np.ndarray) -> np.ndarray:
     return s
 
 
-def log_softmax(v: np.ndarray) -> np.ndarray:
-    z = v - v.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+def log_softmax(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Log-softmax over the last axis, into out if given (out=v overwrites v)."""
+    z = np.subtract(v, v.max(axis=-1, keepdims=True), out=out)
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return z
 
 
 def _relative_bucket_matrix(nq: int, nk: int, bidirectional: bool,
@@ -268,19 +270,30 @@ def _key_mask_bias(valid: np.ndarray) -> np.ndarray:
     return bias[None, None, :]
 
 
-_causal = np.zeros((1, 0, 0))
+_tables: dict = {}
+
+
+def _square_table(key, n: int, build) -> np.ndarray:
+    """[..., n, n] read-only view of the largest table build(size) made so far
+    under key. Its entries depend only on their row and column, so the
+    top-left corner of a larger table is every smaller one."""
+    m = _tables.get(key)
+    if m is None or m.shape[-1] < n:
+        m = build(n)
+        m.flags.writeable = False
+        _tables[key] = m
+    return m[..., :n, :n]
 
 
 def _causal_bias(n: int) -> np.ndarray:
-    """[1, n, n] causal mask: a read-only view of the largest one built so
-    far, whose top-left corner is every shorter mask."""
-    global _causal
-    m = _causal
-    if m.shape[1] < n:
-        m = np.triu(np.full((n, n), -np.inf), k=1)[None]
-        m.flags.writeable = False
-        _causal = m
-    return m[:, :n, :n]
+    """[1, n, n] causal mask."""
+    return _square_table("causal", n, lambda n: np.triu(np.full((n, n), -np.inf), k=1)[None])
+
+
+def _bucket_table(n: int, bidirectional: bool) -> np.ndarray:
+    """[n, n] relative-position buckets, equal to _relative_bucket_matrix(n, n)."""
+    return _square_table(("buckets", bidirectional), n,
+                         lambda n: _relative_bucket_matrix(n, n, bidirectional))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +330,7 @@ def _embed_fwd(params: ModelParams, ids: np.ndarray, mask_bias: np.ndarray,
     if cfg.position_scheme == LEARNED_ABSOLUTE:
         x += t["pos_emb"][:n]
         return x, mask_bias, (ids, None, None)
-    buckets = _relative_bucket_matrix(n, n, bidirectional)
+    buckets = _bucket_table(n, bidirectional)
     return x, mask_bias + t[rel_table][:, buckets], (ids, rel_table, buckets)
 
 
@@ -451,45 +464,58 @@ def _decoder_fwd(params: ModelParams, dec_ids: np.ndarray,
 
 
 class DecoderStepper:
-    """Incremental decoding over one encoder input, one position per step.
+    """Incremental decoding over a list of encoder inputs (sources), one
+    position per step.
 
-    The encoder runs once and each layer's cross-attention keys and values
-    are projected once; self-attention keys and values are appended at every
-    step. Rows are hypotheses: `step` advances all of them together as one
-    [rows, 1, d] position. Logits equal the last row of `forward` on each
-    row's full prefix up to rounding.
+    Each source's encoder runs once, on its own, and each layer's
+    cross-attention keys and values are projected once per source;
+    self-attention keys and values are appended at every step. Rows are
+    hypotheses, each reading one source: `step` advances all of them together
+    as one [rows, 1, d] position, and each row's cross-attention reads only
+    its own source's keys. Logits equal the last row of `forward` on each
+    row's source and full prefix up to rounding.
     """
 
-    def __init__(self, params: ModelParams, enc_ids):
+    def __init__(self, params: ModelParams, sources):
         cfg, t = params.cfg, params.tensors
         self.params = params
         self.n_pos = 0
         self.self_kv: list[tuple[np.ndarray, np.ndarray]] = []
-        enc_states, enc_cache = _encoder_fwd(params, _check_ids(cfg, enc_ids, "enc_ids"))
-        self.cross_bias = _key_mask_bias(enc_cache["valid"])
-        self.cross_kv = [(_heads(enc_states @ t[f"dec.{i}.cross.wk"], cfg.n_heads),
-                          _heads(enc_states @ t[f"dec.{i}.cross.wv"], cfg.n_heads))
-                         for i in range(cfg.n_dec_layers)]
+        self.cross = []  # per source: (key mask bias, [(k, v) per layer])
+        for enc_ids in sources:
+            states, cache = _encoder_fwd(params, _check_ids(cfg, enc_ids, "enc_ids"))
+            self.cross.append((_key_mask_bias(cache["valid"]),
+                               [(_heads(states @ t[f"dec.{i}.cross.wk"], cfg.n_heads),
+                                 _heads(states @ t[f"dec.{i}.cross.wv"], cfg.n_heads))
+                                for i in range(cfg.n_dec_layers)]))
+        self.row_src = np.arange(len(self.cross))
 
     def step(self, tokens, parents=None) -> np.ndarray:
         """Append tokens[r] to the prefix of row parents[r] of the previous
         step (row r itself when parents is None) and return next-token
-        logits [rows, vocab]. Callers feed the start token (eos) first."""
+        logits [rows, vocab]; row r reads the source of the row it extends.
+        The first step's rows are the sources, in order, unless parents
+        picks them. Callers feed the start token (eos) first."""
         cfg, t = self.params.cfg, self.params.tensors
         tokens = np.asarray(tokens, dtype=np.int64)
         _check_range(cfg, tokens, "dec_ids")
         n = self.n_pos + 1
         _check_len(cfg, n, "dec_ids")
-        if parents is not None and self.self_kv:
+        if parents is not None:
             parents = np.asarray(parents, dtype=np.int64)
+            self.row_src = self.row_src[parents]
             self.self_kv = [(k[parents], v[parents]) for k, v in self.self_kv]
+        if tokens.shape != self.row_src.shape:
+            raise ValueError("one token per row")
+        # runs of consecutive rows reading one source: (its cross entry, first, end)
+        cuts = [0, *(np.flatnonzero(np.diff(self.row_src)) + 1).tolist(), tokens.size]
+        runs = [(self.cross[self.row_src[a]], a, b) for a, b in zip(cuts, cuts[1:])]
         x = t["tok_emb"][tokens]
         if cfg.position_scheme == LEARNED_ABSOLUTE:
             x += t["pos_emb"][n - 1]
             self_bias = 0.0  # the causal mask's last row is all zeros
         else:
-            buckets = _relative_bucket_matrix(1, n, bidirectional=False, q_start=n - 1)[0]
-            self_bias = t["dec_rel_bias"][:, None, buckets]
+            self_bias = t["dec_rel_bias"][:, None, _bucket_table(n, False)[n - 1]]
 
         def heads(m):  # [rows, d] -> [rows, H, 1, dk]: one position per row
             return _heads(m[:, None], cfg.n_heads)
@@ -507,8 +533,9 @@ class DecoderStepper:
             _, o = _attend(heads(h @ t[f"{p}.self.wq"]), k, v, self_bias)
             x1 = x + _merge_heads(o) @ t[f"{p}.self.wo"]
             hc, _ = _rmsnorm_fwd(x1, t[f"{p}.ln2.g"])
-            kc, vc = self.cross_kv[i]
-            _, o = _attend(heads(hc @ t[f"{p}.cross.wq"]), kc, vc, self.cross_bias)
+            q = heads(hc @ t[f"{p}.cross.wq"])
+            o = np.concatenate([_attend(q[a:b], *kv[i], bias)[1]
+                                for (bias, kv), a, b in runs])
             x2 = x1 + _merge_heads(o) @ t[f"{p}.cross.wo"]
             x, _ = _ffn_sublayer_fwd(self.params, f"{p}.ln3.g", f"{p}.ffn", x2)
         self.self_kv = new_kv

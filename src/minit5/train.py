@@ -17,7 +17,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .corpus import PackedDocument, Sentence
 from .corruption import CorruptionConfig, make_pretrain_batch
-from .decoding import beam_decode, greedy_decode
+from .decoding import decode_sources
 from .metrics import (ENTAILMENT_CLASSES, classification_report,
                       format_pair_task_report, mse, pearson)
 from .model import (ModelConfig, ModelParams, TrainableMask,
@@ -382,21 +382,18 @@ def predict_similarity_scores(params, cfg, vocab, examples,
                               predict_override=None) -> tuple[list[float], int]:
     """Scores per example, and how many generated score strings did not
     parse (each of those scored as the scale midpoint)."""
-    scores, unparsed = [], 0
+    if predict_override is not None:
+        return [float(predict_override(ex)) for ex in examples], 0
     limit = _length_limit(cfg, params)
-    for ex in examples:
-        if predict_override is not None:
-            scores.append(float(predict_override(ex)))
-            continue
-        enc = _pair_enc(vocab, ex, limit)
-        if cfg.output_strategy == "generate":
-            generated = greedy_decode(params, enc,
-                                      max_out=min(cfg.gen_max_tokens, limit))
-            parsed = parse_score_string(generated, vocab)
-            scores.append(parsed.value)
-            unparsed += not parsed.ok
-        else:
-            scores.append(predict_similarity(params, enc))
+    encs = [_pair_enc(vocab, ex, limit) for ex in examples]
+    if cfg.output_strategy != "generate":
+        return [predict_similarity(params, enc) for enc in encs], 0
+    max_out = min(cfg.gen_max_tokens, limit)
+    scores, unparsed = [], 0
+    for generated in decode_sources(params, encs, 1, [max_out] * len(encs)):
+        parsed = parse_score_string(generated, vocab)
+        scores.append(parsed.value)
+        unparsed += not parsed.ok
     return scores, unparsed
 
 
@@ -413,38 +410,35 @@ def predict_entailment_labels(params, cfg, vocab, examples,
     return labels
 
 
-def _decode_window_tags(params, cfg, vocab, table, words,
-                        predict_override=None) -> tuple[list[str], bool]:
-    """BIO tags for one window, and whether its tagged output was malformed
-    (any parse flag)."""
-    if predict_override is not None:
-        text = predict_override(words)
-    else:
-        limit = _length_limit(cfg, params)
-        generated = beam_decode(params, _ner_enc(vocab, words, limit),
-                                width=cfg.beam_width,
-                                max_out=min(limit, 4 * len(words) + 8))
-        text = decode(vocab, generated)
-    parsed = parse_tagged_output(text, table)
-    return to_bio(parsed.segments, list(words)), bool(parsed.flags)
-
-
 def evaluate_ner(params, cfg, vocab, table, examples, predict_override=None):
-    """Window-wise decode, merge, and entity scoring over documents.
+    """Window-wise decode, merge, and entity scoring over documents; the
+    windows of all documents decode together.
 
     Returns (NerReport, rows, malformed_windows) where rows are
-    (words, gold, pred) per doc."""
+    (words, gold, pred) per doc, and a window is malformed when its tagged
+    output had any parse flag."""
+    windows = [[(offset, words) for offset, words, _tags
+                in window_ner_example(ex, cfg.ner_window, cfg.ner_stride)]
+               for ex in examples]
+    flat = [words for doc in windows for _, words in doc]
+    if predict_override is not None:
+        texts = [predict_override(words) for words in flat]
+    else:
+        limit = _length_limit(cfg, params)
+        generated = decode_sources(params, [_ner_enc(vocab, words, limit) for words in flat],
+                                   cfg.beam_width,
+                                   [min(limit, 4 * len(words) + 8) for words in flat])
+        texts = [decode(vocab, ids) for ids in generated]
+    texts = iter(texts)  # in window order
     scorer = NerScorer()
     rows = []
     malformed = 0
-    for ex in examples:
+    for ex, doc in zip(examples, windows):
         per_window = []
-        for offset, words, _tags in window_ner_example(ex, cfg.ner_window,
-                                                       cfg.ner_stride):
-            tags, flagged = _decode_window_tags(params, cfg, vocab, table,
-                                                words, predict_override)
-            per_window.append((offset, tags))
-            malformed += flagged
+        for offset, words in doc:
+            parsed = parse_tagged_output(next(texts), table)
+            per_window.append((offset, to_bio(parsed.segments, list(words))))
+            malformed += bool(parsed.flags)
         merged = merge_windows(per_window, len(ex.words))
         scorer.add(extract_entities(list(ex.tags)), extract_entities(merged))
         rows.append((list(ex.words), list(ex.tags), merged))

@@ -281,6 +281,30 @@ class TestDecodeAndDataChecks:
                    "--input", str(inp), "--output", str(outp), *flags])
         return rc, outp
 
+    @pytest.mark.parametrize("beam", ["1", "3"])
+    def test_multi_line_decode_writes_what_one_line_runs_write(self, tmp_path, beam):
+        from minit5.checkpoint import load_checkpoint, save_checkpoint
+        _, vocab_path, _ = pipeline_files(tmp_path)
+        ckpt = self._checkpoint(tmp_path, 60)
+        params = load_checkpoint(ckpt)
+        # sharper logits than a fresh model's, so some outputs end early in eos
+        params.tensors["tok_emb"] *= 6.0
+        save_checkpoint(ckpt, params)
+        lines = ["casa gato azul sol mar rio dia verde casa gato", "sol", "",
+                 "mar rio azul", "dia " * 9 + "verde", "gato"]
+
+        def run(lines):
+            inp, outp = tmp_path / "in.txt", tmp_path / "out.txt"
+            write(inp, "".join(line + "\n" for line in lines))
+            assert main(["decode", "--checkpoint", ckpt, "--vocab", vocab_path,
+                         "--input", str(inp), "--output", str(outp),
+                         "--beam", beam, "--max-out", "7"]) == 0
+            return outp.read_text(encoding="utf-8").split("\n")[:-1]
+
+        together = run(lines)
+        assert together == [run([line])[0] for line in lines]
+        assert len(set(together)) > 1
+
     def test_decode_rejects_vocabulary_of_another_size(self, tmp_path, capsys):
         _, vocab_path, _ = pipeline_files(tmp_path)
         ckpt = self._checkpoint(tmp_path, 70)

@@ -1,4 +1,5 @@
 import random
+import re
 import struct
 
 import pytest
@@ -221,3 +222,24 @@ class TestPairCache:
         bad.write_bytes(b"XXXX" + blob[4:])
         with pytest.raises(ValueError, match="magic"):
             read_pair_cache(bad)
+
+    def _three_pairs(self, tmp_path):
+        path = tmp_path / "pairs.bin"
+        write_pair_cache(path, [DenoisePair((4, 5), (4, 5, 1), 0),
+                                DenoisePair((6,), (6, 1), 0),
+                                DenoisePair((7, 8, 9), (1,), 0)], 16)
+        return path, path.read_bytes()
+
+    def test_truncated_cache_is_a_value_error_naming_the_path(self, tmp_path):
+        path, blob = self._three_pairs(tmp_path)
+        for cut in (2, 10, 30, len(blob) - 3, len(blob) - 1):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+                read_pair_cache(path)
+
+    def test_trailing_bytes_are_a_value_error_naming_the_path(self, tmp_path):
+        path, blob = self._three_pairs(tmp_path)
+        assert len(read_pair_cache(path)[0]) == 3
+        path.write_bytes(blob + b"junk")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: 4 bytes after the last of 3 pairs")):
+            read_pair_cache(path)

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from minit5.decoding import _row_top, beam_decode, beam_search, greedy_decode
+from minit5 import decoding
+from minit5.decoding import (_row_top, beam_decode, beam_search, decode_sources,
+                             greedy_decode)
 from minit5.model import ModelConfig, init_model
 from minit5.optim import AdamState, adamw_step
 from minit5.model import loss_and_grad
@@ -10,7 +14,7 @@ from minit5.unigram import EOS_ID, encode, train_vocab
 from oracles import exhaustive_decode, sequence_score
 
 from minit5.model import (LEARNED_ABSOLUTE, RELATIVE_BUCKET, DecoderStepper,
-                          _relative_bucket_matrix, log_softmax)
+                          _bucket_table, _relative_bucket_matrix, log_softmax)
 from minit5.unigram import PAD_ID
 from oracles import argmax_decode, full_sort_beam, model_step_fn
 
@@ -172,25 +176,37 @@ SCHEMES = [(scheme, tie) for scheme in (LEARNED_ABSOLUTE, RELATIVE_BUCKET)
 class TestIncrementalDecoding:
     @pytest.mark.parametrize("scheme,tie", SCHEMES)
     def test_stepper_matches_uncached_forward_through_reordering(self, scheme, tie):
+        self.check_stepper_rows(scheme, tie, [[5, 6, 7, 4, PAD_ID, PAD_ID]])
+
+    @pytest.mark.parametrize("scheme,tie", SCHEMES)
+    def test_many_source_stepper_matches_uncached_forward_per_row(self, scheme, tie):
+        self.check_stepper_rows(scheme, tie, [[5, 6, 7, 4, PAD_ID, PAD_ID], [4],
+                                              [7, 7, 6, 5, 4, 6, 5, 7, PAD_ID]])
+
+    @staticmethod
+    def check_stepper_rows(scheme, tie, sources):
+        """Every row's step log-probs equal the uncached forward of its
+        source and prefix, through 10 steps of random parents."""
         params, _ = random_model(3, scheme, tie)
-        enc = np.array([5, 6, 7, 4, PAD_ID, PAD_ID])
-        reference = model_step_fn(params, enc)
-        stepper = DecoderStepper(params, enc)
+        sources = [np.array(enc) for enc in sources]
+        references = [model_step_fn(params, enc) for enc in sources]
+        stepper = DecoderStepper(params, sources)
         rng = np.random.default_rng(0)
-        prefixes = [()]
-        lp = log_softmax(stepper.step([EOS_ID]))
+        rows = [(s, ()) for s in range(len(sources))]  # (source, prefix)
+        lp = log_softmax(stepper.step([EOS_ID] * len(sources)))
         for _ in range(10):
-            for row, prefix in enumerate(prefixes):
-                np.testing.assert_allclose(lp[row], reference(prefix),
+            for row, (s, prefix) in enumerate(rows):
+                np.testing.assert_allclose(lp[row], references[s](prefix),
                                            rtol=0.0, atol=1e-12)
-            # parents repeat, drop and reorder rows as beam selection does
-            parents = rng.integers(0, len(prefixes), size=int(rng.integers(1, 5)))
+            # parents repeat, drop and reorder rows as beam selection does;
+            # rows of one source need not stay adjacent
+            parents = rng.integers(0, len(rows), size=int(rng.integers(1, 5)))
             tokens = rng.integers(1, params.cfg.vocab_size, size=parents.size)
-            prefixes = [prefixes[p] + (int(tok),) for p, tok in zip(parents, tokens)]
+            rows = [(rows[p][0], rows[p][1] + (int(tok),)) for p, tok in zip(parents, tokens)]
             lp = log_softmax(stepper.step(tokens, parents))
-        assert len(prefixes[0]) == 10
-        for row, prefix in enumerate(prefixes):
-            np.testing.assert_allclose(lp[row], reference(prefix),
+        assert len(rows[0][1]) == 10
+        for row, (s, prefix) in enumerate(rows):
+            np.testing.assert_allclose(lp[row], references[s](prefix),
                                        rtol=0.0, atol=1e-12)
 
     def test_decodes_equal_full_sort_search_over_uncached_steps(self):
@@ -209,6 +225,71 @@ class TestIncrementalDecoding:
             np.testing.assert_array_equal(
                 _relative_bucket_matrix(1, n, False, q_start=n - 1)[0],
                 _relative_bucket_matrix(n, n, False)[-1])
+
+    def test_cached_bucket_tables_are_read_only_fresh_builds(self):
+        # largest first, so the smaller tables are corners of a cached one
+        for n in (ModelConfig(vocab_size=8).max_len, 128, 17, 2, 1):
+            for bidirectional in (True, False):
+                table = _bucket_table(n, bidirectional)
+                assert not table.flags.writeable
+                np.testing.assert_array_equal(
+                    table, _relative_bucket_matrix(n, n, bidirectional))
+                with pytest.raises(ValueError):
+                    table[0, 0] = 1
+
+    @pytest.mark.parametrize("chunk", [2, decoding.DECODE_CHUNK])
+    def test_many_source_decodes_equal_per_source_full_sort(self, chunk, monkeypatch):
+        monkeypatch.setattr(decoding, "DECODE_CHUNK", chunk)
+        for seed in range(32):
+            scheme, tie = SCHEMES[seed % 4]
+            params, _ = random_model(seed, scheme, tie)
+            rng = np.random.default_rng(100 + seed)
+            sources = []
+            for _ in range(int(rng.integers(2, 6))):
+                enc = rng.integers(4, params.cfg.vocab_size, size=int(rng.integers(1, 7)))
+                if rng.random() < 0.4:
+                    enc = np.concatenate((enc, [PAD_ID] * int(rng.integers(1, 4))))
+                sources.append(enc)
+            max_outs = [int(m) for m in rng.integers(1, 7, size=len(sources))]
+            references = [model_step_fn(params, enc) for enc in sources]
+            for width in (1, 3, 5):
+                got = decode_sources(params, sources, width, max_outs)
+                for s, (reference, max_out) in enumerate(zip(references, max_outs)):
+                    want = (argmax_decode(reference, max_out, EOS_ID) if width == 1
+                            else full_sort_beam(reference, width, max_out, EOS_ID))
+                    assert got[s] == want, (seed, width, s)
+
+    def test_decode_sources_edges(self):
+        params, enc = random_model(2, LEARNED_ABSOLUTE, True)
+        assert decode_sources(params, [], 3, []) == []
+        with pytest.raises(ValueError, match="one max_out per source"):
+            decode_sources(params, [enc, enc], 3, [4])
+        with pytest.raises(ValueError, match="max_out must be >= 1"):
+            decode_sources(params, [enc, enc], 3, [4, 0])
+        with pytest.raises(ValueError, match="one token per row"):
+            DecoderStepper(params, [enc, enc]).step([EOS_ID])
+
+    def test_one_chunk_of_decoding_stays_within_a_memory_bound(self):
+        # V=8k, d=64, as the benchmark's models. A greedy step over a full
+        # chunk holds [16, 8000] float64 logits (1 MB), turned into scores in
+        # place, plus one exp and one ranking copy of that size; the chunk's
+        # cross-attention keys and values take ~1.1 MB. One more array of
+        # logits' size alive at once breaks the bound.
+        cfg = ModelConfig(vocab_size=8000, d_model=64, n_heads=4, d_ff=128,
+                          n_enc_layers=2, n_dec_layers=2, max_len=64)
+        params = init_model(cfg, seed=0)
+        rng = np.random.default_rng(0)
+        sources = [rng.integers(4, 8000, size=int(rng.integers(20, 54)))
+                   for _ in range(decoding.DECODE_CHUNK)]
+        decode_sources(params, sources[:1], 1, [2])  # lazy set-up outside the bound
+        tracemalloc.start()
+        try:
+            out = decode_sources(params, sources, 1, [8] * len(sources))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [len(o) for o in out] == [8] * len(sources)  # a fresh model emits no eos
+        assert peak < 5 * 2 ** 20, peak
 
     def test_max_out_equal_to_max_len(self):
         params, enc = random_model(1, LEARNED_ABSOLUTE, False, max_len=7)

@@ -412,8 +412,8 @@ class TestHelperThread:
 
     def test_concurrent_calls_under_rapid_switching(self, monkeypatch):
         """Four callers at once, each with its own helper, on lengths that
-        grow the shared causal mask while the others read it, with the
-        interpreter switching threads every microsecond."""
+        grow the shared causal mask and bucket tables while the others read
+        them, with the interpreter switching threads every microsecond."""
         cases = [p.values for p in helper_cases() if p.values[1] == "lm"][::4]
         want = []
         for cfg, objective, batch in cases:
@@ -429,7 +429,7 @@ class TestHelperThread:
             got[k] = (np.float64(loss).tobytes(), units), grads
 
         monkeypatch.setattr(model, "HELPER_MIN_POSITIONS", 0)
-        monkeypatch.setattr(model, "_causal", np.zeros((1, 0, 0)))
+        monkeypatch.setattr(model, "_tables", {})
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

@@ -436,6 +436,53 @@ class TestEvaluateWithInjectedPredictions:
             counts[name] = report["malformed_windows"]
         assert counts == {"clean": 0, "degenerate": 2}  # 5 words in 2 windows
 
+    def test_ner_windows_decoded_together_write_per_window_predictions(self, tmp_path):
+        from minit5.decoding import beam_decode
+        from minit5.ner import (LabelTable, merge_windows, parse_tagged_output,
+                                to_bio, write_conll_predictions)
+        from minit5.tasks import read_conll, window_ner_example
+        from minit5.unigram import decode
+        conll = tmp_path / "docs.conll"
+        docs = [("John lives in New York and John lives", "B-PER O O B-LOC I-LOC O B-PER O"),
+                ("in York John lives New in John York", "O B-LOC B-PER O B-LOC O B-PER B-LOC"),
+                ("New York lives in John John New", "B-LOC I-LOC O O B-PER B-PER B-LOC")]
+        write(conll, "".join("".join(f"{w} {t}\n" for w, t in zip(ws.split(), ts.split()))
+                             + "\n" for ws, ts in docs))
+        vocab = train_vocab(["John lives in New York",
+                             "Recognize Entities: x [Person] [Local] [Other]"],
+                            vocab_size=90)
+        vocab_path = tmp_path / "vocab.tsv"
+        vocab.save(vocab_path)
+        cfg = RunConfig(task="ner", optimizer="adamw", lr=1e-3, batch_size=2,
+                        max_epochs=1, seed=0, deterministic=True, seq_len=64,
+                        beam_width=3, label_language="en", ner_window=4,
+                        ner_stride=2, d_model=32, n_heads=2, d_ff=64,
+                        n_enc_layers=1, n_dec_layers=1, vocab_path=str(vocab_path),
+                        test_path=str(conll), out_dir=str(tmp_path / "ner"))
+        params = init_model(_model_config(cfg, vocab), 2)
+        # sharper logits than a fresh model's: some windows emit eos at once
+        params.tensors["tok_emb"] *= 3.5
+        report = run_evaluate(cfg, params, split="test")
+        got = (tmp_path / "ner" / "predictions_test.conll").read_bytes()
+
+        table, rows, lengths, malformed = LabelTable("en"), [], [], 0
+        for ex in read_conll(str(conll)):
+            per_window = []
+            for offset, words, _ in window_ner_example(ex, 4, 2):
+                ids = beam_decode(params, _ner_enc(vocab, words, 64), width=3,
+                                  max_out=min(64, 4 * len(words) + 8))
+                parsed = parse_tagged_output(decode(vocab, ids), table)
+                per_window.append((offset, to_bio(parsed.segments, list(words))))
+                lengths.append(len(ids))
+                malformed += bool(parsed.flags)
+            assert len(per_window) >= 3
+            rows.append((list(ex.words), list(ex.tags),
+                         merge_windows(per_window, len(ex.words))))
+        write_conll_predictions(tmp_path / "want.conll", rows)
+        assert len(rows) == 3 and len(set(lengths)) > 1 and 0 < malformed < len(lengths)
+        assert got == (tmp_path / "want.conll").read_bytes()
+        assert report["malformed_windows"] == malformed
+
     def test_untrained_generated_similarity_counts_unparsed_scores(self, tmp_path):
         train, vocab_path = similarity_fixture(tmp_path, n=6)
         cfg = similarity_cfg(tmp_path, train, vocab_path,
