@@ -18,7 +18,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .model import ModelConfig, ModelParams, tensor_shapes
-from .optim import AdafactorState, AdamState, slot_shapes
+from .optim import OptimizerState, check_optimizer, slot_shapes
 
 MAGIC = b"SQFG"
 VERSION = 1
@@ -113,7 +113,8 @@ def load_checkpoint(path: str, optimizer: str | None = None):
     params = ModelParams(cfg, model_tensors)
     if optimizer is None:
         return params
-    state = AdafactorState() if optimizer == "adafactor" else AdamState()
+    check_optimizer(optimizer)
+    state = OptimizerState()
     for key in sorted(tensors.keys() - model_tensors.keys()):
         arr = tensors[key]
         if key == "opt/step":

@@ -59,9 +59,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--corpus", required=True, help="packed corpus file")
     p.add_argument("--output", required=True, help="binary pair cache")
-    p.add_argument("--mask-rate", type=float, default=0.15)
-    p.add_argument("--max-len", type=int, default=512)
-    p.add_argument("--data-seed", type=int, default=0)
+    p.add_argument("--mask-rate", type=float, default=CorruptionConfig.mask_rate)
+    p.add_argument("--max-len", type=int, default=CorruptionConfig.max_len)
+    p.add_argument("--data-seed", type=int, default=CorruptionConfig.seed)
     p.set_defaults(func=_cmd_make_pretrain_data)
 
     p = sub.add_parser("pretrain", help="denoising pretraining run")

@@ -1,25 +1,36 @@
-"""Run configuration: sectioned key=value files plus per-task defaults.
-
-Defaults mirror the training recipes the pipeline targets: pretraining uses
-Adafactor at a constant 0.003 for four epochs with 15% corruption and length
-512; sentence-pair fine-tuning uses RAdam at 1e-4, length 128, patience 5
-(similarity) or 10 (entailment); NER uses AdamW at 2e-4 with batch 2 and
-4-step gradient accumulation and beam width 5.
-"""
+"""Run configuration: sectioned key=value files, whose schema is read from
+the RunConfig and ModelConfig dataclasses, plus per-task recipe defaults
+(TASK_DEFAULTS), the training recipes the pipeline targets."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 from .corruption import CorruptionConfig
 from .model import ModelConfig
 from .ner import LabelTable
+from .optim import check_optimizer
 from .tasks import check_windows
 from .unigram import N_RESERVED
 
-TASKS = ("pretrain", "similarity", "entailment", "ner")
+TASK_DEFAULTS: dict[str, dict] = {
+    "pretrain": dict(optimizer="adafactor", lr=3e-3, max_epochs=4,
+                     batch_size=8, seq_len=512, mask_rate=0.15),
+    "similarity": dict(optimizer="radam", lr=1e-4, max_epochs=50, patience=5,
+                       batch_size=32, seq_len=128),
+    "entailment": dict(optimizer="radam", lr=1e-4, max_epochs=50, patience=10,
+                       batch_size=32, seq_len=128),
+    "ner": dict(optimizer="adamw", lr=2e-4, max_epochs=50, patience=5,
+                batch_size=2, grad_accum_steps=4, seq_len=512, beam_width=5),
+}
+TASKS = tuple(TASK_DEFAULTS)
 OUTPUT_STRATEGIES = ("generate", "linear-head")
+# the ModelConfig fields a run sets in [model]; the vocabulary sets
+# vocab_size and [run] seq_len sets max_len
+MODEL_KEYS = tuple(f.name for f in fields(ModelConfig)
+                   if f.name not in ("vocab_size", "max_len"))
 
 
 @dataclass
@@ -43,14 +54,14 @@ class RunConfig:
     strip_accents: bool = False
     ner_window: int = 256
     ner_stride: int = 128
-    # model
-    d_model: int = 64
-    n_heads: int = 4
-    d_ff: int = 128
-    n_enc_layers: int = 2
-    n_dec_layers: int = 2
-    position_scheme: str = "learned-absolute"
-    tie_embeddings: bool = True
+    # model: MODEL_KEYS, with ModelConfig's defaults
+    d_model: int = ModelConfig.d_model
+    n_heads: int = ModelConfig.n_heads
+    d_ff: int = ModelConfig.d_ff
+    n_enc_layers: int = ModelConfig.n_enc_layers
+    n_dec_layers: int = ModelConfig.n_dec_layers
+    position_scheme: str = ModelConfig.position_scheme
+    tie_embeddings: bool = ModelConfig.tie_embeddings
     # paths
     vocab_path: str = ""
     train_path: str = ""
@@ -65,8 +76,7 @@ class RunConfig:
             raise ValueError(f"unknown task {self.task!r}")
         if self.output_strategy not in OUTPUT_STRATEGIES:
             raise ValueError(f"unknown output_strategy {self.output_strategy!r}")
-        if self.optimizer not in ("adafactor", "adamw", "radam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        check_optimizer(self.optimizer)
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.seed < 0:
@@ -87,29 +97,28 @@ class RunConfig:
 
     def model_config(self, vocab_size: int) -> ModelConfig:
         """The [model] section, with seq_len as the model's max_len."""
-        return ModelConfig(
-            vocab_size=vocab_size, d_model=self.d_model, n_heads=self.n_heads,
-            d_ff=self.d_ff, n_enc_layers=self.n_enc_layers,
-            n_dec_layers=self.n_dec_layers, max_len=self.seq_len,
-            position_scheme=self.position_scheme, tie_embeddings=self.tie_embeddings)
+        return ModelConfig(vocab_size=vocab_size, max_len=self.seq_len,
+                           **{key: getattr(self, key) for key in MODEL_KEYS})
 
 
-TASK_DEFAULTS: dict[str, dict] = {
-    "pretrain": dict(optimizer="adafactor", lr=3e-3, max_epochs=4,
-                     batch_size=8, seq_len=512, mask_rate=0.15),
-    "similarity": dict(optimizer="radam", lr=1e-4, max_epochs=50, patience=5,
-                       batch_size=32, seq_len=128),
-    "entailment": dict(optimizer="radam", lr=1e-4, max_epochs=50, patience=10,
-                       batch_size=32, seq_len=128),
-    "ner": dict(optimizer="adamw", lr=2e-4, max_epochs=50, patience=5,
-                batch_size=2, grad_accum_steps=4, seq_len=512, beam_width=5),
+_PATHS = {"vocab": "vocab_path", "train": "train_path", "val": "val_path",
+          "test": "test_path", "corpus": "corpus_path", "out_dir": "out_dir",
+          "init_checkpoint": "init_checkpoint"}
+# Each config section's keys, each naming the one RunConfig field it sets:
+# [paths] by _PATHS, [model] the MODEL_KEYS and [run] every other field.
+SECTIONS: dict[str, dict[str, str]] = {
+    "run": {f.name: f.name for f in fields(RunConfig)
+            if f.name not in MODEL_KEYS and f.name not in _PATHS.values()},
+    "model": {key: key for key in MODEL_KEYS},
+    "paths": _PATHS,
 }
 
 
 def parse_config_file(path: str) -> dict[str, dict[str, str]]:
-    """Sections in brackets, key = value lines, # comments, UTF-8."""
+    """Sections in brackets, key = value lines, # comments, UTF-8. A key set
+    twice in one section, under one header or two copies of it, is an error."""
     sections: dict[str, dict[str, str]] = {}
-    current: dict[str, str] | None = None
+    name, current = "", None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -123,8 +132,10 @@ def parse_config_file(path: str) -> dict[str, dict[str, str]]:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             if current is None:
                 raise ValueError(f"{path}:{lineno}: key outside any [section]")
-            key, value = line.split("=", 1)
-            current[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in current:
+                raise ValueError(f"{path}:{lineno}: {key!r} set twice in [{name}]")
+            current[key] = value
     return sections
 
 
@@ -137,28 +148,16 @@ def _to_bool(value: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
-_FIELD_SECTIONS = {
-    "run": {
-        "task": str, "optimizer": str, "lr": float, "batch_size": int,
-        "grad_accum_steps": int, "max_epochs": int, "patience": int,
-        "seed": int, "deterministic": _to_bool, "embeddings_only": _to_bool,
-        "output_strategy": str, "mask_rate": float, "seq_len": int,
-        "beam_width": int, "gen_max_tokens": int, "label_language": str,
-        "strip_accents": _to_bool, "ner_window": int, "ner_stride": int,
-    },
-    "model": {
-        "d_model": int, "n_heads": int, "d_ff": int, "n_enc_layers": int,
-        "n_dec_layers": int, "position_scheme": str, "tie_embeddings": _to_bool,
-    },
-    "paths": {
-        "vocab": str, "train": str, "val": str, "test": str, "corpus": str,
-        "out_dir": str, "init_checkpoint": str,
-    },
-}
+def _converter(field_type):
+    """The parser of a config value for a RunConfig field of this type."""
+    if field_type is bool:
+        return _to_bool
+    if typing.get_args(field_type):  # int | None parses as int
+        return typing.get_args(field_type)[0]
+    return field_type
 
-_PATH_FIELD = {"vocab": "vocab_path", "train": "train_path", "val": "val_path",
-               "test": "test_path", "corpus": "corpus_path", "out_dir": "out_dir",
-               "init_checkpoint": "init_checkpoint"}
+
+_CONVERTERS = {name: _converter(t) for name, t in typing.get_type_hints(RunConfig).items()}
 
 
 def build_run_config(sections: dict[str, dict[str, str]],
@@ -167,23 +166,19 @@ def build_run_config(sections: dict[str, dict[str, str]],
     run = sections.get("run", {})
     if "task" not in run:
         raise ValueError("config must set task in [run]")
-    task = run["task"]
-    if task not in TASK_DEFAULTS:
-        raise ValueError(f"unknown task {task!r}")
-    values: dict = dict(task=task, **TASK_DEFAULTS[task])
-    for section_name, fields in _FIELD_SECTIONS.items():
-        section = sections.get(section_name, {})
-        for key, value in section.items():
-            if key not in fields:
+    # an unknown task gets no defaults, and RunConfig rejects it
+    values: dict = dict(TASK_DEFAULTS.get(run["task"], {}))
+    for section_name, keys in SECTIONS.items():
+        for key, value in sections.get(section_name, {}).items():
+            if key not in keys:
                 raise ValueError(f"unknown key {key!r} in [{section_name}]")
-            conv = fields[key]
-            target = _PATH_FIELD[key] if section_name == "paths" else key
+            target = keys[key]
             try:
-                values[target] = conv(value)
+                values[target] = _CONVERTERS[target](value)
             except ValueError as exc:
                 raise ValueError(f"bad value for {key!r}: {exc}") from exc
     for name in sections:
-        if name not in _FIELD_SECTIONS:
+        if name not in SECTIONS:
             raise ValueError(f"unknown config section [{name}]")
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})

@@ -13,22 +13,20 @@ from __future__ import annotations
 import numpy as np
 
 from .model import DecoderStepper, ModelParams, log_softmax
-from .unigram import EOS_ID
+from .unigram import EOS_ID, MASK_ID, PAD_ID
 
 # Sources decoded together by decode_sources. A step holds [rows, vocab]
 # logits and a few same-sized temporaries, rows up to DECODE_CHUNK * width:
 # at V=8k a 16-source greedy step's logits are 1 MB.
 DECODE_CHUNK = 16
-
-
-def _normalized(cum: float, length: int) -> float:
-    return cum / length
+# never emitted, as they are not text; <unk> may be, as NER targets can hold it
+NEVER_EMITTED = [PAD_ID, MASK_ID]
 
 
 def _hyp_sort_key(item):
     ids, cum = item
     # higher normalized score, then shorter, then lexicographically smaller ids
-    return (-_normalized(cum, len(ids)), len(ids), ids)
+    return (-(cum / len(ids)), len(ids), ids)
 
 
 def _row_top(scores: np.ndarray, width: int):
@@ -49,7 +47,7 @@ def _row_top(scores: np.ndarray, width: int):
     return np.repeat(rows, k)[keep], toks.ravel()[keep]
 
 
-def _beam(step, width: int, max_outs, eos_id: int) -> list[list[int]]:
+def _beam(step, width: int, max_outs) -> list[list[int]]:
     """Beam search core: one independent search per entry of max_outs, each
     stopping after at most its own max_out steps. step(parents, prefixes)
     returns [len(prefixes), V] next-token log-probs for the live hypotheses of
@@ -91,7 +89,7 @@ def _beam(step, width: int, max_outs, eos_id: int) -> list[list[int]]:
             candidates.sort(key=lambda item: (-item[1], item[0]))
             live[s], kept = [], []
             for ids, cum, row in candidates[:width]:
-                if ids[-1] == eos_id:
+                if ids[-1] == EOS_ID:
                     finished[s].append((ids, cum))
                 else:
                     live[s].append((ids, cum))
@@ -104,12 +102,11 @@ def _beam(step, width: int, max_outs, eos_id: int) -> list[list[int]]:
     return [list(min(f + l, key=_hyp_sort_key)[0]) for f, l in zip(finished, live)]
 
 
-def beam_search(step_logprobs, width: int, max_out: int,
-                eos_id: int = EOS_ID) -> list[int]:
+def beam_search(step_logprobs, width: int, max_out: int) -> list[int]:
     """Beam search over step_logprobs(prefix_tuple) -> array of log-probs.
 
     Candidates are ranked by cumulative log-probability during the search;
-    hypotheses that emit eos retire to the finished pool. The returned
+    hypotheses that emit eos (EOS_ID) retire to the finished pool. The returned
     hypothesis maximizes length-normalized log-probability (cumulative divided
     by length) over finished hypotheses plus any max-length survivors, with
     ties broken toward shorter then lexicographically smaller sequences.
@@ -119,7 +116,7 @@ def beam_search(step_logprobs, width: int, max_out: int,
     def step(parents, prefixes):
         return [np.asarray(step_logprobs(ids), dtype=np.float64) for ids in prefixes]
 
-    return _beam(step, width, [max_out], eos_id)[0]
+    return _beam(step, width, [max_out])[0]
 
 
 def decode_sources(params: ModelParams, sources, width: int, max_outs) -> list[list[int]]:
@@ -139,9 +136,11 @@ def decode_sources(params: ModelParams, sources, width: int, max_outs) -> list[l
                 logits = stepper.step([EOS_ID] * len(prefixes))
             else:
                 logits = stepper.step([ids[-1] for ids in prefixes], parents)
-            return log_softmax(logits, out=logits)
+            lp = log_softmax(logits, out=logits)
+            lp[:, NEVER_EMITTED] = -np.inf
+            return lp
 
-        out += _beam(step, width, max_outs[i:i + DECODE_CHUNK], EOS_ID)
+        out += _beam(step, width, max_outs[i:i + DECODE_CHUNK])
     return out
 
 

@@ -61,16 +61,16 @@ def _f1(p: float, r: float) -> float:
     return 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r)
 
 
-def macro_f1(pred_labels: list, gold_labels: list,
-             classes=ENTAILMENT_CLASSES, average: str = "macro") -> float:
-    """Unweighted (or gold-support-weighted) mean of per-class F1. A class
-    absent from both gold and predictions contributes F1 = 0."""
+def macro_f1(pred_labels: list, gold_labels: list, average: str = "macro") -> float:
+    """Unweighted (or gold-support-weighted) mean of per-class F1 over the
+    entailment classes. A class absent from both gold and predictions
+    contributes F1 = 0."""
     if len(pred_labels) != len(gold_labels):
         raise ValueError("length mismatch")
     if average not in ("macro", "weighted"):
         raise ValueError("average must be macro or weighted")
     f1s, weights = [], []
-    for cls in classes:
+    for cls in ENTAILMENT_CLASSES:
         tp = sum(1 for p, g in zip(pred_labels, gold_labels) if p == cls and g == cls)
         fp = sum(1 for p, g in zip(pred_labels, gold_labels) if p == cls and g != cls)
         fn = sum(1 for p, g in zip(pred_labels, gold_labels) if p != cls and g == cls)
@@ -91,16 +91,15 @@ def regression_report(pred: list[float], gold: list[float]) -> RegressionReport:
                             n=len(pred))
 
 
-def classification_report(pred_labels: list, gold_labels: list,
-                          classes=ENTAILMENT_CLASSES) -> ClassificationReport:
-    confusion = {(g, p): 0 for g in classes for p in classes}
+def classification_report(pred_labels: list, gold_labels: list) -> ClassificationReport:
+    confusion = {(g, p): 0 for g in ENTAILMENT_CLASSES for p in ENTAILMENT_CLASSES}
     for p, g in zip(pred_labels, gold_labels):
         confusion[(g, p)] += 1
-    degenerate = tuple(c for c in classes
+    degenerate = tuple(c for c in ENTAILMENT_CLASSES
                        if c not in pred_labels and c not in gold_labels)
     return ClassificationReport(
         accuracy=accuracy(pred_labels, gold_labels),
-        macro_f1=macro_f1(pred_labels, gold_labels, classes),
+        macro_f1=macro_f1(pred_labels, gold_labels),
         confusion=confusion,
         degenerate_classes=degenerate)
 

@@ -187,13 +187,13 @@ def log_softmax(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _relative_bucket_matrix(nq: int, nk: int, bidirectional: bool,
-                            num_buckets: int = REL_BUCKETS,
-                            max_distance: int = REL_MAX_DISTANCE,
                             q_start: int = 0) -> np.ndarray:
-    """T5-style log-spaced distance buckets for relative attention bias, for
-    query positions q_start .. q_start + nq - 1 and key positions 0 .. nk - 1."""
+    """T5-style log-spaced distance buckets (REL_BUCKETS of them, the last
+    from REL_MAX_DISTANCE on) for relative attention bias, for query positions
+    q_start .. q_start + nq - 1 and key positions 0 .. nk - 1."""
     rel = np.arange(nk)[None, :] - np.arange(q_start, q_start + nq)[:, None]
     out = np.zeros((nq, nk), dtype=np.int64)
+    num_buckets = REL_BUCKETS
     if bidirectional:
         num_buckets //= 2
         out += (rel > 0).astype(np.int64) * num_buckets
@@ -204,7 +204,7 @@ def _relative_bucket_matrix(nq: int, nk: int, bidirectional: bool,
     is_small = rel < max_exact
     rel_clipped = np.maximum(rel, 1)
     large = max_exact + (
-        np.log(rel_clipped / max_exact) / math.log(max_distance / max_exact)
+        np.log(rel_clipped / max_exact) / math.log(REL_MAX_DISTANCE / max_exact)
         * (num_buckets - max_exact)
     ).astype(np.int64)
     large = np.minimum(large, num_buckets - 1)

@@ -33,27 +33,37 @@ def _trainable_grads(params, grads, mask):
             yield name, params[name], grads[name]
 
 
+# the published defaults (Shazeer & Stern, arXiv 1804.04235; Kingma & Ba, arXiv 1412.6980)
+ADAFACTOR_DECAY_EXPONENT = -0.8
+ADAFACTOR_EPS = 1e-30
+ADAFACTOR_CLIP_THRESHOLD = 1.0
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
 @dataclass
-class AdafactorState:
+class OptimizerState:
+    """Step count and per-parameter state slots of any optimizer here."""
     step: int = 0
     slots: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
 
 
+AdafactorState = AdamState = OptimizerState
+
+
 def adafactor_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-                   state: AdafactorState, lr: float, *,
-                   decay_exponent: float = -0.8, eps: float = 1e-30,
-                   clip_threshold: float = 1.0, mask=None):
+                   state: OptimizerState, lr: float, *, mask=None):
     """One Adafactor step in constant-learning-rate mode.
 
     Matrices keep exponential moving row-sum and column-sum second-moment
-    vectors (decay 1 - t^decay_exponent) and reconstruct the factored second
-    moment as outer(row, col) / sum(row); vectors and scalars keep the full
-    second moment. The update lr * g / sqrt(V + eps) is RMS-clipped at
-    clip_threshold.
+    vectors (decay 1 - t^ADAFACTOR_DECAY_EXPONENT) and reconstruct the
+    factored second moment as outer(row, col) / sum(row); vectors and scalars
+    keep the full second moment. The update lr * g / sqrt(V + ADAFACTOR_EPS)
+    is RMS-clipped at ADAFACTOR_CLIP_THRESHOLD.
     """
     state.step += 1
     t = state.step
-    beta = 1.0 - t ** decay_exponent
+    beta = 1.0 - t ** ADAFACTOR_DECAY_EXPONENT
     for name, p, g in _trainable_grads(params, grads, mask):
         g2 = g * g
         slot = state.slots.setdefault(name, {})
@@ -70,17 +80,11 @@ def adafactor_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         else:
             slot["v"] = beta * slot.get("v", 0.0) + (1.0 - beta) * g2
             v = slot["v"]
-        u = g / np.sqrt(v + eps)
+        u = g / np.sqrt(v + ADAFACTOR_EPS)
         rms = math.sqrt(float(np.mean(u * u)))
-        u /= max(1.0, rms / clip_threshold)
+        u /= max(1.0, rms / ADAFACTOR_CLIP_THRESHOLD)
         p -= lr * u
     return params, state
-
-
-@dataclass
-class AdamState:
-    step: int = 0
-    slots: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
 
 
 # elements per block of the Adam updates: 128 KiB of float64 per operand, so
@@ -106,9 +110,9 @@ def _adam_blocks(p, g, slot):
         yield tuple(a[i:i + _BLOCK] for a in flat)
 
 
-def _adam_moments(m, v, g, betas) -> None:
+def _adam_moments(m, v, g) -> None:
     """m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g * g, in place."""
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     m *= b1
     m += (1.0 - b1) * g
     v *= b2
@@ -116,21 +120,21 @@ def _adam_moments(m, v, g, betas) -> None:
 
 
 def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-               state: AdamState, lr: float, *, betas=(0.9, 0.999),
-               eps: float = 1e-8, weight_decay: float = 0.01, mask=None):
+               state: OptimizerState, lr: float, *, weight_decay: float = 0.01,
+               mask=None):
     """Bias-corrected Adam with decoupled weight decay, applied to the
     parameters before the moment-based update term. Parameters and the m/v
     slots are updated in place, one block at a time."""
     state.step += 1
     t = state.step
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for name, p, g in _trainable_grads(params, grads, mask):
         for pb, gb, m, v in _adam_blocks(p, g, state.slots.setdefault(name, {})):
             pb -= lr * weight_decay * pb
-            _adam_moments(m, v, gb, betas)
-            pb -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            _adam_moments(m, v, gb)
+            pb -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return params, state
 
 
@@ -139,15 +143,14 @@ def _radam_rho_inf(b2: float) -> float:
 
 
 def radam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-               state: AdamState, lr: float, *, betas=(0.9, 0.999),
-               eps: float = 1e-8, mask=None):
+               state: OptimizerState, lr: float, *, mask=None):
     """Rectified Adam: while the variance-rectification length rho_t <= 4 the
     update uses bias-corrected momentum only; afterwards the rectified
     adaptive step applies. Converges to Adam as t grows. Parameters and the
     m/v slots are updated in place, one block at a time."""
     state.step += 1
     t = state.step
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     rho_inf = _radam_rho_inf(b2)
@@ -159,34 +162,39 @@ def radam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         rect = None
     for name, p, g in _trainable_grads(params, grads, mask):
         for pb, gb, m, v in _adam_blocks(p, g, state.slots.setdefault(name, {})):
-            _adam_moments(m, v, gb, betas)
+            _adam_moments(m, v, gb)
             m_hat = m / c1
             if rect is None:
                 pb -= lr * m_hat
             else:
-                pb -= lr * rect * m_hat / (np.sqrt(v / c2) + eps)
+                pb -= lr * rect * m_hat / (np.sqrt(v / c2) + ADAM_EPS)
     return params, state
+
+
+# The optimizers by name, each with whether its step factors a matrix's
+# second moment into row and column slots. The step function is this
+# module's `<name>_step`, looked up when make_optimizer is called, so a step
+# function rebound on this module (as perfbench's tracer does) is the one
+# that runs.
+OPTIMIZERS = {"adafactor": True, "adamw": False, "radam": False}
+
+
+def check_optimizer(kind: str) -> None:
+    if kind not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {kind!r}")
 
 
 def slot_shapes(kind: str, shape: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
     """The state slots that `kind`'s step keeps for a parameter of this
     shape, with the shape each slot takes."""
-    if kind == "adafactor":
-        return {"row": shape[:-1], "col": shape[-1:]} if len(shape) >= 2 else {"v": shape}
-    if kind in ("adamw", "radam"):
+    check_optimizer(kind)
+    if not OPTIMIZERS[kind]:
         return {"m": shape, "v": shape}
-    raise ValueError(f"unknown optimizer {kind!r}")
+    return {"row": shape[:-1], "col": shape[-1:]} if len(shape) >= 2 else {"v": shape}
 
 
 def make_optimizer(kind: str, lr: float):
     """Returns (state, step_fn(params, grads, mask)) for a configured optimizer."""
-    # built per call, so a step function rebound on this module (as
-    # perfbench's tracer does) is the one that runs
-    table = {"adafactor": (AdafactorState, adafactor_step),
-             "adamw": (AdamState, adamw_step),
-             "radam": (AdamState, radam_step)}
-    if kind.lower() not in table:
-        raise ValueError(f"unknown optimizer {kind!r}")
-    state_cls, step = table[kind.lower()]
-    state = state_cls()
+    check_optimizer(kind)
+    state, step = OptimizerState(), globals()[f"{kind}_step"]
     return state, lambda p, g, m=None: step(p, g, state, lr, mask=m)

@@ -46,7 +46,6 @@ class NerExample:
 
 @dataclass(frozen=True)
 class WindowedExample:
-    parent: str
     offset: int
     ids: tuple[int, ...]
 
@@ -207,8 +206,7 @@ def check_windows(size: int, stride: int) -> None:
         raise ValueError(f"need window size {size} > stride {stride} > 0")
 
 
-def sliding_windows(ids, size: int = 512, stride: int = 256,
-                    parent: str = "") -> list[WindowedExample]:
+def sliding_windows(ids, size: int = 512, stride: int = 256) -> list[WindowedExample]:
     """Overlapping windows at offsets 0, stride, 2*stride, ... while the next
     window still ends inside the sequence; an over-length sequence gets a
     final window clamped to end exactly at the sequence end."""
@@ -216,22 +214,21 @@ def sliding_windows(ids, size: int = 512, stride: int = 256,
     ids = tuple(ids)
     n = len(ids)
     if n <= size:
-        return [WindowedExample(parent, 0, ids)]
+        return [WindowedExample(0, ids)]
     offsets: list[int] = []
     offset = 0
     while offset + size < n:
         offsets.append(offset)
         offset += stride
     offsets.append(n - size)
-    return [WindowedExample(parent, o, ids[o:o + size]) for o in offsets]
+    return [WindowedExample(o, ids[o:o + size]) for o in offsets]
 
 
 def window_ner_example(example: NerExample, window: int, stride: int):
     """Word-level windows of a NER document; a window whose first tag is a
     continuation (I-X) gets it reopened as B-X so each window is valid BIO."""
     out: list[tuple[int, tuple[str, ...], tuple[str, ...]]] = []
-    for w in sliding_windows(tuple(range(len(example.words))), window, stride,
-                             parent=example.doc_id):
+    for w in sliding_windows(tuple(range(len(example.words))), window, stride):
         words = example.words[w.offset:w.offset + len(w.ids)]
         tags = list(example.tags[w.offset:w.offset + len(w.ids)])
         if tags and tags[0].startswith("I-"):

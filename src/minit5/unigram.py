@@ -28,6 +28,7 @@ N_RESERVED = len(RESERVED_PIECES)
 
 BOUNDARY = "▁"  # spaces become this marker inside the model
 MAX_SEED_PIECE_LEN = 8
+SHRINK_FACTOR = 0.75  # the share of multi-character pieces a pruning round keeps
 _UNK_PENALTY = 10.0  # unknown fallback scores this far below the worst piece
 
 NEG_INF = float("-inf")
@@ -487,26 +488,23 @@ def _alternatives(pieces: Iterable[str], table: dict[str, float | None],
     return alternatives
 
 
-def prune_vocab(corpus: list[str], vocab: UnigramVocab, target_size: int,
-                shrink_factor: float = 0.75) -> UnigramVocab:
+def prune_vocab(corpus: list[str], vocab: UnigramVocab, target_size: int) -> UnigramVocab:
     """Shrink the vocabulary to exactly target_size total ids.
 
     Each round runs two EM steps, ranks removable multi-character pieces by
     the Viterbi-approximated likelihood loss of removing them, and keeps the
-    top shrink_factor fraction (never dropping below the target).
+    top SHRINK_FACTOR fraction (never dropping below the target).
     Single characters and reserved ids are always retained.
     """
     sentences, scored = _weighted_internal(corpus), vocab.scored_body()
     return UnigramVocab.from_scored(
-        _prune(_Lattice(sentences, scored), scored, target_size, shrink_factor))
+        _prune(_Lattice(sentences, scored), scored, target_size, SHRINK_FACTOR))
 
 
 def _prune(lattice: _Lattice, scored: dict[str, float], target_size: int,
            shrink_factor: float) -> dict[str, float]:
     """prune_vocab on scores over a lattice of them, masked to each round's
     survivors."""
-    if not 0.0 < shrink_factor < 1.0:
-        raise ValueError("shrink_factor must be in (0, 1)")
     singles = {p for p in scored if len(p) == 1}
     min_size = N_RESERVED + len(singles)
     if target_size < min_size:
@@ -538,8 +536,7 @@ def _prune(lattice: _Lattice, scored: dict[str, float], target_size: int,
 
 
 def train_vocab(corpus: list[str], vocab_size: int = 32000, *,
-                seed_size: int | None = None,
-                shrink_factor: float = 0.75) -> UnigramVocab:
+                seed_size: int | None = None) -> UnigramVocab:
     """Full trainer: seed substrings, EM, prune to size, final EM polish.
 
     Deterministic given the corpus order and settings; retraining on the same
@@ -560,7 +557,7 @@ def train_vocab(corpus: list[str], vocab_size: int = 32000, *,
     for _ in range(2):
         scored, _ = lattice.em(scored)
     if N_RESERVED + len(scored) > vocab_size:
-        scored = _ranked(_prune(lattice, scored, vocab_size, shrink_factor))
+        scored = _ranked(_prune(lattice, scored, vocab_size, SHRINK_FACTOR))
     for _ in range(2):
         scored, _ = lattice.em(scored)
     return UnigramVocab.from_scored(scored)

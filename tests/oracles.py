@@ -393,16 +393,21 @@ def argmax_decode(step_fn, max_out: int, eos_id: int):
     return out
 
 
-def model_step_fn(params, enc_ids):
+def model_step_fn(params, enc_ids, masked: bool = True):
     """Uncached per-prefix step over a model: re-runs the encoder and the
     whole decoder prefix through the teacher-forcing `forward` on every call,
-    the reference the incremental decoder is tested against."""
+    the reference the incremental decoder is tested against. Masked, like
+    the decoder's step, it never emits <pad> or <M>: their log-probs are
+    -inf; unmasked, it is the model's own log-softmax."""
     from minit5.model import forward, log_softmax
-    from minit5.unigram import EOS_ID
+    from minit5.unigram import EOS_ID, MASK_ID, PAD_ID
 
     def step(prefix: tuple[int, ...]) -> np.ndarray:
         dec_in = np.asarray((EOS_ID,) + prefix, dtype=np.int64)
-        return log_softmax(forward(params, enc_ids, dec_in)[-1])
+        lp = log_softmax(forward(params, enc_ids, dec_in)[-1])
+        if masked:
+            lp[[PAD_ID, MASK_ID]] = NEG_INF
+        return lp
 
     return step
 

@@ -716,3 +716,18 @@ def test_a_directory_given_as_an_input_is_a_data_error_naming_it(tmp_path, capsy
     assert err.startswith("data error: ")
     assert str(folder) in err
     assert not os.path.exists(out)
+
+
+def test_evaluate_of_a_pad_preferring_model_counts_malformed_windows(tmp_path, capsys):
+    """A model whose first step prefers <pad> decodes text instead: evaluate
+    exits 0 and reports every window as malformed."""
+    from minit5.checkpoint import save_checkpoint
+    from test_decoding import pad_first_model
+    _tiny_task_files(tmp_path, "ner")
+    cfg = _tiny_task_config(tmp_path, "ner")
+    ckpt = tmp_path / "model.bin"
+    save_checkpoint(ckpt, pad_first_model(len(UnigramVocab.load(tmp_path / "vocab.tsv"))))
+    rc = main(["--config", cfg, "evaluate", "--checkpoint", str(ckpt)])
+    out = capsys.readouterr()
+    assert rc == 0, out.err
+    assert "malformed_windows=8\n" in out.out  # 4 documents of 5 words, 2 windows each

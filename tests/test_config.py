@@ -1,9 +1,10 @@
+import dataclasses
 import glob
 import os
 
 import pytest
 
-from minit5.config import RunConfig, load_run_config, parse_config_file
+from minit5.config import SECTIONS, RunConfig, load_run_config, parse_config_file
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -76,3 +77,57 @@ def test_invalid_values_rejected():
     with pytest.raises(ValueError, match="optimizer"):
         RunConfig(task="ner", optimizer="sgd", lr=1e-3, batch_size=1,
                   max_epochs=1)
+
+
+@pytest.mark.parametrize("text,lineno", [
+    ("[run]\ntask = pretrain\nseed = 1\nseed = 2\n", 4),
+    ("[run]\ntask = pretrain\nseed = 1\n[model]\nd_model = 8\n[run]\nseed = 2\n", 7),
+])
+def test_a_key_set_twice_in_a_section_names_file_and_line(tmp_path, text, lineno):
+    from minit5.cli import main
+    path = tmp_path / "twice.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"twice.cfg:{lineno}: 'seed' set twice in \\[run\\]"):
+        parse_config_file(path)
+    assert main(["--config", str(path), "pretrain"]) == 1
+
+
+def test_every_run_config_field_has_exactly_one_section_key():
+    targets = [field for keys in SECTIONS.values() for field in keys.values()]
+    assert sorted(targets) == sorted(f.name for f in dataclasses.fields(RunConfig))
+
+
+def test_every_field_round_trips_through_a_config_file(tmp_path):
+    want = RunConfig(task="similarity", optimizer="adamw", lr=2.5e-4, batch_size=3,
+                     grad_accum_steps=2, max_epochs=7, patience=0, seed=11,
+                     deterministic=True, embeddings_only=True,
+                     output_strategy="generate", mask_rate=0.3, seq_len=40,
+                     beam_width=2, gen_max_tokens=6, label_language="en",
+                     strip_accents=True, ner_window=10, ner_stride=3, d_model=12,
+                     n_heads=3, d_ff=20, n_enc_layers=0, n_dec_layers=3,
+                     position_scheme="relative-bucket", tie_embeddings=False,
+                     vocab_path="v.tsv", train_path="a/train.tsv", val_path="val.tsv",
+                     test_path="test.tsv", corpus_path="c.txt", out_dir="out/x",
+                     init_checkpoint="ck.bin")
+    default = RunConfig(task="similarity", optimizer="radam", lr=1e-4, batch_size=32,
+                        max_epochs=50)
+    assert all(getattr(want, f.name) != getattr(default, f.name)
+               for f in dataclasses.fields(RunConfig) if f.name != "task")
+    lines = []
+    for section, keys in SECTIONS.items():
+        lines.append(f"[{section}]")
+        for key, field in keys.items():
+            value = getattr(want, field)
+            lines.append(f"{key} = {str(value).lower() if isinstance(value, bool) else value}")
+    path = tmp_path / "all.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert load_run_config(path) == want
+
+
+@pytest.mark.parametrize("section,key", [("run", "d_model"), ("model", "seed"),
+                                         ("paths", "vocab_path"), ("run", "vocab")])
+def test_a_key_of_another_section_is_unknown(tmp_path, section, key):
+    path = tmp_path / "wrong.cfg"
+    path.write_text(f"[run]\ntask = pretrain\n[{section}]\n{key} = 8\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"unknown key '{key}' in \\[{section}\\]"):
+        load_run_config(path)

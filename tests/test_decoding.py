@@ -15,7 +15,7 @@ from oracles import exhaustive_decode, sequence_score
 
 from minit5.model import (LEARNED_ABSOLUTE, RELATIVE_BUCKET, DecoderStepper,
                           _bucket_table, _relative_bucket_matrix, log_softmax)
-from minit5.unigram import PAD_ID
+from minit5.unigram import MASK_ID, PAD_ID
 from oracles import argmax_decode, full_sort_beam, model_step_fn
 
 VOCAB = 4  # pad, eos, two content tokens
@@ -189,7 +189,7 @@ class TestIncrementalDecoding:
         source and prefix, through 10 steps of random parents."""
         params, _ = random_model(3, scheme, tie)
         sources = [np.array(enc) for enc in sources]
-        references = [model_step_fn(params, enc) for enc in sources]
+        references = [model_step_fn(params, enc, masked=False) for enc in sources]
         stepper = DecoderStepper(params, sources)
         rng = np.random.default_rng(0)
         rows = [(s, ()) for s in range(len(sources))]  # (source, prefix)
@@ -293,8 +293,11 @@ class TestIncrementalDecoding:
 
     def test_max_out_equal_to_max_len(self):
         params, enc = random_model(1, LEARNED_ABSOLUTE, False, max_len=7)
-        # zero final gain: every logit is 0, so no step ever picks eos
-        params.tensors["dec.final_ln.g"][:] = 0.0
+        # the final norm keeps one dimension, which only tokens 5 and 6 read,
+        # with opposite signs: one of them wins every step, never eos
+        params.tensors["dec.final_ln.g"][1:] = 0.0
+        params.tensors["out_proj"][:] = 0.0
+        params.tensors["out_proj"][0, 5:7] = 1.0, -1.0
         reference = model_step_fn(params, enc)
         out = greedy_decode(params, enc, max_out=7)
         assert len(out) == 7 and out == argmax_decode(reference, 7, EOS_ID)
@@ -355,3 +358,29 @@ def test_row_top_equals_the_full_row_sort():
                 if scores[r, t] > -np.inf]
         rows, toks = _row_top(scores, width)
         assert list(zip(rows.tolist(), toks.tolist())) == want, trial
+
+
+def pad_first_model(vocab_size: int, text_id: int = 5, max_len: int = 32):
+    """A model with no layers whose logits depend on the position alone: at
+    the first step it prefers <pad>, then <M>, then text_id; at every later
+    step it prefers eos."""
+    cfg = ModelConfig(vocab_size=vocab_size, d_model=4, n_heads=1, d_ff=4,
+                      n_enc_layers=0, n_dec_layers=0, max_len=max_len,
+                      tie_embeddings=False)
+    params = init_model(cfg, seed=0)
+    t = params.tensors
+    t["tok_emb"][:] = t["pos_emb"][:] = t["out_proj"][:] = 0.0
+    t["pos_emb"][0, 0] = t["pos_emb"][1:, 1] = 1.0  # the final norm's output
+    t["out_proj"][0, [PAD_ID, MASK_ID, text_id]] = 3.0, 2.0, 1.0
+    t["out_proj"][1, EOS_ID] = 3.0
+    return params
+
+
+def test_decoding_never_emits_pad_or_mask():
+    params = pad_first_model(10)
+    enc = np.array([4, 5, EOS_ID])
+    first = model_step_fn(params, enc, masked=False)(())
+    assert [int(i) for i in np.argsort(-first)[:3]] == [PAD_ID, MASK_ID, 5]
+    for width in (1, 3, 5):
+        assert beam_decode(params, enc, width=width, max_out=6) == [5, EOS_ID]
+        assert decode_sources(params, [enc, enc[:1]], width, [6, 1]) == [[5, EOS_ID], [5]]

@@ -316,3 +316,16 @@ class TestBlockSteps:
         finally:
             tracemalloc.stop()
         assert peak < params["tok_emb"].nbytes  # 4 MiB
+
+
+@pytest.mark.parametrize("kind", ["sgd", "AdamW", "Radam", ""])
+def test_an_optimizer_name_outside_the_set_is_rejected(kind, tmp_path):
+    from minit5.checkpoint import load_checkpoint, save_checkpoint
+    from minit5.model import ModelConfig, init_model
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, init_model(ModelConfig(vocab_size=8, d_model=4, n_heads=1, d_ff=4,
+                                                 n_enc_layers=0, n_dec_layers=0), 0))
+    with pytest.raises(ValueError, match="unknown optimizer"):
+        make_optimizer(kind, 1e-3)
+    with pytest.raises(ValueError, match="unknown optimizer"):
+        load_checkpoint(path, optimizer=kind)

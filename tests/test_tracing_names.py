@@ -75,3 +75,11 @@ def test_optimizer_step_is_looked_up_on_the_module(monkeypatch):
     state, step_fn = optim.make_optimizer("adamw", 1e-3)
     step_fn({"w": np.ones(3)}, {"w": np.ones(3)})
     assert calls == [1] and state.step == 1
+
+
+def test_every_optimizer_step_is_a_traced_target():
+    """make_optimizer runs optim.<name>_step for each name in OPTIMIZERS, and
+    the tracer sees only the steps it wraps by that name."""
+    targets = _targets()
+    for name in optim.OPTIMIZERS:
+        assert ("optim", f"{name}_step") in targets, name
