@@ -8,8 +8,7 @@ from .corpus import (CorpusStats, PackedDocument, Sentence, corpus_stats,
 from .corruption import (CorruptionConfig, DenoisePair, make_pretrain_batch,
                          mask_tokens, read_pair_cache, write_pair_cache)
 from .decoding import beam_decode, beam_search, decode_sources, greedy_decode
-from .metrics import (accuracy, classification_report, macro_f1, mse, pearson,
-                      regression_report)
+from .metrics import accuracy, classification_report, macro_f1, mse, pearson
 from .model import (ModelConfig, ModelParams, classification_head,
                     embedding_only_mask, encoder_mean_pool, forward,
                     init_model, loss_and_grad, loss_xent, regression_head)
@@ -19,7 +18,7 @@ from .optim import (AdafactorState, AdamState, DivergedError, adafactor_step,
                     adamw_step, radam_step)
 from .tasks import (NerExample, SentencePairExample, build_ner_target,
                     format_assin_pair, format_ner_input, make_similarity_target,
-                    parse_score_string, sliding_windows, strip_accents)
+                    parse_score_string, strip_accents, window_offsets)
 from .unigram import (UnigramVocab, build_seed_vocab, decode, em_step, encode,
                       prune_vocab, train_vocab)
 

@@ -8,6 +8,7 @@ evaluate, decode. Exit codes: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from . import corpus as corpus_mod
@@ -15,7 +16,7 @@ from .atomic import atomic_write
 from .checkpoint import load_checkpoint
 from .config import load_run_config
 from .corruption import CorruptionConfig, make_pretrain_batch, write_pair_cache
-from .decoding import decode_sources
+from .decoding import beam_decode, decode_sources
 from .optim import DivergedError
 from .train import (DataError, LockError, check_vocab_size, encoder_input,
                     load_packed_corpus, run_evaluate, run_finetune, run_pretrain)
@@ -24,6 +25,11 @@ from .unigram import BOUNDARY, EOS_ID, UnigramVocab, decode, encode, train_vocab
 
 class UsageError(Exception):
     pass
+
+
+def _default(fn, name: str):
+    """The library's default for fn's parameter `name`, which its flag shares."""
+    return inspect.signature(fn).parameters[name].default
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,7 +57,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train-vocab", help="train the Unigram vocabulary")
     p.add_argument("--corpus", required=True, help="one sentence per line")
     p.add_argument("--output", required=True, help="vocabulary file to write")
-    p.add_argument("--vocab-size", type=int, default=32000)
+    p.add_argument("--vocab-size", type=int, default=_default(train_vocab, "vocab_size"))
     p.add_argument("--seed-size", type=int, default=None)
     p.set_defaults(func=_cmd_train_vocab)
 
@@ -80,8 +86,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--beam", type=int, default=5, help="beam width (1 = greedy)")
-    p.add_argument("--max-out", type=int, default=32)
+    p.add_argument("--beam", type=int, default=_default(beam_decode, "width"),
+                   help="beam width (1 = greedy)")
+    p.add_argument("--max-out", type=int, default=_default(beam_decode, "max_out"))
     p.set_defaults(func=_cmd_decode)
     return parser
 

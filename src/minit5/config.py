@@ -17,7 +17,7 @@ from .unigram import N_RESERVED
 
 TASK_DEFAULTS: dict[str, dict] = {
     "pretrain": dict(optimizer="adafactor", lr=3e-3, max_epochs=4,
-                     batch_size=8, seq_len=512, mask_rate=0.15),
+                     batch_size=8, seq_len=512),
     "similarity": dict(optimizer="radam", lr=1e-4, max_epochs=50, patience=5,
                        batch_size=32, seq_len=128),
     "entailment": dict(optimizer="radam", lr=1e-4, max_epochs=50, patience=10,
@@ -46,7 +46,7 @@ class RunConfig:
     deterministic: bool = False
     embeddings_only: bool = False
     output_strategy: str = "linear-head"
-    mask_rate: float = 0.15
+    mask_rate: float = CorruptionConfig.mask_rate
     seq_len: int = 512
     beam_width: int = 5
     gen_max_tokens: int = 5

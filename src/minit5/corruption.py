@@ -18,7 +18,6 @@ class CorruptionConfig:
     mask_rate: float = 0.15
     max_len: int = 512
     seed: int = 0
-    collapse_runs: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.mask_rate < 1.0:
@@ -42,7 +41,7 @@ def mask_positions(n: int, mask_rate: float, seed: int) -> list[bool]:
 
 def mask_tokens(ids: list[int], cfg: CorruptionConfig, seed: int) -> DenoisePair:
     """Corrupt one sequence. Maximal runs of masked positions become a single
-    mask id when cfg.collapse_runs is set; the target is ids + eos."""
+    mask id; the target is ids + eos."""
     if any(i < N_RESERVED for i in ids):
         raise ValueError("input ids must not contain reserved ids")
     if not ids:
@@ -51,7 +50,7 @@ def mask_tokens(ids: list[int], cfg: CorruptionConfig, seed: int) -> DenoisePair
     out: list[int] = []
     for tok, hit in zip(ids, masked):
         if hit:
-            if cfg.collapse_runs and out and out[-1] == MASK_ID:
+            if out and out[-1] == MASK_ID:
                 continue
             out.append(MASK_ID)
         else:

@@ -1,5 +1,6 @@
 """Regression and classification metrics: Pearson correlation, MSE, accuracy,
-macro F1 over the entailment classes."""
+macro F1 over the entailment classes, and the one precision/recall/F1 rule
+that entity scoring shares."""
 
 from __future__ import annotations
 
@@ -10,18 +11,28 @@ ENTAILMENT_CLASSES = ("entail", "none")
 
 
 @dataclass(frozen=True)
-class RegressionReport:
-    pearson: float
-    mse: float
-    n: int
+class ClassScore:
+    precision: float
+    recall: float
+    f1: float
+    n_gold: int
+    n_pred: int
+    n_correct: int
 
 
 @dataclass(frozen=True)
 class ClassificationReport:
     accuracy: float
     macro_f1: float
-    confusion: dict[tuple[str, str], int]  # (gold, pred) -> count
-    degenerate_classes: tuple[str, ...]    # absent from both gold and pred
+
+
+def prf(n_gold: int, n_pred: int, n_correct: int) -> ClassScore:
+    """Precision, recall and F1 of n_correct matches among n_pred predictions
+    and n_gold gold items; a ratio with nothing to divide by is 0."""
+    p = n_correct / n_pred if n_pred else 0.0
+    r = n_correct / n_gold if n_gold else 0.0
+    f1 = 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r)
+    return ClassScore(p, r, f1, n_gold, n_pred, n_correct)
 
 
 def pearson(x: list[float], y: list[float]) -> float:
@@ -57,51 +68,20 @@ def accuracy(pred_labels: list, gold_labels: list) -> float:
     return sum(p == g for p, g in zip(pred_labels, gold_labels)) / len(pred_labels)
 
 
-def _f1(p: float, r: float) -> float:
-    return 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r)
-
-
-def macro_f1(pred_labels: list, gold_labels: list, average: str = "macro") -> float:
-    """Unweighted (or gold-support-weighted) mean of per-class F1 over the
-    entailment classes. A class absent from both gold and predictions
-    contributes F1 = 0."""
+def macro_f1(pred_labels: list, gold_labels: list) -> float:
+    """Unweighted mean of per-class F1 over the entailment classes. A class
+    absent from both gold and predictions contributes F1 = 0."""
     if len(pred_labels) != len(gold_labels):
         raise ValueError("length mismatch")
-    if average not in ("macro", "weighted"):
-        raise ValueError("average must be macro or weighted")
-    f1s, weights = [], []
-    for cls in ENTAILMENT_CLASSES:
-        tp = sum(1 for p, g in zip(pred_labels, gold_labels) if p == cls and g == cls)
-        fp = sum(1 for p, g in zip(pred_labels, gold_labels) if p == cls and g != cls)
-        fn = sum(1 for p, g in zip(pred_labels, gold_labels) if p != cls and g == cls)
-        prec = tp / (tp + fp) if tp + fp else 0.0
-        rec = tp / (tp + fn) if tp + fn else 0.0
-        f1s.append(_f1(prec, rec))
-        weights.append(tp + fn)
-    if average == "macro":
-        return sum(f1s) / len(f1s)
-    total = sum(weights)
-    if total == 0:
-        return 0.0
-    return sum(f * w for f, w in zip(f1s, weights)) / total
-
-
-def regression_report(pred: list[float], gold: list[float]) -> RegressionReport:
-    return RegressionReport(pearson=pearson(pred, gold), mse=mse(pred, gold),
-                            n=len(pred))
+    pairs = list(zip(pred_labels, gold_labels))
+    f1s = [prf(gold_labels.count(cls), pred_labels.count(cls), pairs.count((cls, cls))).f1
+           for cls in ENTAILMENT_CLASSES]
+    return sum(f1s) / len(f1s)
 
 
 def classification_report(pred_labels: list, gold_labels: list) -> ClassificationReport:
-    confusion = {(g, p): 0 for g in ENTAILMENT_CLASSES for p in ENTAILMENT_CLASSES}
-    for p, g in zip(pred_labels, gold_labels):
-        confusion[(g, p)] += 1
-    degenerate = tuple(c for c in ENTAILMENT_CLASSES
-                       if c not in pred_labels and c not in gold_labels)
-    return ClassificationReport(
-        accuracy=accuracy(pred_labels, gold_labels),
-        macro_f1=macro_f1(pred_labels, gold_labels),
-        confusion=confusion,
-        degenerate_classes=degenerate)
+    return ClassificationReport(accuracy=accuracy(pred_labels, gold_labels),
+                                macro_f1=macro_f1(pred_labels, gold_labels))
 
 
 def format_pair_task_report(pearson_v: float | None, mse_v: float | None,

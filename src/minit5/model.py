@@ -678,16 +678,6 @@ def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
     return {k: np.zeros_like(v) for k, v in params.tensors.items()}
 
 
-def apply_trainable_mask(grads: dict[str, np.ndarray],
-                         mask: TrainableMask | None) -> dict[str, np.ndarray]:
-    if mask is None:
-        return grads
-    for name, g in grads.items():
-        if not mask.get(name, False):
-            g[...] = 0.0
-    return grads
-
-
 def _lm_example(params: ModelParams, example, backward: bool):
     """(loss sum, non-pad targets, gradient additions) of one (enc_ids,
     dec_in, targets) example; the additions are None without backward."""
@@ -800,18 +790,16 @@ def accumulate_loss_and_grad(params: ModelParams, batch, objective: str,
     return loss_sum, units
 
 
-def loss_and_grad(params: ModelParams, batch, objective: str = "lm",
-                  trainable: TrainableMask | None = None):
+def loss_and_grad(params: ModelParams, batch, objective: str = "lm"):
     """Mean loss and exact analytic gradients over a batch of examples.
 
     objective "lm": items (enc_ids, dec_in_ids, target_ids); the loss is the
     token mean over non-pad targets across the whole batch.
     objective "regression": items (enc_ids, score); squared-error mean.
     objective "classification": items (enc_ids, label_index); CE mean.
-    Frozen tensors (per `trainable`) get zero gradients.
     """
     grads = zero_grads(params)
     loss_sum, units = accumulate_loss_and_grad(params, batch, objective, grads)
     for g in grads.values():
         g /= units
-    return loss_sum / units, apply_trainable_mask(grads, trainable)
+    return loss_sum / units, grads

@@ -8,6 +8,7 @@ import re
 from dataclasses import dataclass
 
 from .atomic import atomic_write
+from .metrics import ClassScore, prf
 
 CLASSES = ("Person", "Organization", "Location", "Value", "Date")
 OTHER = "Other"
@@ -66,30 +67,21 @@ def normalize_tag(tag: str) -> str:
     raise ValueError(f"unrecognized BIO tag {tag!r}")
 
 
-def tag_class(tag: str) -> str | None:
-    """Canonical class of a B-/I- tag, or None for O."""
-    if tag == "O":
-        return None
-    return CLASS_OF_TAG[tag[2:]]
-
-
 def validate_bio(tags: list[str]) -> None:
-    """Strict validity: I-X only after B-X or I-X of the same class."""
-    prev = "O"
-    for i, tag in enumerate(tags):
-        if tag == "O":
-            prev = tag
-            continue
-        if len(tag) < 3 or tag[1] != "-" or tag[0] not in "BI" or tag[2:] not in CLASS_OF_TAG:
+    """Strict validity: every tag is O, B-X or I-X of a known class, and
+    repair_bio leaves the sequence as it is."""
+    for i, (tag, repaired) in enumerate(zip(tags, repair_bio(tags))):
+        if tag != "O" and (len(tag) < 3 or tag[1] != "-" or tag[0] not in "BI"
+                           or tag[2:] not in CLASS_OF_TAG):
             raise ValueError(f"invalid BIO tag {tag!r} at position {i}")
-        if tag[0] == "I" and not (prev != "O" and prev[2:] == tag[2:]):
+        if tag != repaired:
             raise ValueError(f"I-{tag[2:]} at position {i} does not continue an entity")
-        prev = tag
 
 
 def repair_bio(tags: list[str]) -> list[str]:
-    """Make a prediction sequence valid: an I-X without a matching head
-    becomes B-X. Gold sequences should be validated strictly instead."""
+    """The one continuation rule: an I-X continues a run only after B-X or
+    I-X of the same class; without such a head it becomes B-X. Predictions
+    are repaired; gold sequences are validated strictly instead."""
     out: list[str] = []
     prev = "O"
     for tag in tags:
@@ -182,7 +174,7 @@ def merge_windows(per_window: list[tuple[int, list[str]]], doc_len: int) -> list
                 merged[pos] = tag
     if any(tag is None for tag in merged):
         raise ValueError("windows do not cover document")
-    return repair_bio([tag for tag in merged])
+    return repair_bio(merged)
 
 
 @dataclass(frozen=True, order=True)
@@ -193,45 +185,21 @@ class EntitySpan:
 
 
 def extract_entities(tags: list[str]) -> list[EntitySpan]:
-    """Maximal B-X (I-X)* runs of a valid (or repaired) BIO sequence."""
-    spans: list[EntitySpan] = []
-    start = None
-    cls = None
-    for i, tag in enumerate(tags):
-        if tag.startswith("I-") and start is not None and CLASS_OF_TAG[tag[2:]] == cls:
-            continue
-        if start is not None:
-            spans.append(EntitySpan(start, i - 1, cls))
-        if tag.startswith(("B-", "I-")):  # an orphan I-X opens a span, as repair_bio's B-X
-            start, cls = i, CLASS_OF_TAG[tag[2:]]
-        else:
-            start, cls = None, None
-    if start is not None:
-        spans.append(EntitySpan(start, len(tags) - 1, cls))
-    return spans
-
-
-@dataclass(frozen=True)
-class ClassScore:
-    precision: float
-    recall: float
-    f1: float
-    n_gold: int
-    n_pred: int
-    n_correct: int
+    """The one parser of BIO runs: the maximal runs of repair_bio(tags), each
+    opened by a B-X and extended by the I-X after it."""
+    runs: list[list] = []
+    for i, tag in enumerate(repair_bio(tags)):
+        if tag.startswith("B-"):
+            runs.append([i, i, CLASS_OF_TAG[tag[2:]]])
+        elif tag.startswith("I-"):
+            runs[-1][1] = i
+    return [EntitySpan(*run) for run in runs]
 
 
 @dataclass(frozen=True)
 class NerReport:
     per_class: dict[str, ClassScore]
     micro: ClassScore
-
-
-def _score(n_gold: int, n_pred: int, n_correct: int) -> ClassScore:
-    p = n_correct / n_pred if n_pred else 0.0
-    r = n_correct / n_gold if n_gold else 0.0
-    f1 = 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r)
-    return ClassScore(p, r, f1, n_gold, n_pred, n_correct)
 
 
 class NerScorer:
@@ -253,10 +221,10 @@ class NerScorer:
             self.correct[span.class_label] += 1
 
     def report(self) -> NerReport:
-        per_class = {cls: _score(self.gold[cls], self.pred[cls], self.correct[cls])
+        per_class = {cls: prf(self.gold[cls], self.pred[cls], self.correct[cls])
                      for cls in CLASSES}
-        micro = _score(sum(self.gold.values()), sum(self.pred.values()),
-                       sum(self.correct.values()))
+        micro = prf(sum(self.gold.values()), sum(self.pred.values()),
+                    sum(self.correct.values()))
         return NerReport(per_class=per_class, micro=micro)
 
 

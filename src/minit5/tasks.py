@@ -9,7 +9,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .metrics import ENTAILMENT_CLASSES
-from .ner import LabelTable, OTHER, normalize_tag, tag_class, validate_bio
+from .ner import (LabelTable, OTHER, extract_entities, normalize_tag, repair_bio,
+                  validate_bio)
 from .unigram import EOS_ID, MASK_ID, PAD_ID, UnigramVocab, decode, encode
 
 ASSIN_PREFIX_1 = "ASSIN sentence1: "
@@ -42,12 +43,6 @@ class NerExample:
         if len(self.words) != len(self.tags):
             raise ValueError(f"{self.doc_id}: {len(self.words)} words vs {len(self.tags)} tags")
         validate_bio(list(self.tags))
-
-
-@dataclass(frozen=True)
-class WindowedExample:
-    offset: int
-    ids: tuple[int, ...]
 
 
 def read_pairs_tsv(path: str) -> list[SentencePairExample]:
@@ -162,34 +157,18 @@ def ner_input_ids(vocab: UnigramVocab, words: list[str]) -> list[int]:
 
 
 def build_ner_target(words: list[str], tags: list[str], table: LabelTable) -> str:
-    """Tagged output string: after each maximal run of same-entity tokens (a
-    B- tag opens a new run) the bracketed class label is emitted; runs of O
-    words are labeled [Other]."""
+    """Tagged output string: each entity span of extract_entities, then its
+    bracketed class label; each run of O words between spans, then [Other]."""
     if len(words) != len(tags):
         raise ValueError("words and tags length mismatch")
     validate_bio(tags)
-    parts: list[str] = []
-    run: list[str] = []
-    run_class: str | None = None
-
-    def close():
-        if run:
-            label = table.label_of(run_class if run_class is not None else OTHER)
-            parts.append(" ".join(run) + f" [{label}]")
-            run.clear()
-
-    prev_class: str | None = None
-    for word, tag in zip(words, tags):
-        cls = tag_class(tag)
-        starts_new = tag.startswith("B-") or (cls is None) != (prev_class is None) \
-            or (cls is not None and cls != prev_class)
-        if starts_new and run:
-            close()
-        run.append(word)
-        run_class = cls
-        prev_class = cls
-    close()
-    return " ".join(parts)
+    runs, pos = [], 0
+    for span in extract_entities(tags):
+        runs += [(pos, span.start, OTHER), (span.start, span.end + 1, span.class_label)]
+        pos = span.end + 1
+    runs.append((pos, len(words), OTHER))
+    return " ".join(" ".join(words[a:b]) + f" [{table.label_of(cls)}]"
+                    for a, b, cls in runs if a < b)
 
 
 def strip_accents(text: str) -> str:
@@ -206,32 +185,18 @@ def check_windows(size: int, stride: int) -> None:
         raise ValueError(f"need window size {size} > stride {stride} > 0")
 
 
-def sliding_windows(ids, size: int = 512, stride: int = 256) -> list[WindowedExample]:
-    """Overlapping windows at offsets 0, stride, 2*stride, ... while the next
-    window still ends inside the sequence; an over-length sequence gets a
-    final window clamped to end exactly at the sequence end."""
+def window_offsets(n: int, size: int, stride: int) -> list[int]:
+    """Offsets of overlapping windows over n items: 0, stride, 2*stride, ...
+    while the next window still ends inside the sequence, then a final
+    window clamped to end exactly at n. At most size items are one window."""
     check_windows(size, stride)
-    ids = tuple(ids)
-    n = len(ids)
     if n <= size:
-        return [WindowedExample(0, ids)]
-    offsets: list[int] = []
-    offset = 0
-    while offset + size < n:
-        offsets.append(offset)
-        offset += stride
-    offsets.append(n - size)
-    return [WindowedExample(o, ids[o:o + size]) for o in offsets]
+        return [0]
+    return list(range(0, n - size, stride)) + [n - size]
 
 
 def window_ner_example(example: NerExample, window: int, stride: int):
-    """Word-level windows of a NER document; a window whose first tag is a
-    continuation (I-X) gets it reopened as B-X so each window is valid BIO."""
-    out: list[tuple[int, tuple[str, ...], tuple[str, ...]]] = []
-    for w in sliding_windows(tuple(range(len(example.words))), window, stride):
-        words = example.words[w.offset:w.offset + len(w.ids)]
-        tags = list(example.tags[w.offset:w.offset + len(w.ids)])
-        if tags and tags[0].startswith("I-"):
-            tags[0] = "B-" + tags[0][2:]
-        out.append((w.offset, words, tuple(tags)))
-    return out
+    """Word-level windows of a NER document, each BIO-repaired: a window that
+    opens inside an entity opens it with B-X."""
+    return [(o, example.words[o:o + window], tuple(repair_bio(example.tags[o:o + window])))
+            for o in window_offsets(len(example.words), window, stride)]

@@ -470,6 +470,85 @@ def reference_spans(tags: list[str]) -> set[tuple[int, int, str]]:
     return spans
 
 
+_CLASS_OF_TAG = {"PER": "Person", "ORG": "Organization", "LOC": "Location",
+                 "VAL": "Value", "DAT": "Date"}
+
+
+def reference_validate_bio(tags: list[str]) -> None:
+    """Tag syntax and continuation checked in one left-to-right walk."""
+    prev = "O"
+    for i, tag in enumerate(tags):
+        if tag == "O":
+            prev = tag
+            continue
+        if len(tag) < 3 or tag[1] != "-" or tag[0] not in "BI" or tag[2:] not in _CLASS_OF_TAG:
+            raise ValueError(f"invalid BIO tag {tag!r} at position {i}")
+        if tag[0] == "I" and not (prev != "O" and prev[2:] == tag[2:]):
+            raise ValueError(f"I-{tag[2:]} at position {i} does not continue an entity")
+        prev = tag
+
+
+def reference_build_ner_target(words: list[str], tags: list[str], table) -> str:
+    """Tagged output string by a word-by-word walk: a B- tag, a class change
+    or an O/entity switch closes the current run, which is emitted with its
+    bracketed label (Other for O runs)."""
+    if len(words) != len(tags):
+        raise ValueError("words and tags length mismatch")
+    reference_validate_bio(tags)
+    parts: list[str] = []
+    run: list[str] = []
+    run_class = None
+
+    def close():
+        if run:
+            label = table.label_of(run_class if run_class is not None else "Other")
+            parts.append(" ".join(run) + f" [{label}]")
+            run.clear()
+
+    prev_class = None
+    for word, tag in zip(words, tags):
+        cls = None if tag == "O" else _CLASS_OF_TAG[tag[2:]]
+        starts_new = tag.startswith("B-") or (cls is None) != (prev_class is None) \
+            or (cls is not None and cls != prev_class)
+        if starts_new and run:
+            close()
+        run.append(word)
+        run_class = cls
+        prev_class = cls
+    close()
+    return " ".join(parts)
+
+
+def reference_sliding_windows(ids, size: int, stride: int) -> list[tuple[int, tuple]]:
+    """(offset, ids) windows by stepping: offsets 0, stride, ... while the
+    next window still ends inside the sequence, then one final window
+    clamped to the sequence end."""
+    if not size > stride > 0:
+        raise ValueError(f"need window size {size} > stride {stride} > 0")
+    ids = tuple(ids)
+    n = len(ids)
+    if n <= size:
+        return [(0, ids)]
+    offsets: list[int] = []
+    offset = 0
+    while offset + size < n:
+        offsets.append(offset)
+        offset += stride
+    offsets.append(n - size)
+    return [(o, ids[o:o + size]) for o in offsets]
+
+
+def reference_window_tags(tags, size: int, stride: int) -> list[tuple[int, tuple]]:
+    """(offset, tags) per window, a leading I-X reopened as B-X."""
+    out = []
+    for offset, window in reference_sliding_windows(tags, size, stride):
+        window = list(window)
+        if window and window[0].startswith("I-"):
+            window[0] = "B-" + window[0][2:]
+        out.append((offset, tuple(window)))
+    return out
+
+
 # --- metrics ---------------------------------------------------------------
 
 def reference_pearson(x, y) -> float:

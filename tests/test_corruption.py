@@ -97,15 +97,6 @@ class TestMaskTokens:
         want_kept = [t for t, f in zip(ids, flags) if not f]
         assert kept == want_kept
 
-    def test_collapse_disabled(self):
-        ids = list(range(10, 30))
-        cfg = CorruptionConfig(mask_rate=0.5, max_len=512, seed=5,
-                               collapse_runs=False)
-        pair = mask_tokens(ids, cfg, seed=5)
-        flags = mask_positions(len(ids), 0.5, 5)
-        assert len(pair.input_ids) == len(ids)
-        assert pair.input_ids.count(MASK_ID) == sum(flags)
-
     def test_low_rate_limit_identity(self):
         ids = list(range(10, 40))
         cfg = CorruptionConfig(mask_rate=1e-12, max_len=512, seed=1)

@@ -8,7 +8,8 @@ from minit5.ner import (CLASSES, EntitySpan, LabelTable, NerScorer,
                         parse_tagged_output, repair_bio, to_bio, validate_bio)
 from minit5.tasks import build_ner_target
 
-from oracles import reference_align_tagged, reference_prf, reference_spans
+from oracles import (reference_align_tagged, reference_prf, reference_spans,
+                     reference_validate_bio)
 
 EN = LabelTable("en")
 PT = LabelTable("pt")
@@ -136,6 +137,22 @@ class TestBioValidation:
         with pytest.raises(ValueError):
             validate_bio(["B-LOC", "I-PER"])
 
+    def test_messages_and_positions_match_reference_walk(self):
+        """Every sequence of up to 5 tags, with malformed and unknown-class
+        tags among the options: the same first error, message and position."""
+        options = ("O", "B-PER", "I-PER", "I-LOC", "B-XYZ", "I-XYZ", "I")
+        for n in range(6):
+            for combo in itertools.product(options, repeat=n):
+                tags = list(combo)
+                try:
+                    reference_validate_bio(tags)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as got:
+                        validate_bio(tags)
+                    assert str(got.value) == str(exc), tags
+                else:
+                    validate_bio(tags)
+
     def test_repair_promotes_orphans(self):
         assert repair_bio(["O", "I-PER", "I-PER"]) == ["O", "B-PER", "I-PER"]
         assert repair_bio(["B-LOC", "I-PER"]) == ["B-LOC", "B-PER"]
@@ -215,7 +232,7 @@ class TestExtractEntities:
         """Every sequence, valid or not: an invalid one (an orphan I-X) gives
         the spans of its repair, which the reference reads."""
         options = ("O", "B-PER", "I-PER", "B-LOC", "I-LOC")
-        for n in range(1, 7):
+        for n in range(7):
             for combo in itertools.product(options, repeat=n):
                 tags = list(combo)
                 repaired = repair_bio(tags)

@@ -1,15 +1,19 @@
+import itertools
 import random
 
 import pytest
 
-from minit5.ner import LabelTable
+from minit5.ner import LabelTable, validate_bio
 from minit5.tasks import (ASSIN_PREFIX_1, NerExample, SentencePairExample,
                           assin_input_ids, build_ner_target, format_assin_pair,
                           format_ner_input, make_similarity_target,
                           ner_input_ids, parse_score_string, read_conll,
-                          read_pairs_tsv, sliding_windows, strip_accents,
-                          window_ner_example)
+                          read_pairs_tsv, strip_accents, window_ner_example,
+                          window_offsets)
 from minit5.unigram import EOS_ID, decode, encode, train_vocab
+
+from oracles import (reference_build_ner_target, reference_sliding_windows,
+                     reference_window_tags)
 
 EN = LabelTable("en")
 PT = LabelTable("pt")
@@ -160,18 +164,15 @@ class TestStripAccents:
         assert all(ord(ch) < 128 for ch in out)
 
 
-class TestSlidingWindows:
+class TestWindowOffsets:
     def test_offsets_for_length_1000(self):
-        ws = sliding_windows(tuple(range(1000)), size=512, stride=256)
-        assert [w.offset for w in ws] == [0, 256, 488]
+        assert window_offsets(1000, 512, 256) == [0, 256, 488]
 
     def test_exact_fit(self):
-        ws = sliding_windows(tuple(range(512)), size=512, stride=256)
-        assert [w.offset for w in ws] == [0]
+        assert window_offsets(512, 512, 256) == [0]
 
     def test_one_over(self):
-        ws = sliding_windows(tuple(range(513)), size=512, stride=256)
-        assert [w.offset for w in ws] == [0, 1]
+        assert window_offsets(513, 512, 256) == [0, 1]
 
     def test_full_coverage_and_overlap_invariants(self):
         rng = random.Random(9)
@@ -179,20 +180,31 @@ class TestSlidingWindows:
             n = rng.randrange(1, 2000)
             size = rng.randrange(2, 600)
             stride = rng.randrange(1, size)
-            ws = sliding_windows(tuple(range(n)), size=size, stride=stride)
+            offsets = window_offsets(n, size, stride)
             covered = set()
-            for w in ws:
-                assert len(w.ids) <= size
-                assert w.ids == tuple(range(w.offset, w.offset + len(w.ids)))
-                covered.update(range(w.offset, w.offset + len(w.ids)))
+            for o in offsets:
+                assert 0 <= o and min(o + size, n) - o <= size
+                covered.update(range(o, min(o + size, n)))
             assert covered == set(range(n))
             # consecutive non-final windows overlap by exactly size - stride
-            for a, b in zip(ws, ws[1:-1]):
-                assert b.offset - a.offset == stride
+            for a, b in zip(offsets, offsets[1:-1]):
+                assert b - a == stride
+
+    def test_exhaustive_against_stepping_reference(self):
+        for size in range(2, 13):
+            for stride in range(1, size):
+                for n in range(300):
+                    want = [o for o, _ in reference_sliding_windows(range(n), size, stride)]
+                    assert window_offsets(n, size, stride) == want, (n, size, stride)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            sliding_windows((1, 2), size=2, stride=2)
+        for size, stride in ((2, 2), (3, 0), (1, 2)):
+            with pytest.raises(ValueError) as got:
+                window_offsets(5, size, stride)
+            with pytest.raises(ValueError) as want:
+                reference_sliding_windows(range(5), size, stride)
+            assert str(got.value) == str(want.value) \
+                == f"need window size {size} > stride {stride} > 0"
 
 
 class TestDataFiles:
@@ -243,3 +255,50 @@ class TestWindowNerExample:
         assert offsets == [0, 2]
         _, _, tags1 = windows[1]
         assert tags1[0] == "B-PER"  # reopened continuation
+
+
+def every_tagging(max_words: int = 6):
+    """Every tagging of 0..max_words words over two classes, valid or not."""
+    options = ("O", "B-PER", "I-PER", "B-LOC", "I-LOC")
+    for n in range(max_words + 1):
+        for combo in itertools.product(options, repeat=n):
+            yield list(combo)
+
+
+class TestEveryTaggingOfUpToSixWords:
+    """Target and window tags against the word-by-word reference walks; the
+    spans are checked over the same taggings in test_ner."""
+
+    def test_target_matches_reference_or_both_reject(self):
+        for tags in every_tagging():
+            words = [f"w{i}" for i in range(len(tags))]
+            try:
+                want = reference_build_ner_target(words, tags, EN)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    build_ner_target(words, tags, EN)
+                assert str(got.value) == str(exc), tags
+                continue
+            assert build_ner_target(words, tags, EN) == want, tags
+            assert build_ner_target(words, tags, PT) == \
+                reference_build_ner_target(words, tags, PT), tags
+
+    def test_length_mismatch_message(self):
+        with pytest.raises(ValueError, match="^words and tags length mismatch$"):
+            build_ner_target(["a"], ["O", "O"], EN)
+
+    def test_window_tags_match_reference(self):
+        for tags in every_tagging():
+            try:
+                validate_bio(tags)
+            except ValueError:
+                continue
+            words = tuple(f"w{i}" for i in range(len(tags)))
+            ex = NerExample("d", words, tuple(tags))
+            for size in range(2, 7):
+                for stride in range(1, size):
+                    got = window_ner_example(ex, size, stride)
+                    want = reference_window_tags(tags, size, stride)
+                    assert [(o, t) for o, _, t in got] == want, (tags, size, stride)
+                    assert [w for _, w, _ in got] == \
+                        [w for _, w in reference_sliding_windows(words, size, stride)]
