@@ -18,8 +18,9 @@ from .config import load_run_config
 from .corruption import CorruptionConfig, make_pretrain_batch, write_pair_cache
 from .decoding import beam_decode, decode_sources
 from .optim import DivergedError
-from .train import (DataError, LockError, check_vocab_size, encoder_input,
-                    load_packed_corpus, run_evaluate, run_finetune, run_pretrain)
+from .tasks import fit
+from .train import (DataError, LockError, check_vocab_size, load_packed_corpus,
+                    run_evaluate, run_finetune, run_pretrain)
 from .unigram import BOUNDARY, EOS_ID, UnigramVocab, decode, encode, train_vocab
 
 
@@ -94,15 +95,22 @@ def _build_parser() -> _Parser:
 
 
 def _run_config(args):
+    """The run configuration, whose task must suit the command: pretrain
+    takes the pretrain task, finetune and evaluate a fine-tuning task."""
     if not args.config:
         raise UsageError(f"{args.command} requires --config")
     overrides = {"seed": args.seed}
     if args.deterministic:
         overrides["deterministic"] = True
     try:
-        return load_run_config(args.config, overrides)
+        cfg = load_run_config(args.config, overrides)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if (cfg.task == "pretrain") != (args.command == "pretrain"):
+        want = "pretrain" if args.command == "pretrain" else "fine-tuning task"
+        raise UsageError(f"{args.command} requires a {want} config, "
+                         f"got task {cfg.task!r}")
+    return cfg
 
 
 def _cmd_preprocess(args):
@@ -165,19 +173,13 @@ def _cmd_make_pretrain_data(args):
 
 
 def _cmd_pretrain(args):
-    cfg = _run_config(args)
-    if cfg.task != "pretrain":
-        raise UsageError(f"config task is {cfg.task!r}, expected pretrain")
-    _, log = run_pretrain(cfg)
+    _, log = run_pretrain(_run_config(args))
     last = log.records[-1]
     print(f"pretrained {last.epoch} epochs, final train loss {last.train_loss:.6f}")
 
 
 def _cmd_finetune(args):
-    cfg = _run_config(args)
-    if cfg.task == "pretrain":
-        raise UsageError("finetune requires a fine-tuning task config")
-    _, log = run_finetune(cfg)
+    _, log = run_finetune(_run_config(args))
     best = log.best_epoch if log.best_epoch is not None else len(log.records)
     print(f"finetuned {len(log.records)} epochs, best epoch {best}")
 
@@ -204,8 +206,7 @@ def _cmd_decode(args):
     max_out = min(args.max_out, params.cfg.max_len)
     with open(args.input, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
-    encs = [encoder_input(encode(vocab, line) + [EOS_ID], params.cfg.max_len)
-            for line in lines]
+    encs = [fit(encode(vocab, line) + [EOS_ID], params.cfg.max_len) for line in lines]
     outs = decode_sources(params, encs, args.beam, [max_out] * len(encs))
     with atomic_write(args.output) as fh:
         for out in outs:

@@ -7,10 +7,8 @@ import struct
 from dataclasses import dataclass
 
 from .atomic import atomic_write
-from .corpus import PackedDocument
 from .rng import Xoshiro256StarStar, derive_seed
-from .unigram import (EOS_ID, MASK_ID, N_RESERVED, PAD_ID, UNK_ID,
-                      UnigramVocab, encode)
+from .unigram import EOS_ID, MASK_ID, N_RESERVED, UNK_ID, UnigramVocab, encode
 
 
 @dataclass(frozen=True)
@@ -30,7 +28,6 @@ class CorruptionConfig:
 class DenoisePair:
     input_ids: tuple[int, ...]   # corrupted
     target_ids: tuple[int, ...]  # original + eos
-    seed: int
 
 
 def mask_positions(n: int, mask_rate: float, seed: int) -> list[bool]:
@@ -45,7 +42,7 @@ def mask_tokens(ids: list[int], cfg: CorruptionConfig, seed: int) -> DenoisePair
     if any(i < N_RESERVED for i in ids):
         raise ValueError("input ids must not contain reserved ids")
     if not ids:
-        return DenoisePair((), (), seed)
+        return DenoisePair((), ())
     masked = mask_positions(len(ids), cfg.mask_rate, seed)
     out: list[int] = []
     for tok, hit in zip(ids, masked):
@@ -55,12 +52,7 @@ def mask_tokens(ids: list[int], cfg: CorruptionConfig, seed: int) -> DenoisePair
             out.append(MASK_ID)
         else:
             out.append(tok)
-    return DenoisePair(tuple(out), tuple(ids) + (EOS_ID,), seed)
-
-
-def _clip_pad(ids: tuple[int, ...], max_len: int) -> tuple[int, ...]:
-    ids = ids[:max_len]
-    return ids + (PAD_ID,) * (max_len - len(ids))
+    return DenoisePair(tuple(out), tuple(ids) + (EOS_ID,))
 
 
 def _uncovered_message(vocab: UnigramVocab, text: str, ids: list[int],
@@ -73,24 +65,22 @@ def _uncovered_message(vocab: UnigramVocab, text: str, ids: list[int],
             f"does not cover; first {text[pos]!r} at character offset {pos}")
 
 
-def make_pretrain_batch(docs: list[PackedDocument], vocab: UnigramVocab,
+def make_pretrain_batch(texts: list[str], vocab: UnigramVocab,
                         cfg: CorruptionConfig) -> list[DenoisePair]:
-    """Encode, corrupt, truncate to max_len, and right-pad each document.
+    """Encode each document text cut to max_len ids, corrupt it, and cut its
+    target to max_len: no pads, so a document that fills max_len loses its
+    target's eos.
 
     Per-example seeds derive from (cfg.seed, index), so regeneration and
     parallel generation produce identical pairs.
     """
     pairs: list[DenoisePair] = []
-    for index, doc in enumerate(docs):
-        ids = encode(vocab, doc.text)[:cfg.max_len]
+    for index, text in enumerate(texts):
+        ids = encode(vocab, text)[:cfg.max_len]
         if UNK_ID in ids:
-            raise ValueError(_uncovered_message(vocab, doc.text, ids, index))
-        seed = derive_seed(cfg.seed, index)
-        pair = mask_tokens(ids, cfg, seed)
-        pairs.append(DenoisePair(
-            _clip_pad(pair.input_ids, cfg.max_len),
-            _clip_pad(pair.target_ids, cfg.max_len),
-            seed))
+            raise ValueError(_uncovered_message(vocab, text, ids, index))
+        pair = mask_tokens(ids, cfg, derive_seed(cfg.seed, index))
+        pairs.append(DenoisePair(pair.input_ids, pair.target_ids[:cfg.max_len]))
     return pairs
 
 
@@ -100,7 +90,7 @@ CACHE_VERSION = 1
 
 def write_pair_cache(path: str, pairs: list[DenoisePair], max_len: int) -> None:
     """Little-endian binary cache: header {magic, version, max_len, count},
-    then per example two u32-length-prefixed u32 id arrays."""
+    then per example two u32-length-prefixed u32 id arrays, unpadded."""
     with atomic_write(path, binary=True) as fh:
         fh.write(CACHE_MAGIC)
         fh.write(struct.pack("<IIQ", CACHE_VERSION, max_len, len(pairs)))
@@ -111,8 +101,7 @@ def write_pair_cache(path: str, pairs: list[DenoisePair], max_len: int) -> None:
 
 
 def read_pair_cache(path: str) -> tuple[list[DenoisePair], int]:
-    """Read a cache written by write_pair_cache. Seeds are not stored in the
-    container, so restored pairs carry seed 0. A file that is cut short or
+    """Read a cache written by write_pair_cache. A file that is cut short or
     holds bytes after its last pair is a ValueError naming the path."""
     with open(path, "rb") as fh:
         data = fh.read()
@@ -134,7 +123,7 @@ def read_pair_cache(path: str) -> tuple[list[DenoisePair], int]:
     pairs: list[DenoisePair] = []
     for _ in range(count):
         arrays = [take(f"<{take('<I')[0]}I") for _ in range(2)]
-        pairs.append(DenoisePair(arrays[0], arrays[1], 0))
+        pairs.append(DenoisePair(*arrays))
     if pos != len(data):
         raise ValueError(f"{path}: {len(data) - pos} bytes after the last of "
                          f"{count} pairs")

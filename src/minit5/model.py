@@ -186,13 +186,12 @@ def log_softmax(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
-def _relative_bucket_matrix(nq: int, nk: int, bidirectional: bool,
-                            q_start: int = 0) -> np.ndarray:
-    """T5-style log-spaced distance buckets (REL_BUCKETS of them, the last
-    from REL_MAX_DISTANCE on) for relative attention bias, for query positions
-    q_start .. q_start + nq - 1 and key positions 0 .. nk - 1."""
-    rel = np.arange(nk)[None, :] - np.arange(q_start, q_start + nq)[:, None]
-    out = np.zeros((nq, nk), dtype=np.int64)
+def _relative_bucket_matrix(n: int, bidirectional: bool) -> np.ndarray:
+    """[n, n] T5-style log-spaced distance buckets (REL_BUCKETS of them, the
+    last from REL_MAX_DISTANCE on) for relative attention bias, query
+    position by key position."""
+    rel = np.arange(n)[None, :] - np.arange(n)[:, None]
+    out = np.zeros((n, n), dtype=np.int64)
     num_buckets = REL_BUCKETS
     if bidirectional:
         num_buckets //= 2
@@ -291,9 +290,9 @@ def _causal_bias(n: int) -> np.ndarray:
 
 
 def _bucket_table(n: int, bidirectional: bool) -> np.ndarray:
-    """[n, n] relative-position buckets, equal to _relative_bucket_matrix(n, n)."""
+    """[n, n] relative-position buckets, equal to _relative_bucket_matrix(n)."""
     return _square_table(("buckets", bidirectional), n,
-                         lambda n: _relative_bucket_matrix(n, n, bidirectional))
+                         lambda n: _relative_bucket_matrix(n, bidirectional))
 
 
 # ---------------------------------------------------------------------------

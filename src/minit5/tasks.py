@@ -104,6 +104,12 @@ def read_conll(path: str) -> list[NerExample]:
     return docs
 
 
+def fit(ids: list[int], limit: int) -> list[int]:
+    """A sequence ending in EOS, cut to at most limit ids with the EOS kept:
+    every fine-tuning input and target and every decode input."""
+    return ids if len(ids) <= limit else ids[:limit - 1] + [EOS_ID]
+
+
 def format_assin_pair(s1: str, s2: str) -> tuple[str, str]:
     """The two text segments of the sentence-pair input; each is followed by
     an eos id at tokenization time (the eos is never literal text)."""

@@ -15,7 +15,6 @@ import numpy as np
 from .atomic import atomic_write
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
-from .corpus import PackedDocument, Sentence
 from .corruption import CorruptionConfig, make_pretrain_batch
 from .decoding import decode_sources
 from .metrics import (ENTAILMENT_CLASSES, classification_report,
@@ -27,11 +26,11 @@ from .ner import (LabelTable, NerScorer, extract_entities, format_ner_report,
                   parse_tagged_output, to_bio, merge_windows,
                   write_conll_predictions)
 from .optim import DivergedError, make_optimizer
-from .tasks import (SentencePairExample, assin_input_ids, build_ner_target,
+from .tasks import (SentencePairExample, assin_input_ids, build_ner_target, fit,
                     make_similarity_target, ner_input_ids, parse_score_string,
                     read_conll, read_pairs_tsv, strip_accents,
                     window_ner_example)
-from .unigram import EOS_ID, PAD_ID, UnigramVocab, decode, encode
+from .unigram import EOS_ID, UnigramVocab, decode, encode
 
 
 class DataError(Exception):
@@ -115,14 +114,15 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
-def load_packed_corpus(path: str) -> list[PackedDocument]:
-    """Line-delimited packed corpus: one document of space-joined words per line."""
-    docs: list[PackedDocument] = []
+def load_packed_corpus(path: str) -> list[str]:
+    """Line-delimited packed corpus: one document of space-joined words per
+    line, each returned as its words joined by single spaces."""
+    docs: list[str] = []
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
         for line in fh:
             words = line.split()
             if words:
-                docs.append(PackedDocument((Sentence(tuple(words)),)))
+                docs.append(" ".join(words))
     if not docs:
         raise DataError(f"{path}: empty corpus")
     return docs
@@ -157,13 +157,6 @@ def _length_limit(cfg: RunConfig, params: ModelParams) -> int:
 def _chunks(items: list, size: int):
     for i in range(0, len(items), size):
         yield items[i:i + size]
-
-
-def _trim_pad(ids) -> list[int]:
-    ids = list(ids)
-    while ids and ids[-1] == PAD_ID:
-        ids.pop()
-    return ids
 
 
 def _lm_item(enc, tgt):
@@ -283,7 +276,7 @@ def _fit(cfg: RunConfig, params: ModelParams, items: list, objective: str,
 def _pretrain_items(cfg: RunConfig, vocab: UnigramVocab, docs, limit: int) -> list:
     ccfg = CorruptionConfig(mask_rate=cfg.mask_rate, max_len=limit, seed=cfg.seed)
     pairs = make_pretrain_batch(docs, vocab, ccfg)
-    return [_lm_item(_trim_pad(p.input_ids), _trim_pad(p.target_ids)) for p in pairs]
+    return [_lm_item(p.input_ids, p.target_ids) for p in pairs]
 
 
 def run_pretrain(cfg: RunConfig):
@@ -337,14 +330,8 @@ def _read_split(cfg: RunConfig, path: str, what: str) -> list:
     return examples
 
 
-def encoder_input(ids: list[int], limit: int) -> np.ndarray:
-    """Encoder ids ending in EOS, cut to at most limit ids with the EOS kept."""
-    return np.asarray(ids if len(ids) <= limit else ids[:limit - 1] + [EOS_ID],
-                      dtype=np.int64)
-
-
-def _pair_enc(vocab, ex: SentencePairExample, limit: int) -> np.ndarray:
-    return encoder_input(assin_input_ids(vocab, ex.sentence1, ex.sentence2), limit)
+def _pair_enc(vocab, ex: SentencePairExample, limit: int) -> list[int]:
+    return fit(assin_input_ids(vocab, ex.sentence1, ex.sentence2), limit)
 
 
 def _pair_items(vocab, examples, objective: str, limit: int) -> list:
@@ -354,7 +341,7 @@ def _pair_items(vocab, examples, objective: str, limit: int) -> list:
     for ex in examples:
         enc = _pair_enc(vocab, ex, limit)
         if objective == "lm":
-            tgt = make_similarity_target(ex.similarity, vocab)[:limit]
+            tgt = fit(make_similarity_target(ex.similarity, vocab), limit)
             items.append(_lm_item(enc, tgt))
         elif objective == "regression":
             items.append((enc, float(ex.similarity)))
@@ -363,18 +350,13 @@ def _pair_items(vocab, examples, objective: str, limit: int) -> list:
     return items
 
 
-def _ner_enc(vocab, words, limit: int) -> np.ndarray:
-    return encoder_input(ner_input_ids(vocab, list(words)), limit)
-
-
 def _ner_items(cfg, vocab, table, examples, limit: int) -> list:
     items = []
     for ex in examples:
-        for offset, words, tags in window_ner_example(ex, cfg.ner_window,
-                                                      cfg.ner_stride):
+        for _, words, tags in window_ner_example(ex, cfg.ner_window, cfg.ner_stride):
             target_text = build_ner_target(list(words), list(tags), table)
-            tgt = (encode(vocab, target_text) + [EOS_ID])[:limit]
-            items.append(_lm_item(_ner_enc(vocab, words, limit), tgt))
+            tgt = fit(encode(vocab, target_text) + [EOS_ID], limit)
+            items.append(_lm_item(fit(ner_input_ids(vocab, list(words)), limit), tgt))
     return items
 
 
@@ -425,8 +407,8 @@ def evaluate_ner(params, cfg, vocab, table, examples, predict_override=None):
         texts = [predict_override(words) for words in flat]
     else:
         limit = _length_limit(cfg, params)
-        generated = decode_sources(params, [_ner_enc(vocab, words, limit) for words in flat],
-                                   cfg.beam_width,
+        encs = [fit(ner_input_ids(vocab, list(words)), limit) for words in flat]
+        generated = decode_sources(params, encs, cfg.beam_width,
                                    [min(limit, 4 * len(words) + 8) for words in flat])
         texts = [decode(vocab, ids) for ids in generated]
     texts = iter(texts)  # in window order

@@ -223,6 +223,22 @@ class TestExitCodes:
         write(cfg, "[run]\ntask = pretrain\nbogus_key = 1\n")
         assert main(["--config", str(cfg), "pretrain"]) == 1
 
+    @pytest.mark.parametrize("task,argv", [
+        ("similarity", ["pretrain"]),
+        ("pretrain", ["finetune"]),
+        ("pretrain", ["evaluate", "--checkpoint", "c.bin"])])
+    def test_task_that_does_not_suit_the_command_is_usage_error(self, tmp_path,
+                                                                capsys, task, argv):
+        """Checked before any file the config names is read: the vocabulary,
+        corpus and checkpoint here do not exist."""
+        cfg = tmp_path / "run.cfg"
+        write(cfg, pretrain_config_text(tmp_path / "vocab.tsv", tmp_path / "packed.txt",
+                                        tmp_path / "out").replace("task = pretrain",
+                                                                  f"task = {task}"))
+        assert main(["--config", str(cfg)] + argv) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
     def test_divergence_is_three(self, tmp_path, capsys):
         import numpy as np
         from minit5.checkpoint import save_checkpoint

@@ -4,12 +4,11 @@ import struct
 
 import pytest
 
-from minit5.corpus import PackedDocument, Sentence
 from minit5.corruption import (CorruptionConfig, DenoisePair, make_pretrain_batch,
                                mask_positions, mask_tokens, read_pair_cache,
                                write_pair_cache)
 from minit5.rng import GOLDEN, MASK64, Xoshiro256StarStar, derive_seed, mix64
-from minit5.unigram import EOS_ID, MASK_ID, PAD_ID, train_vocab
+from minit5.unigram import EOS_ID, MASK_ID, PAD_ID, encode, train_vocab
 
 # --- independent straight-line PRNG oracle ---------------------------------
 
@@ -106,7 +105,7 @@ class TestMaskTokens:
 
     def test_empty_input(self):
         pair = mask_tokens([], self.CFG, seed=3)
-        assert pair == DenoisePair((), (), 3)
+        assert pair == DenoisePair((), ())
 
     def test_reserved_ids_rejected(self):
         with pytest.raises(ValueError, match="reserved"):
@@ -141,19 +140,20 @@ def tiny_vocab():
 
 
 def doc_of(words):
-    return PackedDocument((Sentence(tuple(words)),))
+    return " ".join(words)
 
 
 class TestMakePretrainBatch:
-    def test_padding_contract(self):
+    def test_pairs_are_unpadded_and_fit_max_len(self):
         vocab = tiny_vocab()
         cfg = CorruptionConfig(mask_rate=0.15, max_len=8, seed=0)
-        docs = [doc_of(["a"])]
-        (pair,) = make_pretrain_batch(docs, vocab, cfg)
-        assert len(pair.input_ids) == 8
-        assert len(pair.target_ids) == 8
-        assert pair.input_ids[-1] == PAD_ID
-        assert pair.target_ids[-1] == PAD_ID
+        docs = [doc_of(["a"]), doc_of(["a", "b", "c", "d", "e"] * 4)]
+        short, long = make_pretrain_batch(docs, vocab, cfg)
+        assert short.target_ids[-1] == EOS_ID and len(short.target_ids) < 8
+        assert len(long.target_ids) == 8
+        for pair in (short, long):
+            for ids in (pair.input_ids, pair.target_ids):
+                assert PAD_ID not in ids and 0 < len(ids) <= 8
 
     def test_long_document_truncated_to_max_len(self):
         vocab = tiny_vocab()
@@ -170,14 +170,18 @@ class TestMakePretrainBatch:
         docs = [doc_of(["a", "b", "c"]), doc_of(["d", "e"]), doc_of(["c", "c", "b"])]
         assert make_pretrain_batch(docs, vocab, cfg) == make_pretrain_batch(docs, vocab, cfg)
 
-    def test_per_example_seeds_differ(self):
+    def test_pair_i_is_mask_tokens_at_derived_seed_cut_to_max_len(self):
         vocab = tiny_vocab()
-        cfg = CorruptionConfig(mask_rate=0.3, max_len=32, seed=11)
-        docs = [doc_of(["a", "b", "c"]), doc_of(["a", "b", "c"])]
-        p0, p1 = make_pretrain_batch(docs, vocab, cfg)
-        assert p0.seed != p1.seed
-        assert p0.seed == derive_seed(11, 0)
-        assert p1.seed == derive_seed(11, 1)
+        cfg = CorruptionConfig(mask_rate=0.3, max_len=12, seed=11)
+        docs = [doc_of(["a", "b", "c", "d"] * 2), doc_of(["a", "b", "c", "d"] * 2),
+                doc_of(["a", "b", "c", "d", "e"] * 4)]
+        pairs = make_pretrain_batch(docs, vocab, cfg)
+        for i, (doc, pair) in enumerate(zip(docs, pairs)):
+            ids = encode(vocab, doc)[:cfg.max_len]
+            want = mask_tokens(ids, cfg, derive_seed(cfg.seed, i))
+            assert pair == DenoisePair(want.input_ids[:cfg.max_len],
+                                       want.target_ids[:cfg.max_len])
+        assert pairs[0] != pairs[1]  # same text, different per-example seeds
 
 
 class TestPairCache:
@@ -195,12 +199,12 @@ class TestPairCache:
 
     def test_failed_write_keeps_previous_cache(self, tmp_path):
         path = tmp_path / "pairs.bin"
-        write_pair_cache(path, [DenoisePair((4, 5), (4, 5, 1), 0)], 16)
+        write_pair_cache(path, [DenoisePair((4, 5), (4, 5, 1))], 16)
         before = path.read_bytes()
         # a negative id fails to pack as u32 after the first pair is written
         with pytest.raises(struct.error):
-            write_pair_cache(path, [DenoisePair((4,), (4, 1), 0),
-                                    DenoisePair((-1,), (1,), 0)], 16)
+            write_pair_cache(path, [DenoisePair((4,), (4, 1)),
+                                    DenoisePair((-1,), (1,))], 16)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.bin"]
 
@@ -216,9 +220,9 @@ class TestPairCache:
 
     def _three_pairs(self, tmp_path):
         path = tmp_path / "pairs.bin"
-        write_pair_cache(path, [DenoisePair((4, 5), (4, 5, 1), 0),
-                                DenoisePair((6,), (6, 1), 0),
-                                DenoisePair((7, 8, 9), (1,), 0)], 16)
+        write_pair_cache(path, [DenoisePair((4, 5), (4, 5, 1)),
+                                DenoisePair((6,), (6, 1)),
+                                DenoisePair((7, 8, 9), (1,))], 16)
         return path, path.read_bytes()
 
     def test_truncated_cache_is_a_value_error_naming_the_path(self, tmp_path):

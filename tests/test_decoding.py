@@ -220,12 +220,6 @@ class TestIncrementalDecoding:
                 assert beam_decode(params, enc, width=width, max_out=6) == \
                     full_sort_beam(reference, width, 6, EOS_ID), (seed, width)
 
-    def test_stepper_bucket_row_is_last_row_of_full_matrix(self):
-        for n in (1, 2, 17, 128, ModelConfig(vocab_size=8).max_len):
-            np.testing.assert_array_equal(
-                _relative_bucket_matrix(1, n, False, q_start=n - 1)[0],
-                _relative_bucket_matrix(n, n, False)[-1])
-
     def test_cached_bucket_tables_are_read_only_fresh_builds(self):
         # largest first, so the smaller tables are corners of a cached one
         for n in (ModelConfig(vocab_size=8).max_len, 128, 17, 2, 1):
@@ -233,7 +227,7 @@ class TestIncrementalDecoding:
                 table = _bucket_table(n, bidirectional)
                 assert not table.flags.writeable
                 np.testing.assert_array_equal(
-                    table, _relative_bucket_matrix(n, n, bidirectional))
+                    table, _relative_bucket_matrix(n, bidirectional))
                 with pytest.raises(ValueError):
                     table[0, 0] = 1
 

@@ -12,12 +12,15 @@ from minit5.checkpoint import save_checkpoint
 from minit5.config import RunConfig
 from minit5.model import init_model
 from minit5.optim import DivergedError
-from minit5.tasks import SentencePairExample, assin_input_ids, ner_input_ids
-from minit5.train import (DataError, LockError, _model_config, _ner_enc,
+from minit5.ner import LabelTable
+from minit5.tasks import (NerExample, SentencePairExample, assin_input_ids,
+                          build_ner_target, fit, make_similarity_target,
+                          ner_input_ids)
+from minit5.train import (DataError, LockError, _model_config, _ner_items,
                           _pair_items, _train_loop, acquire_lock,
                           load_packed_corpus, run_evaluate, run_finetune,
                           run_pretrain)
-from minit5.unigram import EOS_ID, UnigramVocab, train_vocab
+from minit5.unigram import EOS_ID, UnigramVocab, encode, train_vocab
 
 WORDS = ["casa", "gato", "azul", "verde", "sol", "mar", "rio", "dia"]
 
@@ -469,7 +472,8 @@ class TestEvaluateWithInjectedPredictions:
         for ex in read_conll(str(conll)):
             per_window = []
             for offset, words, _ in window_ner_example(ex, 4, 2):
-                ids = beam_decode(params, _ner_enc(vocab, words, 64), width=3,
+                enc = fit(ner_input_ids(vocab, list(words)), 64)
+                ids = beam_decode(params, enc, width=3,
                                   max_out=min(64, 4 * len(words) + 8))
                 parsed = parse_tagged_output(decode(vocab, ids), table)
                 per_window.append((offset, to_bio(parsed.segments, list(words))))
@@ -508,8 +512,8 @@ class TestEvaluateWithInjectedPredictions:
 
 
 class TestEncoderInputCut:
-    """An over-long encoder input is cut to the limit with its closing EOS
-    kept, as `minit5 decode` cuts its inputs."""
+    """An over-long input or target is cut to the limit with its closing EOS
+    kept, as `minit5 decode` cuts its inputs; one that fits stays whole."""
 
     def test_over_long_pair_and_ner_inputs_end_in_eos(self):
         vocab = train_vocab([" ".join(WORDS)] * 4, vocab_size=60)
@@ -520,11 +524,33 @@ class TestEncoderInputCut:
         limit = 12
         assert min(len(full_pair), len(full_ner)) > limit
         (enc, _), = _pair_items(vocab, [ex], "regression", limit)
-        for got, full in ((enc, full_pair), (_ner_enc(vocab, words, limit), full_ner)):
-            assert got.tolist() == full[:limit - 1] + [EOS_ID]
+        for got, full in ((enc, full_pair),
+                          (fit(ner_input_ids(vocab, list(words)), limit), full_ner)):
+            assert list(got) == full[:limit - 1] + [EOS_ID]
         for limit in (len(full_pair), len(full_pair) + 5):
             (enc, _), = _pair_items(vocab, [ex], "regression", limit)
-            assert enc.tolist() == full_pair
+            assert list(enc) == full_pair
+
+    def test_over_long_similarity_and_ner_targets_end_in_eos(self):
+        vocab = train_vocab([" ".join(WORDS), "[Person] [Other] 0 1 2 3 4 5 ."] * 4,
+                            vocab_size=80)
+        ex = SentencePairExample("p1", "casa", "gato", 3.5)
+        words = tuple(WORDS)
+        doc = NerExample("d1", words, ("B-PER", "I-PER") + ("O",) * 6)
+        cfg = RunConfig(task="ner", optimizer="adamw", lr=1e-3, batch_size=1,
+                        max_epochs=1, label_language="en", ner_window=8,
+                        ner_stride=4)
+        table = LabelTable("en")
+        full_sim = make_similarity_target(3.5, vocab)
+        full_ner = encode(vocab, build_ner_target(list(words), list(doc.tags),
+                                                  table)) + [EOS_ID]
+        assert 2 < len(full_sim) < len(full_ner)
+        for limit in range(1, len(full_ner) + 3):
+            (_, _, sim), = _pair_items(vocab, [ex], "lm", limit)
+            (_, _, ner), = _ner_items(cfg, vocab, table, [doc], limit)
+            for got, full in ((sim, full_sim), (ner, full_ner)):
+                want = full if len(full) <= limit else full[:limit - 1] + [EOS_ID]
+                assert got.tolist() == want, limit
 
 
 class TestSyntheticNerEndToEnd:
@@ -572,9 +598,8 @@ class TestSyntheticNerEndToEnd:
 
 class TestLoadPackedCorpus:
     def test_reads_documents(self, tmp_path):
-        write(tmp_path / "c.txt", "a b c\nd e\n\n")
-        docs = load_packed_corpus(str(tmp_path / "c.txt"))
-        assert [d.total_words for d in docs] == [3, 2]
+        write(tmp_path / "c.txt", "a  b\tc\n d e \n\n")
+        assert load_packed_corpus(str(tmp_path / "c.txt")) == ["a b c", "d e"]
 
     def test_empty_rejected(self, tmp_path):
         write(tmp_path / "c.txt", "\n")
