@@ -2,9 +2,8 @@
 denoising pretraining, and text-to-text fine-tuning for sentence-pair and
 generative NER tasks."""
 
-from .corpus import (CorpusStats, PackedDocument, Sentence, corpus_stats,
-                     fix_encoding, pack_sentences, prepare_documents,
-                     split_sentences)
+from .corpus import (CorpusStats, corpus_stats, fix_encoding, pack_sentences,
+                     prepare_documents, split_sentences)
 from .corruption import (CorruptionConfig, DenoisePair, make_pretrain_batch,
                          mask_tokens, read_pair_cache, write_pair_cache)
 from .decoding import beam_decode, beam_search, decode_sources, greedy_decode

@@ -12,7 +12,7 @@ import inspect
 import sys
 
 from . import corpus as corpus_mod
-from .atomic import atomic_write
+from .atomic import atomic_write, read_text
 from .checkpoint import load_checkpoint
 from .config import load_run_config
 from .corruption import CorruptionConfig, make_pretrain_batch, write_pair_cache
@@ -52,7 +52,8 @@ def _build_parser() -> _Parser:
                    help="treat each input line as one source document")
     p.add_argument("--output", required=True, help="packed corpus (one doc per line)")
     p.add_argument("--stats", help="write a key=value statistics report here")
-    p.add_argument("--max-words", type=int, default=512)
+    p.add_argument("--max-words", type=int,
+                   default=_default(corpus_mod.prepare_documents, "max_words"))
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("train-vocab", help="train the Unigram vocabulary")
@@ -118,17 +119,17 @@ def _cmd_preprocess(args):
         raise UsageError("--max-words must be >= 1")
     raw_texts: list[str] = []
     for path in args.inputs:
-        with open(path, "r", encoding="utf-8") as fh:
-            if args.line_mode:
-                raw_texts.extend(line.rstrip("\n") for line in fh)
-            else:
-                raw_texts.append(fh.read())
+        text = read_text(path)
+        if args.line_mode:
+            raw_texts.extend(text.split("\n"))
+        else:
+            raw_texts.append(text)
     docs = corpus_mod.prepare_documents(raw_texts, max_words=args.max_words)
     if not docs:
         raise DataError("no documents produced")
     with atomic_write(args.output) as fh:
         for doc in docs:
-            fh.write(doc.text + "\n")
+            fh.write(" ".join(doc) + "\n")
     report = corpus_mod.format_stats_report(corpus_mod.corpus_stats(docs))
     if args.stats:
         with atomic_write(args.stats) as fh:
@@ -142,8 +143,8 @@ def _cmd_train_vocab(args):
         raise UsageError("--vocab-size must be >= 1")
     if args.seed_size is not None and args.seed_size < 1:
         raise UsageError("--seed-size must be >= 1")
-    with open(args.corpus, "r", encoding="utf-8") as fh:
-        numbered = [(k, line.rstrip("\n")) for k, line in enumerate(fh, 1) if line.strip()]
+    numbered = [(k, line) for k, line in enumerate(read_text(args.corpus).split("\n"), 1)
+                if line.strip()]
     for lineno, line in numbered:
         if "\t" in line:  # it would become a piece the vocabulary file cannot hold
             raise DataError(f"{args.corpus}:{lineno}: tab in a corpus line")
@@ -204,8 +205,9 @@ def _cmd_decode(args):
     vocab = UnigramVocab.load(args.vocab)
     check_vocab_size(params, vocab)
     max_out = min(args.max_out, params.cfg.max_len)
-    with open(args.input, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    lines = read_text(args.input).split("\n")
+    if not lines[-1]:  # the text ends in a newline, or is empty
+        lines.pop()
     encs = [fit(encode(vocab, line) + [EOS_ID], params.cfg.max_len) for line in lines]
     outs = decode_sources(params, encs, args.beam, [max_out] * len(encs))
     with atomic_write(args.output) as fh:

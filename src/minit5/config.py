@@ -8,6 +8,7 @@ import math
 import typing
 from dataclasses import dataclass, fields
 
+from .atomic import read_text
 from .corruption import CorruptionConfig
 from .model import ModelConfig
 from .ner import LabelTable
@@ -119,23 +120,22 @@ def parse_config_file(path: str) -> dict[str, dict[str, str]]:
     twice in one section, under one header or two copies of it, is an error."""
     sections: dict[str, dict[str, str]] = {}
     name, current = "", None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                name = line[1:-1].strip()
-                current = sections.setdefault(name, {})
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            if current is None:
-                raise ValueError(f"{path}:{lineno}: key outside any [section]")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in current:
-                raise ValueError(f"{path}:{lineno}: {key!r} set twice in [{name}]")
-            current[key] = value
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip()
+            current = sections.setdefault(name, {})
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key = value")
+        if current is None:
+            raise ValueError(f"{path}:{lineno}: key outside any [section]")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in current:
+            raise ValueError(f"{path}:{lineno}: {key!r} set twice in [{name}]")
+        current[key] = value
     return sections
 
 

@@ -22,48 +22,6 @@ ABBREVIATIONS = frozenset({"sr.", "sra.", "dr.", "dra.", "etc.", "e.g.", "i.e."}
 
 
 @dataclass(frozen=True)
-class Sentence:
-    """A sentence as an ordered tuple of whitespace-delimited words."""
-
-    words: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.words:
-            raise ValueError("sentence must contain at least one word")
-        # splitting the joined words gives them back exactly when none is
-        # empty and none holds a character that str.split splits on
-        if " ".join(self.words).split() != list(self.words):
-            raise ValueError("words must be non-empty and whitespace-free")
-
-    @property
-    def word_count(self) -> int:
-        return len(self.words)
-
-    @property
-    def text(self) -> str:
-        return " ".join(self.words)
-
-    @classmethod
-    def from_text(cls, text: str) -> "Sentence":
-        return cls(tuple(text.split()))
-
-
-@dataclass(frozen=True)
-class PackedDocument:
-    """Sentences packed together under a word budget, order preserved."""
-
-    sentences: tuple[Sentence, ...]
-
-    @property
-    def total_words(self) -> int:
-        return sum(s.word_count for s in self.sentences)
-
-    @property
-    def text(self) -> str:
-        return " ".join(s.text for s in self.sentences)
-
-
-@dataclass(frozen=True)
 class CorpusStats:
     n_documents: int
     n_words: int
@@ -97,14 +55,14 @@ def _is_abbreviation(line: str, punct_end: int) -> bool:
     return line[start:punct_end].lower() in ABBREVIATIONS
 
 
-def split_sentences(text: str) -> list[Sentence]:
-    """Rule-based sentence splitting.
+def split_sentences(text: str) -> list[list[str]]:
+    """Rule-based sentence splitting; each sentence is its list of words.
 
     Newlines are hard boundaries. Within a line, a terminal in ``.!?…``
     followed by whitespace and an uppercase letter or opening quote ends a
     sentence, unless the preceding word is a guarded abbreviation.
     """
-    sentences: list[Sentence] = []
+    sentences: list[list[str]] = []
     for line in text.split("\n"):
         start = 0
         i = 0
@@ -125,20 +83,20 @@ def split_sentences(text: str) -> list[Sentence]:
                     and (line[k].isupper() or line[k] in OPENING_QUOTES)
                 )
                 if follows_break and not _is_abbreviation(line, j):
-                    piece = line[start:j].strip()
-                    if piece:
-                        sentences.append(Sentence.from_text(piece))
+                    words = line[start:j].split()
+                    if words:
+                        sentences.append(words)
                     start = k
                 i = j
             else:
                 i += 1
-        piece = line[start:].strip()
-        if piece:
-            sentences.append(Sentence.from_text(piece))
+        words = line[start:].split()
+        if words:
+            sentences.append(words)
     return sentences
 
 
-def pack_sentences(sentences: list[Sentence], max_words: int = 512) -> list[PackedDocument]:
+def pack_sentences(sentences: list[list[str]], max_words: int) -> list[list[str]]:
     """Greedy in-order packing under the word budget.
 
     A sentence that would overflow the current document starts a new one. A
@@ -147,31 +105,26 @@ def pack_sentences(sentences: list[Sentence], max_words: int = 512) -> list[Pack
     """
     if max_words < 1:
         raise ValueError("max_words must be >= 1")
-    docs: list[PackedDocument] = []
-    current: list[Sentence] = []
-    current_words = 0
-    for sent in sentences:
-        if sent.word_count > max_words:
-            if current:
-                docs.append(PackedDocument(tuple(current)))
-                current, current_words = [], 0
-            docs.append(PackedDocument((Sentence(sent.words[:max_words]),)))
-            continue
-        if current_words + sent.word_count > max_words:
-            docs.append(PackedDocument(tuple(current)))
-            current, current_words = [], 0
-        current.append(sent)
-        current_words += sent.word_count
+    docs: list[list[str]] = []
+    current: list[str] = []
+    for words in sentences:
+        if current and len(current) + len(words) > max_words:
+            docs.append(current)
+            current = []
+        if len(words) > max_words:
+            docs.append(words[:max_words])
+        else:
+            current.extend(words)
     if current:
-        docs.append(PackedDocument(tuple(current)))
+        docs.append(current)
     return docs
 
 
-def corpus_stats(docs: list[PackedDocument]) -> CorpusStats:
+def corpus_stats(docs: list[list[str]]) -> CorpusStats:
     """Document count, word count, and mean/population-std of words per doc."""
     if not docs:
         raise ValueError("empty corpus")
-    counts = [d.total_words for d in docs]
+    counts = [len(doc) for doc in docs]
     n = len(counts)
     total = sum(counts)
     mean = total / n
@@ -180,12 +133,13 @@ def corpus_stats(docs: list[PackedDocument]) -> CorpusStats:
                        std_words=math.sqrt(var))
 
 
-def prepare_documents(raw_texts: list[str], max_words: int = 512) -> list[PackedDocument]:
-    """fix_encoding + split_sentences + pack_sentences over source texts.
+def prepare_documents(raw_texts: list[str], max_words: int = 512) -> list[list[str]]:
+    """fix_encoding + split_sentences + pack_sentences over source texts,
+    giving each document as its list of words.
 
     Each source text is packed independently so no document mixes sources.
     """
-    docs: list[PackedDocument] = []
+    docs: list[list[str]] = []
     for raw in raw_texts:
         sents = split_sentences(fix_encoding(raw))
         docs.extend(pack_sentences(sents, max_words=max_words))

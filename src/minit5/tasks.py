@@ -8,6 +8,7 @@ import unicodedata
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .atomic import read_text
 from .metrics import ENTAILMENT_CLASSES
 from .ner import (LabelTable, OTHER, extract_entities, normalize_tag, repair_bio,
                   validate_bio)
@@ -49,27 +50,25 @@ def read_pairs_tsv(path: str) -> list[SentencePairExample]:
     """Tab-separated sentence pairs with a required header row naming the
     columns id, sentence1, sentence2, similarity, entailment."""
     examples: list[SentencePairExample] = []
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        header = fh.readline().rstrip("\n")
-        cols = header.split("\t")
-        required = ("id", "sentence1", "sentence2", "similarity", "entailment")
-        if tuple(cols) != required:
-            raise ValueError(f"{path}: header must be {required}, got {tuple(cols)}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 columns")
-            pid, s1, s2, sim, ent = parts
-            try:
-                examples.append(SentencePairExample(
-                    id=pid, sentence1=s1, sentence2=s2,
-                    similarity=float(sim) if sim else None,
-                    entailment=ent if ent else None))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    header, *lines = read_text(path, newline="\n").split("\n")
+    cols = header.split("\t")
+    required = ("id", "sentence1", "sentence2", "similarity", "entailment")
+    if tuple(cols) != required:
+        raise ValueError(f"{path}: header must be {required}, got {tuple(cols)}")
+    for lineno, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 5:
+            raise ValueError(f"{path}:{lineno}: expected 5 columns")
+        pid, s1, s2, sim, ent = parts
+        try:
+            examples.append(SentencePairExample(
+                id=pid, sentence1=s1, sentence2=s2,
+                similarity=float(sim) if sim else None,
+                entailment=ent if ent else None))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return examples
 
 
@@ -85,21 +84,20 @@ def read_conll(path: str) -> list[NerExample]:
             words.clear()
             tags.clear()
 
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                flush()
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'word tag'")
-            try:
-                tag = normalize_tag(parts[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            words.append(parts[0])
-            tags.append(tag)
+    for lineno, line in enumerate(read_text(path, newline="\n").split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            flush()
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'word tag'")
+        try:
+            tag = normalize_tag(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        words.append(parts[0])
+        tags.append(tag)
     flush()
     return docs
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_text
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .corruption import CorruptionConfig, make_pretrain_batch
@@ -63,8 +63,7 @@ def _lock_is_stale(path: str) -> bool:
     """True only when the lock reads "<pid> <host>", names this host, and no
     process with that pid exists."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            pid, host = fh.read().split()
+        pid, host = read_text(path).split()
         pid = int(pid)
     except (OSError, ValueError):
         return False
@@ -118,11 +117,10 @@ def load_packed_corpus(path: str) -> list[str]:
     """Line-delimited packed corpus: one document of space-joined words per
     line, each returned as its words joined by single spaces."""
     docs: list[str] = []
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        for line in fh:
-            words = line.split()
-            if words:
-                docs.append(" ".join(words))
+    for line in read_text(path, newline="\n").split("\n"):
+        words = line.split()
+        if words:
+            docs.append(" ".join(words))
     if not docs:
         raise DataError(f"{path}: empty corpus")
     return docs

@@ -19,7 +19,7 @@ from typing import Collection, Iterable
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_text
 
 PAD_ID, EOS_ID, UNK_ID, MASK_ID = 0, 1, 2, 3
 PAD_PIECE, EOS_PIECE, UNK_PIECE, MASK_PIECE = "<pad>", "</s>", "<unk>", "<M>"
@@ -101,6 +101,9 @@ class UnigramVocab:
         self._ids = {p: i for i, (p, _) in enumerate(self.pieces)}
         if len(self._ids) != len(self.pieces):
             raise ValueError(f"{where}piece strings must be unique")
+        if "" in self._ids:
+            raise ValueError(f"{source}:{self._ids['']}: empty piece" if source
+                             else "empty piece")
         log_probs = list(map(itemgetter(1), self.pieces))
         # a sum is finite only if every term is (after an overflow, no row fails)
         if not math.isfinite(sum(log_probs)):
@@ -155,8 +158,7 @@ class UnigramVocab:
     @classmethod
     def load(cls, path: str) -> "UnigramVocab":
         """Line k holds id k; blank lines may only end the file."""
-        with open(path, "r", encoding="utf-8", newline="\n") as fh:
-            body = fh.read().rstrip("\n")
+        body = read_text(path, newline="\n").rstrip("\n")
         # one split of the whole file when every line holds exactly one tab,
         # that is when its tabs and newlines alternate from a tab to a tab
         seps = body.encode("utf-8").translate(None, _NOT_TAB_OR_NEWLINE)

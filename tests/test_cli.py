@@ -468,6 +468,16 @@ out_dir = {tmp_path / "eval"}
             assert rc == 2
             assert f"bad.tsv:10: log-prob {value} is not finite" in capsys.readouterr().err
 
+    def test_empty_vocabulary_piece_is_data_error(self, tmp_path, capsys):
+        corpus, vocab_path, _ = pipeline_files(tmp_path)
+        body = open(vocab_path, encoding="utf-8").read()
+        write(tmp_path / "bad.tsv", body + "\t-3.5\n")
+        rc = main(["make-pretrain-data", "--vocab", str(tmp_path / "bad.tsv"),
+                   "--corpus", corpus, "--output", str(tmp_path / "pairs.bin")])
+        assert rc == 2
+        assert "bad.tsv:60: empty piece" in capsys.readouterr().err
+        assert not (tmp_path / "pairs.bin").exists()
+
     def test_interior_blank_vocabulary_line_is_data_error(self, tmp_path, capsys):
         corpus, vocab_path, _ = pipeline_files(tmp_path)
         lines = open(vocab_path, encoding="utf-8").read().splitlines()
@@ -747,3 +757,45 @@ def test_evaluate_of_a_pad_preferring_model_counts_malformed_windows(tmp_path, c
     out = capsys.readouterr()
     assert rc == 0, out.err
     assert "malformed_windows=8\n" in out.out  # 4 documents of 5 words, 2 windows each
+
+
+@pytest.mark.parametrize("reader", ["preprocess", "train-vocab",
+                                    "make-pretrain-data-vocab",
+                                    "make-pretrain-data-corpus", "decode-input",
+                                    "finetune-tsv", "finetune-conll", "config"])
+def test_a_file_not_in_utf8_is_named_with_the_byte_offset(tmp_path, capsys, reader):
+    """Each text input that is not UTF-8 exits 2 (1 for the config) and the
+    message names the file and the offset of the first bad byte."""
+    latin1 = b"o caf\xe9 \xe9 bom.\n"
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(latin1)
+    out = str(tmp_path / "out.bin")
+    if reader == "config":
+        argv = ["--config", str(bad), "finetune"]
+    elif reader.startswith("finetune"):
+        task = "ner" if reader == "finetune-conll" else "similarity"
+        _tiny_task_files(tmp_path, task)
+        bad = tmp_path / "train.data"
+        bad.write_bytes(latin1)
+        argv = ["--config", _tiny_task_config(tmp_path, task), "finetune"]
+    else:
+        _, vocab_path, packed = pipeline_files(tmp_path)
+        argv = {
+            "preprocess": ["preprocess", str(bad), "--output", out],
+            "train-vocab": ["train-vocab", "--corpus", str(bad), "--output", out],
+            "make-pretrain-data-vocab": ["make-pretrain-data", "--vocab", str(bad),
+                                         "--corpus", packed, "--output", out],
+            "make-pretrain-data-corpus": ["make-pretrain-data", "--vocab", vocab_path,
+                                          "--corpus", str(bad), "--output", out],
+        }.get(reader)
+        if argv is None:
+            ckpt = TestDecodeAndDataChecks()._checkpoint(
+                tmp_path, len(UnigramVocab.load(vocab_path)))
+            argv = ["decode", "--checkpoint", ckpt, "--vocab", vocab_path,
+                    "--input", str(bad), "--output", out]
+    capsys.readouterr()
+    assert main(argv) == (1 if reader == "config" else 2)
+    err = capsys.readouterr().err
+    assert f"{bad}: not UTF-8 at byte offset 5: invalid continuation byte" in err
+    assert not os.path.exists(out)
+    assert not (tmp_path / "out").exists()

@@ -3,40 +3,20 @@ import random
 
 import pytest
 
-from minit5.corpus import (CorpusStats, PackedDocument, Sentence, corpus_stats,
-                           fix_encoding, pack_sentences, prepare_documents,
-                           split_sentences)
+from minit5.corpus import (CorpusStats, corpus_stats, fix_encoding,
+                           pack_sentences, prepare_documents, split_sentences)
 
 
 def wc(docs):
-    return [d.total_words for d in docs]
+    return [len(d) for d in docs]
 
 
 def make_sentences(counts):
-    return [Sentence(tuple(f"w{i}_{k}" for k in range(n)))
-            for i, n in enumerate(counts)]
+    return [[f"w{i}_{k}" for k in range(n)] for i, n in enumerate(counts)]
 
 
-class TestSentence:
-    # U+200B (zero-width space) is a format character, not whitespace
-    @pytest.mark.parametrize("word,ok", [
-        ("a b", False), ("a\tb", False), ("a\xa0b", False), ("a\u2003b", False),
-        ("a\x1cb", False), ("", False), (" ", False), ("a\u200bb", True)])
-    def test_word_must_be_non_empty_and_whitespace_free(self, word, ok):
-        if ok:
-            assert Sentence(("x", word)).words == ("x", word)
-        else:
-            with pytest.raises(ValueError, match="non-empty and whitespace-free"):
-                Sentence(("x", word))
-
-    def test_validation_matches_a_per_character_isspace(self):
-        for code in range(0x3001):
-            word = f"a{chr(code)}b"
-            if any(ch.isspace() for ch in word):
-                with pytest.raises(ValueError):
-                    Sentence((word,))
-            else:
-                assert Sentence((word,)).words == (word,)
+def text(words):
+    return " ".join(words)
 
 
 class TestFixEncoding:
@@ -80,11 +60,11 @@ class TestFixEncoding:
 class TestSplitSentences:
     def test_two_terminals(self):
         sents = split_sentences("Olá. Tudo bem?")
-        assert [s.text for s in sents] == ["Olá.", "Tudo bem?"]
+        assert [text(s) for s in sents] == ["Olá.", "Tudo bem?"]
 
     def test_abbreviation_guard(self):
         sents = split_sentences("Dr. Silva chegou.")
-        assert [s.text for s in sents] == ["Dr. Silva chegou."]
+        assert [text(s) for s in sents] == ["Dr. Silva chegou."]
 
     def test_all_guarded_abbreviations(self):
         for abbr in ("Sr.", "Sra.", "Dr.", "Dra.", "etc.", "e.g.", "i.e."):
@@ -93,11 +73,11 @@ class TestSplitSentences:
 
     def test_newline_hard_boundary(self):
         sents = split_sentences("a\nb")
-        assert [s.text for s in sents] == ["a", "b"]
+        assert [text(s) for s in sents] == ["a", "b"]
 
     def test_opening_quote_starts_sentence(self):
         sents = split_sentences('Ele saiu. "Volto já", disse.')
-        assert [s.text for s in sents] == ["Ele saiu.", '"Volto já", disse.']
+        assert [text(s) for s in sents] == ["Ele saiu.", '"Volto já", disse.']
 
     def test_lowercase_continuation_not_split(self):
         sents = split_sentences("foi em 1999. e continuou depois.")
@@ -107,18 +87,26 @@ class TestSplitSentences:
         rng = random.Random(7)
         words = ["Olá", "tudo", "bem", "Dr.", "casa", "FIM", "a.b", "x!"]
         for _ in range(200):
-            text = " ".join(rng.choice(words) for _ in range(rng.randrange(0, 30)))
-            sents = split_sentences(text)
-            assert all(s.word_count >= 1 for s in sents)
-            joined = " ".join(s.text for s in sents)
-            assert sorted(joined.split()) == sorted(text.split())
+            raw = " ".join(rng.choice(words) for _ in range(rng.randrange(0, 30)))
+            sents = split_sentences(raw)
+            assert all(len(s) >= 1 for s in sents)
+            assert [w for s in sents for w in s] == raw.split()
+
+
+    def test_words_are_non_empty_and_whitespace_free(self):
+        # U+200B (zero-width space) is a format character, not whitespace
+        for code in range(0x3001):
+            raw = f"x a{chr(code)}b"
+            words = [w for s in split_sentences(raw) for w in s]
+            assert words == raw.split()
+            assert all(w and not any(ch.isspace() for ch in w) for w in words)
 
 
 class TestPackSentences:
     def test_split_forced_then_packs(self):
-        docs = pack_sentences(make_sentences([300, 300, 100]), max_words=512)
-        assert wc(docs) == [300, 400]
-        assert [len(d.sentences) for d in docs] == [1, 2]
+        sents = make_sentences([300, 300, 100])
+        docs = pack_sentences(sents, max_words=512)
+        assert docs == [sents[0], sents[1] + sents[2]]
 
     def test_oversize_sentence_truncated_as_own_document(self):
         docs = pack_sentences(make_sentences([600]), max_words=512)
@@ -137,8 +125,8 @@ class TestPackSentences:
         for _ in range(100):
             sents = make_sentences([rng.randrange(1, 40) for _ in range(rng.randrange(0, 30))])
             docs = pack_sentences(sents, max_words=64)
-            original = [w for s in sents for w in s.words]
-            packed = [w for d in docs for s in d.sentences for w in s.words]
+            original = [w for s in sents for w in s]
+            packed = [w for d in docs for w in d]
             assert packed == original  # no sentence here exceeds the budget
 
     def test_greedy_maximality(self):
@@ -147,16 +135,17 @@ class TestPackSentences:
         for _ in range(100):
             sents = make_sentences([rng.randrange(1, 30) for _ in range(25)])
             docs = pack_sentences(sents, max_words=48)
-            for a, b in zip(docs, docs[1:]):
-                assert a.total_words + b.sentences[0].word_count > 48
-                assert a.total_words <= 48
+            # no sentence is cut here, so each document opens with a word
+            # w{i}_0, the first of sentence i
+            firsts = [len(sents[int(d[0][1:].split("_")[0])]) for d in docs]
+            for a, first in zip(docs, firsts[1:]):
+                assert len(a) + first > 48
+                assert len(a) <= 48
 
     def test_truncation_rule_is_only_word_loss(self):
         sents = make_sentences([10, 600, 5])
         docs = pack_sentences(sents, max_words=512)
-        packed = [w for d in docs for s in d.sentences for w in s.words]
-        expected = list(sents[0].words) + list(sents[1].words[:512]) + list(sents[2].words)
-        assert packed == expected
+        assert docs == [sents[0], sents[1][:512], sents[2]]
 
 
 class TestCorpusStats:
@@ -168,8 +157,7 @@ class TestCorpusStats:
         assert stats.std_words == 0
 
     def test_hand_case_population_std(self):
-        docs = [PackedDocument((Sentence(tuple(f"w{i}" for i in range(n))),))
-                for n in (100, 300)]
+        docs = [[f"w{i}" for i in range(n)] for n in (100, 300)]
         stats = corpus_stats(docs)
         assert stats == CorpusStats(2, 400, 200.0, 100.0)
 
@@ -180,8 +168,7 @@ class TestCorpusStats:
     def test_synthetic_corpus_against_recount(self):
         rng = random.Random(11)
         counts = [rng.randrange(1, 512) for _ in range(1000)]
-        docs = [PackedDocument((Sentence(tuple(f"w{i}" for i in range(n))),))
-                for n in counts]
+        docs = [[f"w{i}" for i in range(n)] for n in counts]
         stats = corpus_stats(docs)
         # independent recount
         n = len(counts)
@@ -199,6 +186,5 @@ class TestCorpusStats:
 def test_prepare_documents_end_to_end():
     raw = "SÃ£o Paulo Ã© grande. Tem muita gente.\r\nOutra linha aqui."
     docs = prepare_documents([raw], max_words=6)
-    texts = [d.text for d in docs]
-    assert texts[0].startswith("São Paulo é grande.")
-    assert all(d.total_words <= 6 for d in docs)
+    assert text(docs[0]).startswith("São Paulo é grande.")
+    assert all(len(d) <= 6 for d in docs)

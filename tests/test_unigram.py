@@ -662,6 +662,16 @@ class TestVocabFile:
         with pytest.raises(ValueError, match="non-finite"):
             make_vocab({"a": float(value)})
 
+    def test_empty_piece_rejected(self, tmp_path):
+        # the row "\t-3.5" would load as '' and a real id
+        path = tmp_path / "bad.tsv"
+        header = "".join(f"{p}\t0\n" for p in RESERVED_PIECES)
+        path.write_text(header + "a\t-1\n\t-3.5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="bad.tsv:5: empty piece"):
+            UnigramVocab.load(path)
+        with pytest.raises(ValueError, match="^empty piece$"):
+            make_vocab({"a": math.log(0.5), "": math.log(0.5)})
+
     def test_scored_body_is_a_copy(self):
         vocab = make_vocab({"a": math.log(0.5), "b": math.log(0.25), "ab": math.log(0.25)})
         before = encode(vocab, "abba")
