@@ -12,11 +12,12 @@ Optimizer state rides in the same container under "opt/" name prefixes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_binary
 from .model import ModelConfig, ModelParams, tensor_shapes
 from .optim import OptimizerState, check_optimizer, slot_shapes
 
@@ -33,21 +34,13 @@ def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def _read(fh, n: int, path) -> bytes:
-    """Exactly n bytes, or ValueError naming the file."""
-    data = fh.read(n)
-    if len(data) != n:
-        raise ValueError(f"{path}: truncated checkpoint")
-    return data
-
-
-def _read_tensor(fh, path) -> tuple[str, np.ndarray]:
-    (nlen,) = struct.unpack("<H", _read(fh, 2, path))
-    name = _read(fh, nlen, path).decode("utf-8")
-    (rank,) = struct.unpack("<B", _read(fh, 1, path))
-    dims = struct.unpack(f"<{rank}I", _read(fh, 4 * rank, path)) if rank else ()
-    count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-    data = np.frombuffer(_read(fh, 4 * count, path), dtype="<f4").reshape(dims)
+def _read_tensor(take) -> tuple[str, np.ndarray]:
+    (nlen,) = take("<H")
+    name = str(take(nlen), "utf-8")
+    (rank,) = take("<B")
+    dims = take(f"<{rank}I")
+    count = math.prod(dims)
+    data = np.frombuffer(take(4 * count), dtype="<f4").reshape(dims)
     return name, data.astype(np.float64)
 
 
@@ -91,23 +84,21 @@ def load_checkpoint(path: str, optimizer: str | None = None):
     """Returns ModelParams, or (ModelParams, opt_state) when an optimizer kind
     is given. The optimizer tensors must be opt/step and opt/<slot>/<param>
     slots of the shapes that kind's step builds (optim.slot_shapes)."""
-    with open(path, "rb") as fh:
-        if _read(fh, 4, path) != MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", _read(fh, 4, path))
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (clen,) = struct.unpack("<I", _read(fh, 4, path))
-        cfg_bytes = _read(fh, clen, path)
-        try:
-            cfg = ModelConfig.from_dict(json.loads(cfg_bytes.decode("utf-8")))
-        except ValueError as exc:  # not JSON, or not a valid ModelConfig
-            raise ValueError(f"{path}: bad model config: {exc}") from exc
-        (count,) = struct.unpack("<I", _read(fh, 4, path))
-        tensors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            name, arr = _read_tensor(fh, path)
-            tensors[name] = arr
+    take, finish = read_binary(path, "checkpoint")
+    if take(4) != MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file")
+    (version,) = take("<I")
+    if version != VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    (clen,) = take("<I")
+    cfg_bytes = take(clen)
+    try:
+        cfg = ModelConfig.from_dict(json.loads(str(cfg_bytes, "utf-8")))
+    except ValueError as exc:  # not JSON, or not a valid ModelConfig
+        raise ValueError(f"{path}: bad model config: {exc}") from exc
+    (count,) = take("<I")
+    tensors = dict(_read_tensor(take) for _ in range(count))
+    finish(f"{count} tensors")
     model_tensors = {k: v for k, v in tensors.items() if not k.startswith("opt/")}
     _check_shapes(path, model_tensors, tensor_shapes(cfg))
     params = ModelParams(cfg, model_tensors)

@@ -12,12 +12,13 @@ import inspect
 import sys
 
 from . import corpus as corpus_mod
-from .atomic import atomic_write, read_text
+from .atomic import format_rows, read_text, write_text
 from .checkpoint import load_checkpoint
 from .config import load_run_config
 from .corruption import CorruptionConfig, make_pretrain_batch, write_pair_cache
 from .decoding import beam_decode, decode_sources
 from .optim import DivergedError
+from .rng import check_seed
 from .tasks import fit
 from .train import (DataError, LockError, check_vocab_size, load_packed_corpus,
                     run_evaluate, run_finetune, run_pretrain)
@@ -127,13 +128,10 @@ def _cmd_preprocess(args):
     docs = corpus_mod.prepare_documents(raw_texts, max_words=args.max_words)
     if not docs:
         raise DataError("no documents produced")
-    with atomic_write(args.output) as fh:
-        for doc in docs:
-            fh.write(" ".join(doc) + "\n")
+    write_text(args.output, "".join(" ".join(doc) + "\n" for doc in docs))
     report = corpus_mod.format_stats_report(corpus_mod.corpus_stats(docs))
     if args.stats:
-        with atomic_write(args.stats) as fh:
-            fh.write(report)
+        write_text(args.stats, report)
     else:
         sys.stdout.write(report)
 
@@ -162,6 +160,7 @@ def _cmd_train_vocab(args):
 
 def _cmd_make_pretrain_data(args):
     try:
+        check_seed(args.data_seed, "--data-seed")
         cfg = CorruptionConfig(mask_rate=args.mask_rate, max_len=args.max_len,
                                seed=args.data_seed)
     except ValueError as exc:
@@ -189,11 +188,8 @@ def _cmd_evaluate(args):
     cfg = _run_config(args)
     params = load_checkpoint(args.checkpoint)
     report = run_evaluate(cfg, params, split=args.split)
-    for key, value in report.items():
-        if isinstance(value, float):
-            print(f"{key}={value:.6f}")
-        elif isinstance(value, int):
-            print(f"{key}={value}")
+    sys.stdout.write(format_rows([(key, value) for key, value in report.items()
+                                  if isinstance(value, (int, float))], "="))
 
 
 def _cmd_decode(args):
@@ -210,9 +206,7 @@ def _cmd_decode(args):
         lines.pop()
     encs = [fit(encode(vocab, line) + [EOS_ID], params.cfg.max_len) for line in lines]
     outs = decode_sources(params, encs, args.beam, [max_out] * len(encs))
-    with atomic_write(args.output) as fh:
-        for out in outs:
-            fh.write(decode(vocab, out) + "\n")
+    write_text(args.output, "".join(decode(vocab, out) + "\n" for out in outs))
 
 
 def main(argv=None) -> int:

@@ -80,8 +80,6 @@ class RunConfig:
         check_optimizer(self.optimizer)
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1 or self.grad_accum_steps < 1 or self.max_epochs < 1:
             raise ValueError("batch_size, grad_accum_steps, max_epochs must be >= 1")
         if self.patience is not None and self.patience < 0:
@@ -89,10 +87,10 @@ class RunConfig:
         if self.seq_len < 1 or self.beam_width < 1 or self.gen_max_tokens < 1:
             raise ValueError("seq_len, beam_width, gen_max_tokens must be >= 1")
         # the owning modules' checks: the [model] ranges (the vocabulary's
-        # size is known only once it loads), mask_rate in (0, 1), the window
-        # rule and a known label language
+        # size is known only once it loads), mask_rate in (0, 1), the seed
+        # range, the window rule and a known label language
         self.model_config(N_RESERVED + 1)
-        CorruptionConfig(mask_rate=self.mask_rate)
+        CorruptionConfig(mask_rate=self.mask_rate, seed=self.seed)
         check_windows(self.ner_window, self.ner_stride)
         LabelTable(self.label_language)
 

@@ -6,6 +6,8 @@ import math
 import re
 from dataclasses import dataclass
 
+from .atomic import format_rows
+
 # Portuguese accented characters whose UTF-8 byte pairs were mis-decoded as
 # Latin-1 somewhere upstream. Keys are the damaged two-character sequences.
 _ACCENTED = "ãõáéíóúâêôàçÃÕÁÉÍÓÚÂÊÔÀÇ"
@@ -147,10 +149,4 @@ def prepare_documents(raw_texts: list[str], max_words: int = 512) -> list[list[s
 
 
 def format_stats_report(stats: CorpusStats) -> str:
-    lines = [
-        f"n_documents={stats.n_documents}",
-        f"n_words={stats.n_words}",
-        f"mean_words={stats.mean_words:.6f}",
-        f"std_words={stats.std_words:.6f}",
-    ]
-    return "\n".join(lines) + "\n"
+    return format_rows(vars(stats).items(), "=")

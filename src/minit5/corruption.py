@@ -6,8 +6,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .atomic import atomic_write
-from .rng import Xoshiro256StarStar, derive_seed
+from .atomic import atomic_write, read_binary
+from .rng import Xoshiro256StarStar, check_seed, derive_seed
 from .unigram import EOS_ID, MASK_ID, N_RESERVED, UNK_ID, UnigramVocab, encode
 
 
@@ -22,6 +22,7 @@ class CorruptionConfig:
             raise ValueError("mask_rate must be in (0, 1)")
         if self.max_len < 1:
             raise ValueError("max_len must be >= 1")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -103,20 +104,10 @@ def write_pair_cache(path: str, pairs: list[DenoisePair], max_len: int) -> None:
 def read_pair_cache(path: str) -> tuple[list[DenoisePair], int]:
     """Read a cache written by write_pair_cache. A file that is cut short or
     holds bytes after its last pair is a ValueError naming the path."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != CACHE_MAGIC:
-        raise ValueError(f"{path}: not a pair cache (bad magic {data[:4]!r})")
-    pos = 4
-
-    def take(fmt: str) -> tuple:
-        nonlocal pos
-        end = pos + struct.calcsize(fmt)
-        if end > len(data):
-            raise ValueError(f"{path}: truncated pair cache")
-        out, pos = struct.unpack_from(fmt, data, pos), end
-        return out
-
+    take, finish = read_binary(path, "pair cache")
+    magic = bytes(take(4))
+    if magic != CACHE_MAGIC:
+        raise ValueError(f"{path}: not a pair cache (bad magic {magic!r})")
     version, max_len, count = take("<IIQ")
     if version != CACHE_VERSION:
         raise ValueError(f"{path}: unsupported cache version {version}")
@@ -124,7 +115,5 @@ def read_pair_cache(path: str) -> tuple[list[DenoisePair], int]:
     for _ in range(count):
         arrays = [take(f"<{take('<I')[0]}I") for _ in range(2)]
         pairs.append(DenoisePair(*arrays))
-    if pos != len(data):
-        raise ValueError(f"{path}: {len(data) - pos} bytes after the last of "
-                         f"{count} pairs")
+    finish(f"{count} pairs")
     return pairs, max_len

@@ -7,6 +7,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .atomic import format_rows
+
 ENTAILMENT_CLASSES = ("entail", "none")
 
 
@@ -85,17 +87,13 @@ def classification_report(pred_labels: list, gold_labels: list) -> Classificatio
 
 
 def format_pair_task_report(pearson_v: float | None, mse_v: float | None,
-                            accuracy_v: float | None, f1_v: float | None) -> str:
-    """Flat key=value report plus one tab-separated row in the fixed column
-    order (pearson, mse, accuracy, f1); absent metrics print as '-'."""
-
-    def fmt(v):
-        return "-" if v is None else f"{v:.6f}"
-
-    lines = []
-    for key, v in (("pearson", pearson_v), ("mse", mse_v),
-                   ("accuracy", accuracy_v), ("f1", f1_v)):
-        if v is not None:
-            lines.append(f"{key}={fmt(v)}")
-    row = "\t".join(fmt(v) for v in (pearson_v, mse_v, accuracy_v, f1_v))
-    return "\n".join(lines) + "\n" + row + "\n"
+                            accuracy_v: float | None, f1_v: float | None,
+                            unparsed_scores: int | None = None) -> str:
+    """Flat key=value report, the unparsed_scores count last, plus one
+    tab-separated row in the fixed column order (pearson, mse, accuracy, f1);
+    an absent metric has no key=value line and prints as '-' in the row."""
+    values = (pearson_v, mse_v, accuracy_v, f1_v)
+    pairs = zip(("pearson", "mse", "accuracy", "f1", "unparsed_scores"),
+                values + (unparsed_scores,))
+    return (format_rows([(k, v) for k, v in pairs if v is not None], "=")
+            + format_rows([values]))

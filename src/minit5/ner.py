@@ -7,7 +7,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .atomic import atomic_write
+from .atomic import format_rows, write_text
 from .metrics import ClassScore, prf
 
 CLASSES = ("Person", "Organization", "Location", "Value", "Date")
@@ -235,27 +235,22 @@ def entity_prf(gold: list[EntitySpan], pred: list[EntitySpan]) -> NerReport:
     return scorer.report()
 
 
-def format_ner_report(report: NerReport) -> str:
-    """key=value micro summary plus a per-class tab-separated table."""
-    lines = [
-        f"micro_precision={report.micro.precision:.6f}",
-        f"micro_recall={report.micro.recall:.6f}",
-        f"micro_f1={report.micro.f1:.6f}",
-        f"n_gold={report.micro.n_gold}",
-        f"n_pred={report.micro.n_pred}",
-        f"n_correct={report.micro.n_correct}",
-        "class\tprecision\trecall\tf1",
-    ]
+def format_ner_report(report: NerReport, malformed_windows: int) -> str:
+    """key=value micro summary and malformed_windows count, plus a per-class
+    tab-separated table."""
+    m = report.micro
+    rows = [("class", "precision", "recall", "f1")]
     for cls in CLASSES:
         s = report.per_class[cls]
-        lines.append(f"{cls}\t{s.precision:.6f}\t{s.recall:.6f}\t{s.f1:.6f}")
-    return "\n".join(lines) + "\n"
+        rows.append((cls, s.precision, s.recall, s.f1))
+    return format_rows([
+        ("micro_precision", m.precision), ("micro_recall", m.recall),
+        ("micro_f1", m.f1), ("n_gold", m.n_gold), ("n_pred", m.n_pred),
+        ("n_correct", m.n_correct), ("malformed_windows", malformed_windows),
+    ], "=") + format_rows(rows)
 
 
 def write_conll_predictions(path: str, docs: list[tuple[list[str], list[str], list[str]]]) -> None:
     """word / gold / pred 3-column files, blank line between documents."""
-    with atomic_write(path) as fh:
-        for words, gold, pred in docs:
-            for w, g, p in zip(words, gold, pred):
-                fh.write(f"{w}\t{g}\t{p}\n")
-            fh.write("\n")
+    write_text(path, "".join(format_rows(zip(words, gold, pred)) + "\n"
+                             for words, gold, pred in docs))

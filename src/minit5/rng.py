@@ -11,6 +11,12 @@ MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
 
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Seeds lie in [0, 2**64): one outside would alias its value mod 2**64."""
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {seed}")
+
+
 def mix64(x: int) -> int:
     """splitmix64 finalizer: bijective avalanche mix of a 64-bit value."""
     x &= MASK64

@@ -8,11 +8,11 @@ import os
 import socket
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
-from .atomic import atomic_write, read_text
+from .atomic import format_rows, read_text, write_text
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .corruption import CorruptionConfig, make_pretrain_batch
@@ -229,24 +229,16 @@ def _train_loop(params: ModelParams, items: list, objective: str,
 
 
 def write_train_log(path: str, log: TrainLog) -> None:
-    def fmt(v):
-        return "-" if v is None else f"{v:.6f}"
-
-    with atomic_write(path) as fh:
-        fh.write("epoch\ttrain_loss\tval_loss\tval_objective\twall_seconds\n")
-        for r in log.records:
-            fh.write(f"{r.epoch}\t{fmt(r.train_loss)}\t{fmt(r.val_loss)}"
-                     f"\t{fmt(r.val_objective)}\t{fmt(r.wall_seconds)}\n")
-        fh.write(f"# best_epoch={log.best_epoch if log.best_epoch is not None else '-'}\n")
+    rows = [("epoch", "train_loss", "val_loss", "val_objective", "wall_seconds")]
+    write_text(path, format_rows(rows + [astuple(r) for r in log.records])
+               + "# " + format_rows([("best_epoch", log.best_epoch)], "="))
 
 
 def write_curve(path: str, log: TrainLog) -> None:
     """Plot-ready TSV: epoch, train loss, validation loss."""
-    with atomic_write(path) as fh:
-        fh.write("epoch\ttrain\tval\n")
-        for r in log.records:
-            val = "-" if r.val_loss is None else f"{r.val_loss:.6f}"
-            fh.write(f"{r.epoch}\t{r.train_loss:.6f}\t{val}\n")
+    rows = [("epoch", "train", "val")]
+    write_text(path, format_rows(rows + [(r.epoch, r.train_loss, r.val_loss)
+                                         for r in log.records]))
 
 
 def _fit(cfg: RunConfig, params: ModelParams, items: list, objective: str,
@@ -471,15 +463,6 @@ def run_finetune(cfg: RunConfig):
                 maximize=cfg.task == "ner")
 
 
-def _with_counts(report: str, **counts: int) -> str:
-    """A report with key=N lines added after its leading key=value lines,
-    ahead of its table."""
-    lines = report.splitlines()
-    at = next(i for i, line in enumerate(lines) if "=" not in line)
-    lines[at:at] = [f"{key}={n}" for key, n in counts.items()]
-    return "\n".join(lines) + "\n"
-
-
 def run_evaluate(cfg: RunConfig, params: ModelParams, split: str = "test",
                  predict_override=None) -> dict:
     """Evaluate a checkpoint on a split and write the metric report.
@@ -510,8 +493,7 @@ def run_evaluate(cfg: RunConfig, params: ModelParams, split: str = "test",
         mse_v = mse(preds, gold)
         report = {"pearson": pearson_v, "mse": mse_v, "n": len(preds),
                   "unparsed_scores": unparsed}
-        text = _with_counts(format_pair_task_report(pearson_v, mse_v, None, None),
-                            unparsed_scores=unparsed)
+        text = format_pair_task_report(pearson_v, mse_v, None, None, unparsed)
     elif cfg.task == "entailment":
         gold = [ex.entailment for ex in examples]
         preds = predict_entailment_labels(params, cfg, vocab, examples,
@@ -528,12 +510,10 @@ def run_evaluate(cfg: RunConfig, params: ModelParams, split: str = "test",
                   "micro_f1": ner_report.micro.f1,
                   "per_class": ner_report.per_class,
                   "malformed_windows": malformed}
-        text = _with_counts(format_ner_report(ner_report),
-                            malformed_windows=malformed)
+        text = format_ner_report(ner_report, malformed)
         if out:
             write_conll_predictions(out(f"predictions_{split}.conll"), rows)
 
     if out:
-        with atomic_write(out(f"eval_{split}.txt")) as fh:
-            fh.write(text)
+        write_text(out(f"eval_{split}.txt"), text)
     return report

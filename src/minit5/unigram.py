@@ -19,7 +19,7 @@ from typing import Collection, Iterable
 
 import numpy as np
 
-from .atomic import atomic_write, read_text
+from .atomic import read_text, write_text
 
 PAD_ID, EOS_ID, UNK_ID, MASK_ID = 0, 1, 2, 3
 PAD_PIECE, EOS_PIECE, UNK_PIECE, MASK_PIECE = "<pad>", "</s>", "<unk>", "<M>"
@@ -151,9 +151,7 @@ class UnigramVocab:
             if "\t" in piece or "\n" in piece:
                 raise ValueError(f"piece {piece!r} holds a tab or newline, which "
                                  "the vocabulary file cannot store")
-        with atomic_write(path) as fh:
-            for piece, lp in self.pieces:
-                fh.write(f"{piece}\t{lp:.17g}\n")
+        write_text(path, "".join(f"{piece}\t{lp:.17g}\n" for piece, lp in self.pieces))
 
     @classmethod
     def load(cls, path: str) -> "UnigramVocab":

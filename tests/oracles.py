@@ -579,6 +579,89 @@ def reference_macro_f1(pred, gold, classes) -> float:
     return total / len(classes)
 
 
+# --- text outputs ----------------------------------------------------------
+# The report and log writers as they were before one value rule served them
+# all, each spelling out '-' for None and six decimals for a float itself.
+
+def reference_write_train_log(path, log) -> None:
+    def fmt(v):
+        return "-" if v is None else f"{v:.6f}"
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("epoch\ttrain_loss\tval_loss\tval_objective\twall_seconds\n")
+        for r in log.records:
+            fh.write(f"{r.epoch}\t{fmt(r.train_loss)}\t{fmt(r.val_loss)}"
+                     f"\t{fmt(r.val_objective)}\t{fmt(r.wall_seconds)}\n")
+        fh.write(f"# best_epoch={log.best_epoch if log.best_epoch is not None else '-'}\n")
+
+
+def reference_write_curve(path, log) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("epoch\ttrain\tval\n")
+        for r in log.records:
+            val = "-" if r.val_loss is None else f"{r.val_loss:.6f}"
+            fh.write(f"{r.epoch}\t{r.train_loss:.6f}\t{val}\n")
+
+
+def reference_format_pair_task_report(pearson_v, mse_v, accuracy_v, f1_v) -> str:
+    def fmt(v):
+        return "-" if v is None else f"{v:.6f}"
+
+    lines = []
+    for key, v in (("pearson", pearson_v), ("mse", mse_v),
+                   ("accuracy", accuracy_v), ("f1", f1_v)):
+        if v is not None:
+            lines.append(f"{key}={fmt(v)}")
+    row = "\t".join(fmt(v) for v in (pearson_v, mse_v, accuracy_v, f1_v))
+    return "\n".join(lines) + "\n" + row + "\n"
+
+
+def reference_format_ner_report(report, classes) -> str:
+    lines = [
+        f"micro_precision={report.micro.precision:.6f}",
+        f"micro_recall={report.micro.recall:.6f}",
+        f"micro_f1={report.micro.f1:.6f}",
+        f"n_gold={report.micro.n_gold}",
+        f"n_pred={report.micro.n_pred}",
+        f"n_correct={report.micro.n_correct}",
+        "class\tprecision\trecall\tf1",
+    ]
+    for cls in classes:
+        s = report.per_class[cls]
+        lines.append(f"{cls}\t{s.precision:.6f}\t{s.recall:.6f}\t{s.f1:.6f}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_format_stats_report(stats) -> str:
+    lines = [
+        f"n_documents={stats.n_documents}",
+        f"n_words={stats.n_words}",
+        f"mean_words={stats.mean_words:.6f}",
+        f"std_words={stats.std_words:.6f}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def reference_with_counts(report: str, **counts: int) -> str:
+    """A report with key=N lines added after its leading key=value lines,
+    ahead of its table."""
+    lines = report.splitlines()
+    at = next(i for i, line in enumerate(lines) if "=" not in line)
+    lines[at:at] = [f"{key}={n}" for key, n in counts.items()]
+    return "\n".join(lines) + "\n"
+
+
+def reference_evaluate_stdout(report: dict) -> str:
+    """What evaluate printed for its report: its float and int values."""
+    out = []
+    for key, value in report.items():
+        if isinstance(value, float):
+            out.append(f"{key}={value:.6f}\n")
+        elif isinstance(value, int):
+            out.append(f"{key}={value}\n")
+    return "".join(out)
+
+
 # --- optimizers --------------------------------------------------------------
 # The whole-tensor AdamW and RAdam steps as they were before the updates went
 # in place, one block at a time: every operation allocates its result, and the

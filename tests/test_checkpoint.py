@@ -21,16 +21,30 @@ def test_magic_and_reject_garbage(tmp_path):
         load_checkpoint(bad)
 
 
+TINY = ModelConfig(vocab_size=5, d_model=2, n_heads=1, d_ff=2,
+                   n_enc_layers=1, n_dec_layers=1, max_len=2)
+
+
 def test_every_truncation_raises_value_error(tmp_path):
-    tiny = ModelConfig(vocab_size=5, d_model=2, n_heads=1, d_ff=2,
-                       n_enc_layers=1, n_dec_layers=1, max_len=2)
-    save_checkpoint(tmp_path / "t.bin", init_model(tiny, seed=0))
+    save_checkpoint(tmp_path / "t.bin", init_model(TINY, seed=0))
     data = (tmp_path / "t.bin").read_bytes()
     cut = tmp_path / "cut.bin"
     for n in range(len(data)):
         cut.write_bytes(data[:n])
         with pytest.raises(ValueError, match="truncated checkpoint"):
             load_checkpoint(cut)
+
+
+def test_bytes_after_the_last_tensor_raise_value_error_naming_the_file(tmp_path):
+    params = init_model(TINY, seed=0)
+    save_checkpoint(tmp_path / "t.bin", params)
+    data = (tmp_path / "t.bin").read_bytes()
+    padded = tmp_path / "padded.bin"
+    for n in range(1, 5):
+        padded.write_bytes(data + b"\0" * n)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{padded}: {n} bytes after the last of {len(params.tensors)} tensors")):
+            load_checkpoint(padded)
 
 
 def test_save_load_save_round_trips_bit_exact(tmp_path):

@@ -357,6 +357,17 @@ class TestDecodeAndDataChecks:
         assert "truncated checkpoint" in capsys.readouterr().err
         assert not outp.exists()
 
+    def test_decode_of_checkpoint_with_trailing_bytes_is_data_error(self, tmp_path,
+                                                                    capsys):
+        _, vocab_path, _ = pipeline_files(tmp_path)
+        ckpt = self._checkpoint(tmp_path, 60)
+        with open(ckpt, "ab") as fh:
+            fh.write(b"\0\0\0")
+        rc, outp = self._decode(tmp_path, ckpt, vocab_path)
+        assert rc == 2
+        assert f"data error: {ckpt}: 3 bytes after the last of" in capsys.readouterr().err
+        assert not outp.exists()
+
     @pytest.mark.parametrize("fault", [
         "config-extra-key", "config-missing-key", "config-string-vocab-size",
         "config-list", "config-not-json", "config-zero-heads", "missing-tensor",
@@ -662,6 +673,31 @@ def test_train_vocab_sizes_below_one_are_usage_errors(tmp_path, capsys, flag,
     assert rc == 1
     assert f"usage error: {flag} must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-1", str(2**64)])
+@pytest.mark.parametrize("where", ["[run] seed", "--seed", "--data-seed"])
+def test_a_seed_outside_64_bits_is_usage_error_naming_it(tmp_path, capsys, where,
+                                                        value):
+    """Seeds lie in [0, 2**64): every generator masks a seed to 64 bits, so a
+    seed outside would alias one inside."""
+    _, vocab_path, packed = pipeline_files(tmp_path)
+    pairs = tmp_path / "pairs.bin"
+    data = ["make-pretrain-data", "--vocab", vocab_path, "--corpus", packed,
+            "--output", str(pairs), "--data-seed"]
+    _tiny_task_files(tmp_path, "similarity")
+    cfg = _tiny_task_config(tmp_path, "similarity",
+                            extra=f"seed = {value}" if where == "[run] seed" else "")
+    argv = {"[run] seed": ["--config", cfg, "finetune"],
+            "--seed": ["--config", cfg, "--seed", value, "finetune"],
+            "--data-seed": data + [value]}[where]
+    assert main(argv) == 1
+    name = "--data-seed" if where == "--data-seed" else "seed"
+    assert (f"usage error: {name} must be in [0, 2**64), got {value}"
+            in capsys.readouterr().err)
+    assert not pairs.exists()
+    assert not (tmp_path / "out").exists()
+    assert main(data + [str(2**64 - 1)]) == 0
 
 
 def test_train_vocab_rejects_a_tab_in_the_corpus(tmp_path, capsys):

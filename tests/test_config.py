@@ -1,6 +1,7 @@
 import dataclasses
 import glob
 import os
+import re
 
 import pytest
 
@@ -131,3 +132,16 @@ def test_a_key_of_another_section_is_unknown(tmp_path, section, key):
     path.write_text(f"[run]\ntask = pretrain\n[{section}]\n{key} = 8\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"unknown key '{key}' in \\[{section}\\]"):
         load_run_config(path)
+
+
+def test_seed_range_is_64_bits_in_both_configs():
+    from minit5.corruption import CorruptionConfig
+    run = dict(task="pretrain", optimizer="adafactor", lr=1e-3, batch_size=1,
+               max_epochs=1)
+    assert RunConfig(**run, seed=2**64 - 1).seed == CorruptionConfig(seed=2**64 - 1).seed
+    for seed in (-1, 2**64):
+        for make in (lambda: RunConfig(**run, seed=seed),
+                     lambda: CorruptionConfig(seed=seed)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"seed must be in [0, 2**64), got {seed}")):
+                make()
