@@ -12,7 +12,7 @@ import inspect
 import sys
 
 from . import corpus as corpus_mod
-from .atomic import format_rows, read_text, write_text
+from .atomic import format_rows, format_value, read_text, write_text
 from .checkpoint import load_checkpoint
 from .config import load_run_config
 from .corruption import CorruptionConfig, make_pretrain_batch, write_pair_cache
@@ -27,6 +27,10 @@ from .unigram import BOUNDARY, EOS_ID, UnigramVocab, decode, encode, train_vocab
 
 class UsageError(Exception):
     pass
+
+
+# the commands that read a run config: the only ones --config and --seed apply to
+CONFIG_COMMANDS = ("pretrain", "finetune", "evaluate")
 
 
 def _default(fn, name: str):
@@ -175,7 +179,8 @@ def _cmd_make_pretrain_data(args):
 def _cmd_pretrain(args):
     _, log = run_pretrain(_run_config(args))
     last = log.records[-1]
-    print(f"pretrained {last.epoch} epochs, final train loss {last.train_loss:.6f}")
+    print(f"pretrained {last.epoch} epochs, final train loss "
+          f"{format_value(last.train_loss)}")
 
 
 def _cmd_finetune(args):
@@ -213,6 +218,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        for flag, value in (("--config", args.config), ("--seed", args.seed)):
+            if value is not None and args.command not in CONFIG_COMMANDS:
+                raise UsageError(f"{args.command} reads no config, so {flag} does not apply")
         args.func(args)
         return 0
     except UsageError as exc:

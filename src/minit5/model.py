@@ -5,7 +5,8 @@ Pre-norm blocks with RMS normalization (gain only, no bias), GELU feed-forward
 without biases, multi-head attention, and either learned absolute position
 embeddings (default) or T5-style relative position buckets behind a config
 flag. Everything runs per example in float64, which keeps finite-difference
-gradient checks tight at desk scale.
+gradient checks tight at desk scale. No sequence is padded, so there are no
+key masks, and <pad> is rejected wherever ids enter the model.
 """
 
 from __future__ import annotations
@@ -221,19 +222,21 @@ def _merge_heads(m):
     return m.swapaxes(-3, -2).reshape(-1, m.shape[-3] * m.shape[-1])
 
 
-def _attend(q, k, v, bias):
+def _attend(q, k, v, bias=None):
     """p = softmax(q k^T / sqrt(dk) + bias) over the keys, built in place in
-    the fresh score array, and o = p v, both in the head layout."""
+    the fresh score array, and o = p v, both in the head layout. bias None
+    adds nothing."""
     s = q @ np.swapaxes(k, -1, -2)
     s *= 1.0 / math.sqrt(q.shape[-1])
-    s += bias
+    if bias is not None:
+        s += bias
     p = _softmax_rows(s)
     return p, p @ v
 
 
 def _attn_fwd(h_q, h_kv, wq, wk, wv, wo, n_heads, add_bias):
-    """Multi-head attention; add_bias [H-or-1, nq, nk] is added to the scaled
-    scores (mask positions carry -inf)."""
+    """Multi-head attention; add_bias [H-or-1, nq, nk], unless None, is added
+    to the scaled scores (mask positions carry -inf)."""
     q = _heads(h_q @ wq, n_heads)
     k = _heads(h_kv @ wk, n_heads)
     v = _heads(h_kv @ wv, n_heads)
@@ -261,12 +264,6 @@ def _attn_bwd(dout, cache):
     dh_q = dq @ wq.T
     dh_kv = dkk @ wk.T + dv @ wv.T
     return dh_q, dh_kv, h_q.T @ dq, h_kv.T @ dkk, h_kv.T @ dv, dwo, ds
-
-
-def _key_mask_bias(valid: np.ndarray) -> np.ndarray:
-    """[1, 1, nk] additive bias masking invalid key positions."""
-    bias = np.where(valid, 0.0, -np.inf)
-    return bias[None, None, :]
 
 
 _tables: dict = {}
@@ -309,28 +306,45 @@ def _check_ids(cfg: ModelConfig, ids: np.ndarray, what: str) -> np.ndarray:
     if ids.ndim != 1 or ids.size == 0:
         raise ValueError(f"{what} must be a non-empty 1-D id sequence")
     _check_len(cfg, ids.size, what)
-    _check_range(cfg, ids, what)
+    _check_range(cfg.vocab_size, ids, what)
     return ids
 
 
-def _check_range(cfg: ModelConfig, ids: np.ndarray, what: str) -> None:
-    if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
+def _check_targets(logits: np.ndarray, target_ids) -> np.ndarray:
+    """target_ids as int64: one id of logits' vocabulary per logits row."""
+    target_ids = np.asarray(target_ids, dtype=np.int64)
+    if target_ids.shape != logits.shape[:1] or target_ids.size == 0:
+        raise ValueError("targets must be one id per logits row, at least one")
+    _check_range(logits.shape[-1], target_ids, "targets")
+    return target_ids
+
+
+def _check_range(vocab_size: int, ids: np.ndarray, what: str) -> None:
+    """The one check of every id the model reads: no sequence is padded, so
+    <pad> is an error like an id outside the vocabulary."""
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
         raise ValueError(f"{what} contains ids outside the vocabulary")
+    if PAD_ID in ids:
+        raise ValueError(f"{what} contains the padding id {PAD_ID}; "
+                         "no sequence is padded")
 
 
-def _embed_fwd(params: ModelParams, ids: np.ndarray, mask_bias: np.ndarray,
-               rel_table: str, bidirectional: bool):
-    """Token embeddings plus learned absolute positions, or token embeddings
-    and a relative-bucket bias from `rel_table` on top of mask_bias. Returns
-    (x, self-attention bias, cache)."""
+def _embed_fwd(params: ModelParams, ids: np.ndarray, stack: str):
+    """Token embeddings of the "enc" or "dec" stack plus learned absolute
+    positions, or token embeddings and the stack's relative-bucket bias.
+    Returns (x, self-attention bias, cache): the decoder's bias holds the
+    causal mask, and the encoder's is None under absolute positions."""
     cfg, t = params.cfg, params.tensors
     n = ids.size
+    causal = _causal_bias(n) if stack == "dec" else None
     x = t["tok_emb"][ids]  # advanced indexing copies, so += leaves tok_emb alone
     if cfg.position_scheme == LEARNED_ABSOLUTE:
         x += t["pos_emb"][:n]
-        return x, mask_bias, (ids, None, None)
-    buckets = _bucket_table(n, bidirectional)
-    return x, mask_bias + t[rel_table][:, buckets], (ids, rel_table, buckets)
+        return x, causal, (ids, None, None)
+    rel_table = f"{stack}_rel_bias"
+    buckets = _bucket_table(n, bidirectional=stack == "enc")
+    bias = t[rel_table][:, buckets]
+    return x, bias if causal is None else causal + bias, (ids, rel_table, buckets)
 
 
 def _replay(grads: dict[str, np.ndarray], additions) -> None:
@@ -411,7 +425,7 @@ def _stack_bwd(params: ModelParams, cache, dstates, out: list):
     dx, dg = _rmsnorm_bwd(dstates, c_final)
     out.append((g_final, dg))
     d_kv, d_scores = None, []
-    keep_scores = cache["embed"][1] is not None  # a relative-bias table reads them
+    rel_scores = cache["embed"][1] is not None  # a relative-bias table reads them
     for sub in reversed(cache["sublayers"]):
         if sub[0] == "ffn":
             dx = _ffn_sublayer_bwd(params, sub, dx, out)
@@ -419,7 +433,7 @@ def _stack_bwd(params: ModelParams, cache, dstates, out: list):
         dx, dh_kv, ds = _attn_sublayer_bwd(params, sub, dx, out)
         if sub[0] == "cross":
             d_kv = dh_kv if d_kv is None else d_kv + dh_kv
-        elif keep_scores:
+        elif rel_scores:
             d_scores.append(ds)
     _embed_bwd(cache["embed"], dx, d_scores, out)
     return d_kv
@@ -427,11 +441,7 @@ def _stack_bwd(params: ModelParams, cache, dstates, out: list):
 
 def _encoder_fwd(params: ModelParams, enc_ids: np.ndarray):
     cfg, t = params.cfg, params.tensors
-    valid = enc_ids != PAD_ID
-    if not np.any(valid):
-        raise ValueError("encoder input is entirely padding")
-    x, bias, embed = _embed_fwd(params, enc_ids, _key_mask_bias(valid),
-                                "enc_rel_bias", bidirectional=True)
+    x, bias, embed = _embed_fwd(params, enc_ids, "enc")
     sublayers = []
     for i in range(cfg.n_enc_layers):
         p = f"enc.{i}"
@@ -439,22 +449,19 @@ def _encoder_fwd(params: ModelParams, enc_ids: np.ndarray):
         x, c_ffn = _ffn_sublayer_fwd(params, f"{p}.ln2.g", f"{p}.ffn", x)
         sublayers += [c_attn, c_ffn]
     states, c_final = _rmsnorm_fwd(x, t["enc.final_ln.g"])
-    return states, {"valid": valid, "embed": embed, "sublayers": sublayers,
+    return states, {"embed": embed, "sublayers": sublayers,
                     "final": ("enc.final_ln.g", c_final)}
 
 
-def _decoder_fwd(params: ModelParams, dec_ids: np.ndarray,
-                 enc_states: np.ndarray, enc_valid: np.ndarray):
+def _decoder_fwd(params: ModelParams, dec_ids: np.ndarray, enc_states: np.ndarray):
     cfg, t = params.cfg, params.tensors
-    x, self_bias, embed = _embed_fwd(params, dec_ids, _causal_bias(dec_ids.size),
-                                     "dec_rel_bias", bidirectional=False)
-    cross_bias = _key_mask_bias(enc_valid)
+    x, self_bias, embed = _embed_fwd(params, dec_ids, "dec")
     sublayers = []
     for i in range(cfg.n_dec_layers):
         p = f"dec.{i}"
         x, c_self = _attn_sublayer_fwd(params, f"{p}.ln1.g", f"{p}.self", x, self_bias)
         x, c_cross = _attn_sublayer_fwd(params, f"{p}.ln2.g", f"{p}.cross", x,
-                                        cross_bias, enc_states)
+                                        None, enc_states)
         x, c_ffn = _ffn_sublayer_fwd(params, f"{p}.ln3.g", f"{p}.ffn", x)
         sublayers += [c_self, c_cross, c_ffn]
     states, c_final = _rmsnorm_fwd(x, t["dec.final_ln.g"])
@@ -480,13 +487,12 @@ class DecoderStepper:
         self.params = params
         self.n_pos = 0
         self.self_kv: list[tuple[np.ndarray, np.ndarray]] = []
-        self.cross = []  # per source: (key mask bias, [(k, v) per layer])
+        self.cross = []  # per source: [(k, v) per layer]
         for enc_ids in sources:
-            states, cache = _encoder_fwd(params, _check_ids(cfg, enc_ids, "enc_ids"))
-            self.cross.append((_key_mask_bias(cache["valid"]),
-                               [(_heads(states @ t[f"dec.{i}.cross.wk"], cfg.n_heads),
-                                 _heads(states @ t[f"dec.{i}.cross.wv"], cfg.n_heads))
-                                for i in range(cfg.n_dec_layers)]))
+            states, _ = _encoder_fwd(params, _check_ids(cfg, enc_ids, "enc_ids"))
+            self.cross.append([(_heads(states @ t[f"dec.{i}.cross.wk"], cfg.n_heads),
+                                _heads(states @ t[f"dec.{i}.cross.wv"], cfg.n_heads))
+                               for i in range(cfg.n_dec_layers)])
         self.row_src = np.arange(len(self.cross))
 
     def step(self, tokens, parents=None) -> np.ndarray:
@@ -497,7 +503,7 @@ class DecoderStepper:
         picks them. Callers feed the start token (eos) first."""
         cfg, t = self.params.cfg, self.params.tensors
         tokens = np.asarray(tokens, dtype=np.int64)
-        _check_range(cfg, tokens, "dec_ids")
+        _check_range(cfg.vocab_size, tokens, "dec_ids")
         n = self.n_pos + 1
         _check_len(cfg, n, "dec_ids")
         if parents is not None:
@@ -512,7 +518,7 @@ class DecoderStepper:
         x = t["tok_emb"][tokens]
         if cfg.position_scheme == LEARNED_ABSOLUTE:
             x += t["pos_emb"][n - 1]
-            self_bias = 0.0  # the causal mask's last row is all zeros
+            self_bias = None  # the causal mask's last row is all zeros
         else:
             self_bias = t["dec_rel_bias"][:, None, _bucket_table(n, False)[n - 1]]
 
@@ -533,8 +539,7 @@ class DecoderStepper:
             x1 = x + _merge_heads(o) @ t[f"{p}.self.wo"]
             hc, _ = _rmsnorm_fwd(x1, t[f"{p}.ln2.g"])
             q = heads(hc @ t[f"{p}.cross.wq"])
-            o = np.concatenate([_attend(q[a:b], *kv[i], bias)[1]
-                                for (bias, kv), a, b in runs])
+            o = np.concatenate([_attend(q[a:b], *kv[i])[1] for kv, a, b in runs])
             x2 = x1 + _merge_heads(o) @ t[f"{p}.cross.wo"]
             x, _ = _ffn_sublayer_fwd(self.params, f"{p}.ln3.g", f"{p}.ffn", x2)
         self.self_kv = new_kv
@@ -554,11 +559,9 @@ def _forward_lm(params: ModelParams, enc_ids, dec_ids):
     enc_ids = _check_ids(cfg, enc_ids, "enc_ids")
     dec_ids = _check_ids(cfg, dec_ids, "dec_ids")
     enc_states, enc_cache = _encoder_fwd(params, enc_ids)
-    dec_states, dec_cache = _decoder_fwd(params, dec_ids, enc_states,
-                                         enc_cache["valid"])
+    dec_states, dec_cache = _decoder_fwd(params, dec_ids, enc_states)
     logits = dec_states @ _output_matrix(params)
-    cache = {"enc": enc_cache, "dec": dec_cache,
-             "enc_states": enc_states, "dec_states": dec_states}
+    cache = {"enc": enc_cache, "dec": dec_cache, "dec_states": dec_states}
     return logits, cache
 
 
@@ -577,48 +580,35 @@ def _lm_head_bwd(params: ModelParams, dec_states, dlogits, out: list):
 
 
 def loss_xent(logits: np.ndarray, target_ids) -> float:
-    """Mean token-level cross-entropy over non-pad target positions."""
-    target_ids = np.asarray(target_ids, dtype=np.int64)
-    if logits.shape[0] != target_ids.size:
-        raise ValueError("logits and targets disagree in length")
-    keep = target_ids != PAD_ID
-    if not np.any(keep):
-        raise ValueError("all target positions are padded")
-    loss_sum = _xent_fwd(np.array(logits), target_ids, keep)[0]
-    return float(loss_sum / np.count_nonzero(keep))
+    """Mean token-level cross-entropy of the targets, one per logits row."""
+    target_ids = _check_targets(logits, target_ids)
+    return float(_xent_fwd(np.array(logits), target_ids)[0] / target_ids.size)
 
 
-def _xent_fwd(z, target_ids, keep):
-    """Summed cross-entropy over the kept rows, with one exp per logit, in
-    place: z holds the logits and is overwritten with e = exp(logits - row
-    max). Returns (loss_sum, e, s), s the row sums of e."""
+def _xent_fwd(z, target_ids):
+    """Summed cross-entropy with one exp per logit, in place: z holds the
+    logits and is overwritten with e = exp(logits - row max). Returns
+    (loss_sum, e, s), s the row sums of e."""
     z -= z.max(axis=-1, keepdims=True)
     z_t = z[np.arange(target_ids.size), target_ids]
     e = np.exp(z, out=z)
     s = e.sum(axis=-1, keepdims=True)
-    return float(-(z_t - np.log(s[:, 0]))[keep].sum()), e, s
+    return float(-(z_t - np.log(s[:, 0])).sum()), e, s
 
 
-def _xent_sum_and_dlogits(logits, target_ids, keep):
-    """Summed cross-entropy and its gradient softmax - onehot(target), zero
-    on the rows that are not kept; the gradient is built in the logits'
-    buffer, which is overwritten."""
-    loss_sum, e, s = _xent_fwd(logits, target_ids, keep)
+def _xent_sum_and_dlogits(logits, target_ids):
+    """Summed cross-entropy and its gradient softmax - onehot(target), built
+    in the logits' buffer, which is overwritten."""
+    loss_sum, e, s = _xent_fwd(logits, target_ids)
     e /= s
     e[np.arange(target_ids.size), target_ids] -= 1.0
-    e[~keep] = 0.0
     return loss_sum, e
 
 
-def _pooled_fwd(params: ModelParams, enc_ids):
-    enc_ids = _check_ids(params.cfg, enc_ids, "enc_ids")
-    states, cache = _encoder_fwd(params, enc_ids)
-    return states[cache["valid"]].mean(axis=0), cache
-
-
 def encoder_mean_pool(params: ModelParams, enc_ids) -> np.ndarray:
-    """Mean of the final encoder states over non-pad positions."""
-    return _pooled_fwd(params, enc_ids)[0]
+    """Mean of the final encoder states."""
+    states, _ = _encoder_fwd(params, _check_ids(params.cfg, enc_ids, "enc_ids"))
+    return states.mean(axis=0)
 
 
 def sigmoid(z: float) -> float:
@@ -669,7 +659,7 @@ def pooled_loss(params: ModelParams, objective: str, pool: np.ndarray, target):
         s = sigmoid(float(z[0]))
         diff = 4.0 * s + 1.0 - float(target)
         return diff * diff, 2.0 * diff * 4.0 * s * (1.0 - s)
-    loss, dz = _xent_sum_and_dlogits(z[None], np.array([target]), np.array([True]))
+    loss, dz = _xent_sum_and_dlogits(z[None], np.array([target]))
     return loss, dz[0]
 
 
@@ -678,18 +668,14 @@ def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
 
 
 def _lm_example(params: ModelParams, example, backward: bool):
-    """(loss sum, non-pad targets, gradient additions) of one (enc_ids,
-    dec_in, targets) example; the additions are None without backward."""
+    """(loss sum, target count, gradient additions) of one (enc_ids, dec_in,
+    targets) example; the additions are None without backward."""
     enc_ids, dec_in, targets = example
     logits, cache = _forward_lm(params, enc_ids, dec_in)
-    targets = np.asarray(targets, dtype=np.int64)
-    keep = targets != PAD_ID
-    if not np.any(keep):
-        raise ValueError("all target positions are padded")
-    units = int(np.count_nonzero(keep))
+    targets = _check_targets(logits, targets)
     if not backward:
-        return _xent_fwd(logits, targets, keep)[0], units, None
-    loss_sum, dlogits = _xent_sum_and_dlogits(logits, targets, keep)
+        return _xent_fwd(logits, targets)[0], targets.size, None
+    loss_sum, dlogits = _xent_sum_and_dlogits(logits, targets)
     del logits  # dlogits' buffer
     out: list = []
     d_dec = _lm_head_bwd(params, cache["dec_states"], dlogits, out)
@@ -697,23 +683,23 @@ def _lm_example(params: ModelParams, example, backward: bool):
     d_enc = _stack_bwd(params, cache["dec"], d_dec, out)
     if d_enc is not None:  # None without decoder layers: the loss reads no encoder
         _stack_bwd(params, cache["enc"], d_enc, out)
-    return loss_sum, units, out
+    return loss_sum, targets.size, out
 
 
 def _pooled_example(params: ModelParams, objective: str, example, backward: bool):
     """(loss, 1, gradient additions) of one (enc_ids, target) example of a
     pooled head; the additions are None without backward."""
     enc_ids, target = example
-    pool, cache = _pooled_fwd(params, enc_ids)
+    states, cache = _encoder_fwd(params, _check_ids(params.cfg, enc_ids, "enc_ids"))
+    pool = states.mean(axis=0)
     loss, dz = pooled_loss(params, objective, pool, target)
     if not backward:
         return loss, 1, None
     w, b = _pooled_head(objective)
     # dz is a float for regression and a 2-vector for classification
     out = [(w, np.multiply.outer(pool, dz)), (b, dz)]
-    valid = cache["valid"]  # the mean pool's backward
-    dstates = np.zeros((valid.size, pool.size))
-    dstates[valid] = np.dot(params.tensors[w], dz) / np.count_nonzero(valid)
+    # the mean pool's backward: an equal share for every state
+    dstates = np.broadcast_to(np.dot(params.tensors[w], dz) / len(states), states.shape)
     _stack_bwd(params, cache, dstates, out)
     return loss, 1, out
 
@@ -748,14 +734,17 @@ def _on_two_threads(run_one, batch):
 
 
 def accumulate_loss_and_grad(params: ModelParams, batch, objective: str,
-                             grads: dict[str, np.ndarray] | None):
+                             grads: dict[str, np.ndarray] | None,
+                             start: float = 0.0):
     """Add unnormalized loss and gradient sums for a (micro)batch into grads.
 
-    Returns (loss_sum, unit_count): units are non-pad target tokens for the
-    "lm" objective and examples otherwise. Accumulating microbatches into the
-    same grads buffers and normalizing once reproduces a single large batch
-    bit for bit, which is what makes gradient accumulation exact. With grads
-    None the backward pass is skipped: the same loss sum, forward only.
+    Returns (loss_sum, unit_count): loss_sum is start plus each example's
+    loss, added one at a time, and units are target tokens for the "lm"
+    objective and examples otherwise. Accumulating microbatches into the
+    same grads buffers, and their losses onto one running sum passed back as
+    start, and normalizing once reproduces a single large batch bit for bit,
+    which is what makes gradient accumulation exact. With grads None the
+    backward pass is skipped: the same loss sum, forward only.
 
     Each example returns its gradient additions, replayed into grads in
     batch order, so every buffer receives the same additions in the same
@@ -779,7 +768,7 @@ def accumulate_loss_and_grad(params: ModelParams, batch, objective: str,
         parts = _on_two_threads(run_one, batch)
     else:
         parts = map(run_one, batch)
-    loss_sum, units = 0.0, 0
+    loss_sum, units = start, 0
     for loss, n, additions in parts:
         loss_sum += loss
         units += n
@@ -793,7 +782,7 @@ def loss_and_grad(params: ModelParams, batch, objective: str = "lm"):
     """Mean loss and exact analytic gradients over a batch of examples.
 
     objective "lm": items (enc_ids, dec_in_ids, target_ids); the loss is the
-    token mean over non-pad targets across the whole batch.
+    token mean over the targets of the whole batch.
     objective "regression": items (enc_ids, score); squared-error mean.
     objective "classification": items (enc_ids, label_index); CE mean.
     """

@@ -12,7 +12,7 @@ from .atomic import read_text
 from .metrics import ENTAILMENT_CLASSES
 from .ner import (LabelTable, OTHER, extract_entities, normalize_tag, repair_bio,
                   validate_bio)
-from .unigram import EOS_ID, MASK_ID, PAD_ID, UnigramVocab, decode, encode
+from .unigram import EOS_ID, UnigramVocab, decode, encode
 
 ASSIN_PREFIX_1 = "ASSIN sentence1: "
 ASSIN_PREFIX_2 = "sentence2: "
@@ -135,7 +135,6 @@ def parse_score_string(generated: list[int], vocab: UnigramVocab) -> ParsedScore
     ids = list(generated[:5])
     if EOS_ID in ids:
         ids = ids[:ids.index(EOS_ID)]
-    ids = [i for i in ids if i not in (PAD_ID, MASK_ID)]
     text = decode(vocab, ids)
     text = _DECIMAL_COMMA_RE.sub(".", text)
     m = _NUMBER_RE.search(text)

@@ -177,7 +177,9 @@ def _train_loop(params: ModelParams, items: list, objective: str,
 
     val_fn(params) returns (val_loss, val_objective); the objective drives
     early stopping and best-checkpoint selection. Items are visited in their
-    given order so reruns with the same seed are byte-identical.
+    given order so reruns with the same seed are byte-identical. The epoch's
+    losses are added onto one running sum, example by example, so the logged
+    train loss does not depend on how the items are cut into microbatches.
     """
     _, step_fn = make_optimizer(cfg.optimizer, cfg.lr)
     log = TrainLog()
@@ -192,17 +194,16 @@ def _train_loop(params: ModelParams, items: list, objective: str,
         for macro_batch in _chunks(items, macro):
             for g in grads.values():
                 g.fill(0.0)
-            loss_sum, units = 0.0, 0
+            units = 0
             for micro in _chunks(macro_batch, cfg.batch_size):
-                ls, u = accumulate_loss_and_grad(params, micro, objective, grads)
-                loss_sum += ls
+                epoch_loss, u = accumulate_loss_and_grad(params, micro, objective,
+                                                         grads, epoch_loss)
                 units += u
             for g in grads.values():
                 g /= units
-            if not math.isfinite(loss_sum):
+            if not math.isfinite(epoch_loss):
                 raise DivergedError("diverged: non-finite training loss")
             step_fn(params.tensors, grads, mask)
-            epoch_loss += loss_sum
             epoch_units += units
         train_loss = epoch_loss / epoch_units
         val_loss = val_objective = None

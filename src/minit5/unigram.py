@@ -435,16 +435,15 @@ def encode(vocab: UnigramVocab, text: str) -> list[int]:
 
 def decode(vocab: UnigramVocab, ids: list[int]) -> str:
     """Inverse of encode for covered text: pieces concatenated, boundary
-    markers back to spaces, right-pad suffix stripped, eos skipped."""
-    ids = list(ids)
-    while ids and ids[-1] == PAD_ID:
-        ids.pop()
+    markers back to spaces, eos skipped. No sequence is padded, so <pad>
+    anywhere is an error."""
     parts: list[str] = []
     for idx in ids:
         if not 0 <= idx < len(vocab):
             raise ValueError(f"id {idx} out of range for vocabulary of {len(vocab)}")
         if idx == PAD_ID:
-            raise ValueError("padding id inside sequence")
+            raise ValueError(f"ids contains the padding id {PAD_ID}; "
+                             "no sequence is padded")
         if idx == EOS_ID:
             continue
         parts.append(vocab.piece(idx))

@@ -177,7 +177,7 @@ def test_criterion_05_gradient_check_all_tensors():
                                                    t["cls.b"])[label])
         return total / len(batch)
 
-    lm_batch = [(np.array([5, 6, 7, 0]), np.array([1, 8, 9]), np.array([8, 9, 1])),
+    lm_batch = [(np.array([5, 6, 7]), np.array([1, 8, 9]), np.array([8, 9, 1])),
                 (np.array([4, 9]), np.array([1, 5]), np.array([5, 1]))]
     lm_names = [n for n in t if not n.startswith(("reg.", "cls."))]
     run_check("lm", lm_batch, lm_names, lm_loss)

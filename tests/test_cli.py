@@ -132,6 +132,20 @@ class TestPipelineCommands:
             b = (tmp_path / "o2" / name).read_bytes()
             assert a == b, name
 
+    def test_pretrain_summary_prints_the_logged_loss(self, tmp_path, capsys):
+        """The closing line prints the last epoch's train loss by the value
+        rule of train_log.tsv, so the two read the same."""
+        _, vocab_path, packed = pipeline_files(tmp_path)
+        cfg = tmp_path / "p.cfg"
+        write(cfg, pretrain_config_text(vocab_path, packed, tmp_path / "o"))
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "pretrain"]) == 0
+        rows = (tmp_path / "o" / "train_log.tsv").read_text().splitlines()
+        epoch, loss = rows[-2].split("\t")[:2]  # the last row before "# best_epoch"
+        assert capsys.readouterr().out == \
+            f"pretrained {epoch} epochs, final train loss {loss}\n"
+        assert epoch == "2" and len(loss.split(".")[1]) == 6
+
     def test_finetune_evaluate_decode(self, tmp_path):
         rng = random.Random(0)
         rows = ["id\tsentence1\tsentence2\tsimilarity\tentailment"]
@@ -267,6 +281,32 @@ class TestExitCodes:
         a = (tmp_path / "s1" / "checkpoint.bin").read_bytes()
         b = (tmp_path / "s2" / "checkpoint.bin").read_bytes()
         assert a != b
+
+
+@pytest.mark.parametrize("flag,value", [("--seed", "3"), ("--seed", "-1"),
+                                        ("--config", "run.cfg")])
+@pytest.mark.parametrize("command", ["preprocess", "train-vocab",
+                                     "make-pretrain-data", "decode"])
+def test_config_flags_on_a_command_that_reads_no_config_are_usage_errors(
+        tmp_path, capsys, command, flag, value):
+    """Only pretrain, finetune and evaluate read a config; anywhere else
+    --seed or --config would be silently ignored, so it is refused before
+    any file is read. --deterministic stays accepted everywhere."""
+    corpus = make_corpus_file(tmp_path)
+    out = tmp_path / "out"
+    argv = {"preprocess": ["preprocess", corpus, "--output", str(out)],
+            "train-vocab": ["train-vocab", "--corpus", corpus, "--output",
+                            str(out), "--vocab-size", "60"],
+            "make-pretrain-data": ["make-pretrain-data", "--vocab", "v.tsv",
+                                   "--corpus", corpus, "--output", str(out)],
+            "decode": ["decode", "--checkpoint", "c.bin", "--vocab", "v.tsv",
+                       "--input", corpus, "--output", str(out)]}[command]
+    assert main([flag, value, *argv]) == 1
+    assert capsys.readouterr().err == \
+        f"usage error: {command} reads no config, so {flag} does not apply\n"
+    assert not out.exists()
+    if command in ("preprocess", "train-vocab"):
+        assert main(["--deterministic", *argv]) == 0
 
 
 def test_console_entry_point_runs():

@@ -163,10 +163,7 @@ def random_model(seed: int, scheme: str, tie: bool, max_len: int = 12):
         for name in ("enc_rel_bias", "dec_rel_bias"):
             params.tensors[name] = rng.normal(0.0, 1.0, params.tensors[name].shape)
     n = int(rng.integers(2, 6))
-    enc = rng.integers(4, cfg.vocab_size, size=n)
-    if seed % 3 == 0:
-        enc = np.concatenate((enc, [PAD_ID] * int(rng.integers(1, 4))))
-    return params, enc
+    return params, rng.integers(4, cfg.vocab_size, size=n)
 
 
 SCHEMES = [(scheme, tie) for scheme in (LEARNED_ABSOLUTE, RELATIVE_BUCKET)
@@ -176,12 +173,12 @@ SCHEMES = [(scheme, tie) for scheme in (LEARNED_ABSOLUTE, RELATIVE_BUCKET)
 class TestIncrementalDecoding:
     @pytest.mark.parametrize("scheme,tie", SCHEMES)
     def test_stepper_matches_uncached_forward_through_reordering(self, scheme, tie):
-        self.check_stepper_rows(scheme, tie, [[5, 6, 7, 4, PAD_ID, PAD_ID]])
+        self.check_stepper_rows(scheme, tie, [[5, 6, 7, 4]])
 
     @pytest.mark.parametrize("scheme,tie", SCHEMES)
     def test_many_source_stepper_matches_uncached_forward_per_row(self, scheme, tie):
-        self.check_stepper_rows(scheme, tie, [[5, 6, 7, 4, PAD_ID, PAD_ID], [4],
-                                              [7, 7, 6, 5, 4, 6, 5, 7, PAD_ID]])
+        self.check_stepper_rows(scheme, tie, [[5, 6, 7, 4], [4],
+                                              [7, 7, 6, 5, 4, 6, 5, 7]])
 
     @staticmethod
     def check_stepper_rows(scheme, tie, sources):
@@ -242,7 +239,7 @@ class TestIncrementalDecoding:
             for _ in range(int(rng.integers(2, 6))):
                 enc = rng.integers(4, params.cfg.vocab_size, size=int(rng.integers(1, 7)))
                 if rng.random() < 0.4:
-                    enc = np.concatenate((enc, [PAD_ID] * int(rng.integers(1, 4))))
+                    rng.integers(1, 4)  # unused; kept so the later draws stay the same
                 sources.append(enc)
             max_outs = [int(m) for m in rng.integers(1, 7, size=len(sources))]
             references = [model_step_fn(params, enc) for enc in sources]
@@ -262,6 +259,17 @@ class TestIncrementalDecoding:
             decode_sources(params, [enc, enc], 3, [4, 0])
         with pytest.raises(ValueError, match="one token per row"):
             DecoderStepper(params, [enc, enc]).step([EOS_ID])
+
+    def test_pad_in_a_source_or_a_step_token_rejected(self):
+        params, enc = random_model(2, LEARNED_ABSOLUTE, True)
+        with pytest.raises(ValueError, match="enc_ids contains the padding id"):
+            DecoderStepper(params, [enc, np.concatenate((enc, [PAD_ID]))])
+        with pytest.raises(ValueError, match="enc_ids contains the padding id"):
+            decode_sources(params, [np.concatenate((enc, [PAD_ID]))], 3, [4])
+        stepper = DecoderStepper(params, [enc, enc])
+        stepper.step([EOS_ID, EOS_ID])
+        with pytest.raises(ValueError, match="dec_ids contains the padding id"):
+            stepper.step([5, PAD_ID])
 
     def test_one_chunk_of_decoding_stays_within_a_memory_bound(self):
         # V=8k, d=64, as the benchmark's models. A greedy step over a full

@@ -14,7 +14,7 @@ from minit5.model import (ModelConfig, accumulate_loss_and_grad,
                           regression_head, zero_grads)
 from minit5.model import (_attn_bwd, _attn_fwd, _causal_bias, _dgelu,
                           _embed_bwd, _embed_fwd, _encoder_fwd, _gelu,
-                          _key_mask_bias, _replay, _softmax_rows,
+                          _replay, _softmax_rows,
                           _xent_sum_and_dlogits, log_softmax)
 
 from oracles import (attention_out_of_place, central_diff_grads, dgelu_pow,
@@ -25,7 +25,7 @@ CFG = ModelConfig(vocab_size=12, d_model=16, n_heads=2, d_ff=24,
 
 
 def small_batch():
-    return [(np.array([5, 6, 7, 0, 0]), np.array([1, 8, 9]), np.array([8, 9, 1])),
+    return [(np.array([5, 6, 7]), np.array([1, 8, 9]), np.array([8, 9, 1])),
             (np.array([4, 9]), np.array([1, 5]), np.array([5, 1]))]
 
 
@@ -98,12 +98,17 @@ class TestForward:
         probs /= probs.sum(axis=-1, keepdims=True)
         assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
 
-    def test_padding_extension_leaves_logits_unchanged(self):
+    @pytest.mark.parametrize("enc,dec,what", [
+        ([5, 6, 7, 0, 0], [1, 7], "enc_ids"), ([5, 0, 7], [1, 7], "enc_ids"),
+        ([0, 0], [1], "enc_ids"), ([5, 6, 7], [1, 7, 0], "dec_ids"),
+        ([5, 6, 7], [1, 0, 7], "dec_ids")],
+        ids=["enc-suffix", "enc-inside", "enc-all", "dec-suffix", "dec-inside"])
+    def test_pad_anywhere_rejected(self, enc, dec, what):
+        """No sequence is padded: a pad is an error naming its argument,
+        not a position the model masks."""
         params = init_model(CFG, seed=2)
-        dec = np.array([1, 7])
-        base = forward(params, np.array([5, 6, 7]), dec)
-        padded = forward(params, np.array([5, 6, 7, 0, 0]), dec)
-        assert np.array_equal(base, padded)
+        with pytest.raises(ValueError, match=f"{what} contains the padding id 0"):
+            forward(params, np.array(enc), np.array(dec))
 
     def test_causality(self):
         params = init_model(CFG, seed=2)
@@ -118,10 +123,16 @@ class TestForward:
         with pytest.raises(ValueError, match="max_len"):
             forward(params, np.arange(4, 4 + CFG.max_len + 1) % 12, np.array([1]))
 
-    def test_all_pad_encoder_rejected(self):
+    @pytest.mark.parametrize("tgt,match", [
+        ([8, 0, 1], "targets contains the padding id"),
+        ([8, 12, 1], "targets contains ids outside the vocabulary"),
+        ([8, 9], "targets must be one id per logits row")],
+        ids=["pad", "past-vocab", "short"])
+    def test_bad_lm_target_is_a_named_value_error(self, tgt, match):
         params = init_model(CFG, seed=1)
-        with pytest.raises(ValueError, match="padding"):
-            forward(params, np.array([0, 0]), np.array([1]))
+        with pytest.raises(ValueError, match=match):
+            loss_and_grad(params, [(np.array([5, 6]), np.array([1, 8, 9]),
+                                    np.array(tgt))], "lm")
 
 
 class TestLossXent:
@@ -147,14 +158,17 @@ class TestLossXent:
             want += -(row[t] - math.log(np.exp(row).sum()))
         assert got == pytest.approx(want / 7, rel=1e-12)
 
-    def test_pad_positions_excluded(self):
-        logits = np.zeros((3, 4))
-        got = loss_xent(logits, np.array([1, 0, 2]))
-        assert got == pytest.approx(math.log(4))
-
-    def test_all_pad_error(self):
-        with pytest.raises(ValueError, match="padded"):
-            loss_xent(np.zeros((2, 4)), np.array([0, 0]))
+    @pytest.mark.parametrize("logits,targets,match", [
+        (np.zeros((3, 4)), [1, 0, 2], "targets contains the padding id 0"),
+        (np.zeros((2, 4)), [0, 0], "targets contains the padding id 0"),
+        (np.zeros((2, 4)), [1, 4], "targets contains ids outside the vocabulary"),
+        (np.zeros((2, 4)), [1, -1], "targets contains ids outside the vocabulary"),
+        (np.zeros((0, 4)), [], "targets must be one id per logits row, at least one"),
+        (np.zeros((2, 4)), [1], "targets must be one id per logits row")],
+        ids=["pad", "all-pad", "past-vocab", "negative", "empty", "short"])
+    def test_bad_targets_are_named_value_errors(self, logits, targets, match):
+        with pytest.raises(ValueError, match=match):
+            loss_xent(logits, np.array(targets, dtype=np.int64))
 
 
 # every lm-path tensor of the untied relative-bucket stack, two layers each;
@@ -199,22 +213,19 @@ class TestNumerics:
         rng = np.random.default_rng(2)
         logits = rng.normal(0.0, scale, size=(9, 13))
         targets = rng.integers(1, 13, size=9)
-        targets[[2, 7]] = 0
-        keep = targets != 0
         rows = np.arange(9)
-        loss_sum, dlogits = _xent_sum_and_dlogits(logits.copy(), targets, keep)
+        loss_sum, dlogits = _xent_sum_and_dlogits(logits.copy(), targets)
         lp = log_softmax(logits)
-        assert loss_sum == float(-np.sum(lp[rows, targets][keep]))
+        assert loss_sum == float(-np.sum(lp[rows, targets]))
         want = np.exp(lp)
         want[rows, targets] -= 1.0
-        want[~keep] = 0.0
         assert np.max(np.abs(dlogits - want)) <= 1e-15
-        assert loss_xent(logits, targets) == loss_sum / np.count_nonzero(keep)
+        assert loss_xent(logits, targets) == loss_sum / targets.size
 
     def test_loss_xent_leaves_logits_unchanged(self):
         logits = np.random.default_rng(3).normal(0.0, 2.0, size=(5, 7))
         before = logits.copy()
-        loss_xent(logits, np.array([1, 2, 0, 4, 5]))
+        loss_xent(logits, np.array([1, 2, 3, 4, 5]))
         assert np.array_equal(logits, before)
 
     def test_softmax_rows_is_in_place(self):
@@ -234,7 +245,7 @@ class TestNumerics:
         h_kv = rng.normal(size=(nk, d)) if kind == "key-masked" else h_q
         ws = [rng.normal(0.0, 0.5, size=(d, d)) for _ in range(4)]
         if kind == "key-masked":
-            bias = _key_mask_bias(np.array([True, True, False, True, True, False, True]))
+            bias = np.array([0.0, 0.0, -np.inf, 0.0, 0.0, -np.inf, 0.0])[None, None, :]
         elif kind == "causal":
             bias = _causal_bias(nq)
         else:
@@ -254,7 +265,7 @@ class TestNumerics:
         n, n_heads = 9, RELATIVE_UNTIED.n_heads
         ids = rng.integers(4, RELATIVE_UNTIED.vocab_size, size=n)
         table = "enc_rel_bias" if bidirectional else "dec_rel_bias"
-        _, _, cache = _embed_fwd(params, ids, _causal_bias(n), table, bidirectional)
+        _, _, cache = _embed_fwd(params, ids, "enc" if bidirectional else "dec")
         d_scores = [rng.normal(size=(n_heads, n, n)) for _ in range(2)]
         start = rng.normal(size=params.tensors[table].shape)
         grads = {"tok_emb": np.zeros_like(params.tensors["tok_emb"]), table: start.copy()}
@@ -272,7 +283,7 @@ def helper_cases():
 
     def ids(n):
         out = rng.integers(1, 40, n)
-        out[rng.random(n) < 0.2] = 0
+        out[rng.random(n) < 0.2] = 4  # a repeated content id
         out[0] = 5
         return out
 
@@ -460,9 +471,8 @@ class TestGradients:
         def f():
             total, toks = 0.0, 0
             for enc, dec, tgt in batch:
-                keep = int(np.count_nonzero(tgt != 0))
-                total += loss_xent(forward(params, enc, dec), tgt) * keep
-                toks += keep
+                total += loss_xent(forward(params, enc, dec), tgt) * len(tgt)
+                toks += len(tgt)
             return total / toks
 
         numeric = central_diff_grads(f, params.tensors, h=h)
@@ -519,9 +529,8 @@ class TestGradients:
         def f():
             total, toks = 0.0, 0
             for enc, dec, tgt in batch:
-                keep = int(np.count_nonzero(tgt != 0))
-                total += loss_xent(forward(params, enc, dec), tgt) * keep
-                toks += keep
+                total += loss_xent(forward(params, enc, dec), tgt) * len(tgt)
+                toks += len(tgt)
             return total / toks
 
         numeric = central_diff_grads(
@@ -538,11 +547,11 @@ class TestPooling:
         pool = encoder_mean_pool(params, np.array([7]))
         assert np.array_equal(pool, states[0])
 
-    def test_pad_does_not_move_pool(self):
+    @pytest.mark.parametrize("enc", [[7, 9, 0, 0, 0], [0, 0]], ids=["suffix", "all"])
+    def test_pad_rejected(self, enc):
         params = init_model(CFG, seed=10)
-        a = encoder_mean_pool(params, np.array([7, 9]))
-        b = encoder_mean_pool(params, np.array([7, 9, 0, 0, 0]))
-        assert np.array_equal(a, b)
+        with pytest.raises(ValueError, match="enc_ids contains the padding id 0"):
+            encoder_mean_pool(params, np.array(enc))
 
     def test_two_token_hand_average(self):
         params = init_model(CFG, seed=10)
@@ -550,11 +559,6 @@ class TestPooling:
         want = (states[0] + states[1]) / 2.0
         pool = encoder_mean_pool(params, np.array([7, 9]))
         assert np.allclose(pool, want, rtol=1e-15, atol=0)
-
-    def test_all_pad_error(self):
-        params = init_model(CFG, seed=10)
-        with pytest.raises(ValueError, match="padding"):
-            encoder_mean_pool(params, np.array([0, 0]))
 
 
 class TestHeads:

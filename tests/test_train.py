@@ -17,10 +17,10 @@ from minit5.tasks import (NerExample, SentencePairExample, assin_input_ids,
                           build_ner_target, fit, make_similarity_target,
                           ner_input_ids)
 from minit5.train import (DataError, LockError, _model_config, _ner_items,
-                          _pair_items, _train_loop, acquire_lock,
+                          _pair_items, _pretrain_items, _train_loop, acquire_lock,
                           load_packed_corpus, run_evaluate, run_finetune,
                           run_pretrain)
-from minit5.unigram import EOS_ID, UnigramVocab, encode, train_vocab
+from minit5.unigram import EOS_ID, PAD_ID, UnigramVocab, encode, train_vocab
 
 WORDS = ["casa", "gato", "azul", "verde", "sol", "mar", "rio", "dia"]
 
@@ -157,6 +157,28 @@ class TestPretrain:
             acquire_lock(str(tmp_path))
         assert (tmp_path / ".lock").read_text() == content
 
+    @pytest.mark.parametrize("batch_size,grad_accum_steps", [(4, 1), (2, 2), (1, 4)])
+    def test_logged_loss_does_not_depend_on_microbatch_grouping(
+            self, tmp_path, monkeypatch, batch_size, grad_accum_steps):
+        """One running sum takes every example's loss in item order: 1 +
+        2**53 rounds to 2**53, and the sum ends at 0.0 however the four
+        items are cut, where a sum per microbatch would keep the second 1
+        as 1 - 2**53 and log 0.25 at batch 2 x 2. The gradients are zero,
+        so the parameters do not move."""
+        losses = iter([1.0, 2.0 ** 53, 1.0, -2.0 ** 53])
+        monkeypatch.setattr(model, "_lm_example",
+                            lambda params, example, backward: (next(losses), 1, []))
+        cfg = pretrain_cfg(tmp_path, "grouping", batch_size=batch_size,
+                           grad_accum_steps=grad_accum_steps, max_epochs=1)
+        params = init_model(model.ModelConfig(vocab_size=12, d_model=8, n_heads=2,
+                                              d_ff=8, max_len=8), 0)
+        before = params.copy()
+        items = [(np.array([5]), np.array([1]), np.array([6]))] * 4
+        trained, log = _train_loop(params, items, "lm", cfg, None)
+        assert [r.train_loss for r in log.records] == [0.0]
+        for name, tensor in before.tensors.items():
+            assert trained.tensors[name].tobytes() == tensor.tobytes(), name
+
     def test_nan_checkpoint_diverges(self, tmp_path):
         cfg = pretrain_cfg(tmp_path, "nan", max_epochs=1)
         vocab = UnigramVocab.load(cfg.vocab_path)
@@ -263,9 +285,9 @@ class TestValidationLoss:
                                             d_ff=24, n_enc_layers=2,
                                             n_dec_layers=2, max_len=12,
                                             position_scheme=scheme), 3)
-            encs = [np.array([5, 6, 7, 0]), np.array([9]),
+            encs = [np.array([5, 6, 7]), np.array([9]),
                     np.array([4, 8, 11, 10, 6])]
-            tgts = [np.array([8, 9, 1]), np.array([5, 1]), np.array([7, 4, 0])]
+            tgts = [np.array([8, 9, 1]), np.array([5, 1]), np.array([7, 4, 10])]
             pooled = {"regression": list(zip(encs, (1.0, 2.5, 4.9))),
                       "classification": list(zip(encs, (0, 1, 1)))}
             for objective, items in pooled.items():
@@ -551,6 +573,38 @@ class TestEncoderInputCut:
             for got, full in ((sim, full_sim), (ner, full_ner)):
                 want = full if len(full) <= limit else full[:limit - 1] + [EOS_ID]
                 assert got.tolist() == want, limit
+
+
+class TestItemsAreUnpadded:
+    def test_no_item_builder_emits_pad(self):
+        """The premise of a model without pad masks: no fine-tuning item
+        (generated and linear-head similarity, entailment, NER) and no
+        pretraining pair holds <pad>, at limits that cut and that fit."""
+        vocab = train_vocab([" ".join(WORDS), "[Person] [Other] 0 1 2 3 4 5 .",
+                             "ASSIN sentence1: x sentence2: y Recognize Entities: z"] * 4,
+                            vocab_size=90)
+        rng = random.Random(0)
+        pairs = [SentencePairExample(f"p{i}", " ".join(rng.sample(WORDS, 4)),
+                                     " ".join(rng.sample(WORDS, 3)),
+                                     rng.choice((1.0, 2.5, 4.8)),
+                                     rng.choice(("entail", "none")))
+                 for i in range(6)]
+        docs = [NerExample("d1", tuple(WORDS), ("B-PER", "I-PER") + ("O",) * 6),
+                NerExample("d2", ("sol",), ("B-LOC",))]
+        cfg = RunConfig(task="ner", optimizer="adamw", lr=1e-3, batch_size=1,
+                        max_epochs=1, label_language="en", ner_window=4,
+                        ner_stride=2, mask_rate=0.15, seed=0)
+        table = LabelTable("en")
+        packed = [" ".join(rng.choices(WORDS, k=rng.randrange(1, 40))) for _ in range(8)]
+        for limit in (3, 8, 64):
+            items = (_pair_items(vocab, pairs, "lm", limit)
+                     + _pair_items(vocab, pairs, "regression", limit)
+                     + _pair_items(vocab, pairs, "classification", limit)
+                     + _ner_items(cfg, vocab, table, docs, limit)
+                     + _pretrain_items(cfg, vocab, packed, limit))
+            for item in items:
+                seqs = item if len(item) == 3 else item[:1]
+                assert all(PAD_ID not in np.asarray(seq) for seq in seqs), (limit, item)
 
 
 class TestSyntheticNerEndToEnd:

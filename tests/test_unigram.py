@@ -416,10 +416,12 @@ class TestDecode:
         vocab = make_vocab({"a": math.log(1.0)})
         assert decode(vocab, []) == ""
 
-    def test_pad_suffix_stripped(self):
+    def test_pad_suffix_rejected(self):
+        """No sequence is padded, so a trailing pad is an error too."""
         vocab = make_vocab({"a": math.log(1.0)})
         ids = encode(vocab, "aa") + [PAD_ID, PAD_ID]
-        assert decode(vocab, ids) == "aa"
+        with pytest.raises(ValueError, match="ids contains the padding id 0"):
+            decode(vocab, ids)
 
     def test_out_of_range_id(self):
         vocab = make_vocab({"a": math.log(1.0)})
