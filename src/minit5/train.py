@@ -175,8 +175,10 @@ def _train_loop(params: ModelParams, items: list, objective: str,
                 val_fn=None, maximize: bool = False) -> tuple[ModelParams, TrainLog]:
     """Epoch loop with gradient accumulation and optional early stopping.
 
-    val_fn(params) returns (val_loss, val_objective); the objective drives
-    early stopping and best-checkpoint selection. Items are visited in their
+    val_fn(params) returns (val_loss, val_objective); the objective picks the
+    best checkpoint. Early stopping counts the epochs since the objective or
+    the validation loss was last at its best, so a noisy objective (NER's
+    F1) does not stop a run whose loss still falls. Items are visited in their
     given order so reruns with the same seed are byte-identical. The epoch's
     losses are added onto one running sum, example by example, so the logged
     train loss does not depend on how the items are cut into microbatches.
@@ -184,6 +186,7 @@ def _train_loop(params: ModelParams, items: list, objective: str,
     _, step_fn = make_optimizer(cfg.optimizer, cfg.lr)
     log = TrainLog()
     best_value: float | None = None
+    best_loss: float | None = None
     best_params: ModelParams | None = None
     since_best = 0
     macro = cfg.batch_size * cfg.grad_accum_steps
@@ -215,10 +218,14 @@ def _train_loop(params: ModelParams, items: list, objective: str,
         if val_objective is not None:
             improved = best_value is None or (
                 val_objective > best_value if maximize else val_objective < best_value)
+            lower_loss = best_loss is None or val_loss < best_loss
+            if lower_loss:
+                best_loss = val_loss
             if improved:
                 best_value = val_objective
                 best_params = params.copy()
                 log.best_epoch = epoch
+            if improved or lower_loss:
                 since_best = 0
             else:
                 since_best += 1

@@ -272,30 +272,31 @@ _COUNT_FLOOR = 1e-100  # keeps every retained piece at a finite log-prob
 
 
 class _Lattice:
-    """Every weighted sentence's edges as flat int arrays, from one
+    """Every weighted word's edges as flat int arrays, from one
     _sentence_edges sweep; pruning masks out dropped pieces' edges (keep), as
     single characters, and so unknown edges, always survive. Positions are
-    global, edges in the builder's (sentence, start, row) order. EM sweeps
-    start levels across all sentences with np.logaddexp, which rounds like
-    _logadd, in the scalar recurrence's order: its bytes equal that walk's."""
+    global, edges in the builder's (word, start, row) order. The words are
+    those of _word_lattice, or any weighted texts. EM sweeps start levels
+    across all words with np.logaddexp, which rounds like _logadd, in the
+    scalar recurrence's order: its bytes equal that walk's."""
 
-    def __init__(self, sentences: dict[str, int], scored: dict[str, float]):
-        self.sentences = sentences
+    def __init__(self, words: dict[str, int], scored: dict[str, float]):
+        self.words = words
         self._index = {p: k for k, p in enumerate(scored)}
         table = _piece_table(scored)
         rows: list[int] = []  # six columns, flat
         first: list[int] = []
         pos = 0
-        for k, sent in enumerate(sentences):
+        for k, word in enumerate(words):
             first.append(pos)
-            for i, row in enumerate(_sentence_edges(sent, table, 0.0)):
+            for i, row in enumerate(_sentence_edges(word, table, 0.0)):
                 for rank, (j, piece, _) in enumerate(row):  # the unknown piece is -1
                     rows += (pos + i, pos + j, i, rank, self._index.get(piece, -1), k)
-            pos += len(sent) + 1
+            pos += len(word) + 1
         self._n_pos = pos
         self._first = np.array(first, dtype=np.int64)
-        self._last = self._first + np.array([len(s) for s in sentences], dtype=np.int64)
-        self._weight = np.array(list(sentences.values()), dtype=np.float64)
+        self._last = self._first + np.array([len(w) for w in words], dtype=np.int64)
+        self._weight = np.array(list(words.values()), dtype=np.float64)
         self._set_edges(np.array(rows, dtype=np.int64).reshape(-1, 6).T)
 
     def _set_edges(self, cols: np.ndarray) -> None:
@@ -304,8 +305,8 @@ class _Lattice:
         self._cols = cols
         self._start, self._end, level, rank, self._piece, self._sent = cols
         order = np.argsort(level, kind="stable")
-        self._lstart, self._lend, self._lpiece = (
-            self._start[order], self._end[order], self._piece[order])
+        self._lstart, self._lend, self._lpiece, self._lsent = (
+            self._start[order], self._end[order], self._piece[order], self._sent[order])
         level, rank = level[order], rank[order]
         cuts = np.flatnonzero(np.diff(level, prepend=-1, append=-1)).tolist()
         self._levels = []
@@ -321,12 +322,18 @@ class _Lattice:
         alive[-1] = True  # unknown edges
         self._set_edges(self._cols[:, alive[self._piece]])
 
-    def em(self, scored: dict[str, float]) -> tuple[dict[str, float], float]:
-        """One EM pass: (new scores in scored's order, pre-update log-likelihood)."""
+    def _log_probs(self, scored: dict[str, float]) -> tuple[list[int], np.ndarray]:
+        """scored's piece indices, and every piece's log-prob by index, the
+        unknown edge's last."""
         idx = [self._index[p] for p in scored]
         lp_of = np.zeros(len(self._index) + 1)
         lp_of[idx] = list(scored.values())
         lp_of[-1] = _unk_log_prob(scored.values())
+        return idx, lp_of
+
+    def em(self, scored: dict[str, float]) -> tuple[dict[str, float], float]:
+        """One EM pass: (new scores in scored's order, pre-update log-likelihood)."""
+        idx, lp_of = self._log_probs(scored)
         alpha = np.full(self._n_pos, NEG_INF)
         alpha[self._first] = 0.0
         lp = lp_of[self._lpiece]
@@ -344,7 +351,7 @@ class _Lattice:
                 acc = np.logaddexp(acc, terms[:, r])
             beta[starts] = acc
         logz = alpha[self._last]
-        loglik = reduce(add, (w * z for w, z in zip(self.sentences.values(), logz.tolist())
+        loglik = reduce(add, (w * z for w, z in zip(self.words.values(), logz.tolist())
                               if z != NEG_INF), 0.0)  # sequential, as the scalar sum
         on = (self._piece >= 0) & (logz[self._sent] != NEG_INF)
         start, end, piece, sent = self._start[on], self._end[on], self._piece[on], self._sent[on]
@@ -358,13 +365,66 @@ class _Lattice:
         log_total = math.log(reduce(add, floored, 0.0))
         return dict(zip(scored, [math.log(c) - log_total for c in floored])), loglik
 
+    def usage(self, scored: dict[str, float], table: dict[str, float | None]
+              ) -> dict[str, int]:
+        """Weighted counts of the pieces on each word's best path, which are
+        the pieces encode emits, for every piece of scored; table is scored's
+        _piece_table. One max-product sweep over the start levels, as em's
+        forward, keeps each position's best (log-prob, piece count) and back
+        edge; a candidate wins on a higher log-prob, or an equal one with
+        fewer pieces, and candidates reach a position in ascending start, as
+        in _best_path. A word where a candidate exactly ties a position's best
+        breaks the tie by its pieces' text: _viterbi segments it instead."""
+        idx, lp_of = self._log_probs(scored)
+        lp = lp_of[self._lpiece]
+        best = np.full(self._n_pos, NEG_INF)
+        best[self._first] = 0.0
+        n_pieces = np.zeros(self._n_pos, dtype=np.int64)
+        back = np.zeros(self._n_pos, dtype=np.int64)  # the best path's last edge
+        tied = np.zeros(len(self.words), dtype=bool)
+        for a, b, _, _, _ in self._levels:  # one level's edges all end apart
+            ends, starts = self._lend[a:b], self._lstart[a:b]
+            cand, count = best[starts] + lp[a:b], n_pieces[starts] + 1
+            same_lp = cand == best[ends]
+            tied[self._lsent[a:b][same_lp & (count == n_pieces[ends])]] = True
+            win = np.flatnonzero((cand > best[ends]) | (same_lp & (count < n_pieces[ends])))
+            at = ends[win]
+            best[at], n_pieces[at], back[at] = cand[win], count[win], a + win
+        # every untied word's path at once, from its end back to its start
+        pos, first, weight = self._last[~tied], self._first[~tied], self._weight[~tied]
+        counts = np.zeros(len(self._index) + 1)  # the unknown piece, -1, counts last
+        while len(pos):
+            go = pos > first
+            pos, first, weight = pos[go], first[go], weight[go]
+            edge = back[pos]
+            # integer weights: every sum is exact, in any order
+            counts += np.bincount(self._lpiece[edge] % len(counts), weights=weight,
+                                  minlength=len(counts))
+            pos = self._lstart[edge]
+        counts = counts.astype(np.int64)
+        words = list(self.words)
+        for k in np.flatnonzero(tied).tolist():
+            for p in _viterbi(words[k], table, float(lp_of[-1])):
+                if p is not None:
+                    counts[self._index[p]] += self.words[words[k]]
+        return dict(zip(scored, counts[idx].tolist()))
+
+
+def _word_lattice(sentences: dict[str, int], scored: dict[str, float]) -> _Lattice:
+    """The lattice of weighted sentences' distinct words (see _weighted_words),
+    in first-occurrence order, or of the sentences where a piece of scored
+    spans a cut. A sentence's lattice is its words' lattices end to end, so
+    EM's sums are the same; only their rounding moves."""
+    return _Lattice(dict(_weighted_words(sentences, _cuts_words(scored))), scored)
+
 
 def em_step(corpus: list[str], vocab: UnigramVocab) -> tuple[UnigramVocab, float]:
     """One EM iteration: expected piece counts by forward-backward, then
     renormalization. Returns the updated vocabulary and the pre-update corpus
-    log-likelihood. Piece order is preserved."""
+    log-likelihood, summed over the corpus's distinct words (see
+    _word_lattice). Piece order is preserved."""
     scored = vocab.scored_body()
-    new_scored, loglik = _Lattice(_weighted_internal(corpus), scored).em(scored)
+    new_scored, loglik = _word_lattice(_weighted_internal(corpus), scored).em(scored)
     rows = list(vocab.pieces[:N_RESERVED]) + [
         (p, new_scored[p]) for p, _ in vocab.pieces[N_RESERVED:]]
     return UnigramVocab(rows), loglik
@@ -450,18 +510,6 @@ def decode(vocab: UnigramVocab, ids: list[int]) -> str:
     return _to_text("".join(parts))
 
 
-def _viterbi_piece_counts(sentences: dict[str, int], table: dict[str, float | None],
-                          unk_lp: float, cut: bool) -> Counter:
-    """Weighted counts of the pieces on each word's best path, which are the
-    pieces encode emits; each distinct word is segmented once."""
-    counts: Counter[str] = Counter()
-    for word, weight in _weighted_words(sentences, cut).items():
-        for piece in _viterbi(word, table, unk_lp):
-            if piece is not None:
-                counts[piece] += weight
-    return counts
-
-
 def _alternatives(pieces: Iterable[str], table: dict[str, float | None],
                   unk_lp: float) -> dict[str, float]:
     """Each piece's best log-prob of segmenting it without the piece itself:
@@ -495,9 +543,9 @@ def prune_vocab(corpus: list[str], vocab: UnigramVocab, target_size: int) -> Uni
     top SHRINK_FACTOR fraction (never dropping below the target).
     Single characters and reserved ids are always retained.
     """
-    sentences, scored = _weighted_internal(corpus), vocab.scored_body()
-    return UnigramVocab.from_scored(
-        _prune(_Lattice(sentences, scored), scored, target_size, SHRINK_FACTOR))
+    scored = vocab.scored_body()
+    return UnigramVocab.from_scored(_prune(_word_lattice(_weighted_internal(corpus), scored),
+                                           scored, target_size, SHRINK_FACTOR))
 
 
 def _prune(lattice: _Lattice, scored: dict[str, float], target_size: int,
@@ -513,11 +561,11 @@ def _prune(lattice: _Lattice, scored: dict[str, float], target_size: int,
     while N_RESERVED + len(scored) > target_size:
         for _ in range(2):
             scored, _ = lattice.em(scored)
-        unk_lp = _unk_log_prob(scored.values())
         table = _piece_table(scored)  # one per round, shared by every piece below
-        usage = _viterbi_piece_counts(lattice.sentences, table, unk_lp, _cuts_words(scored))
+        usage = lattice.usage(scored, table)
         multis = [p for p in scored if len(p) > 1]
-        alts = _alternatives([p for p in multis if usage[p]], table, unk_lp)
+        alts = _alternatives([p for p in multis if usage[p]], table,
+                             _unk_log_prob(scored.values()))
         losses = [(usage[p] * (scored[p] - alts[p]) if usage[p] else 0.0, p)
                   for p in multis]
         losses.sort(key=lambda kv: (-kv[0], kv[1]))
@@ -552,7 +600,7 @@ def train_vocab(corpus: list[str], vocab_size: int = 32000, *,
     if seed_size is None:
         seed_size = max(n_chars, 4 * vocab_size)
     scored = _seed_scores(sentences, seed_size)
-    lattice = _Lattice(sentences, scored)  # the one build; pruning masks it
+    lattice = _word_lattice(sentences, scored)  # the one build; pruning masks it
     for _ in range(2):
         scored, _ = lattice.em(scored)
     if N_RESERVED + len(scored) > vocab_size:

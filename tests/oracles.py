@@ -94,9 +94,28 @@ def reference_seed_scores(corpus: list[str], seed_size: int) -> dict[str, float]
     return {p: math.log(f / total) for p, f in freqs.items()}
 
 
+def reference_words(corpus: list[str], cut: bool = True) -> dict[str, int]:
+    """Each distinct word of the corpus lines, by first occurrence, weighted by
+    its occurrences: a run of other characters after a boundary marker, with
+    the marker, or one at a line's start; where cut is false, each whole
+    internal-form line instead."""
+    import re
+    from minit5.unigram import BOUNDARY
+    words: dict[str, int] = {}
+    for line in corpus:
+        sent = line.replace(" ", BOUNDARY)
+        if cut:
+            split = re.findall(f"{BOUNDARY}[^{BOUNDARY}]*|[^{BOUNDARY}]+", sent)
+        else:
+            split = [sent] if sent else []
+        for word in split:
+            words[word] = words.get(word, 0) + 1
+    return words
+
+
 # --- sentence-level Viterbi reference --------------------------------------
-# The whole-sentence walks unigram once ran, which its per-word encode, usage
-# counts and prefix-memo alternatives are compared against. Each looks the
+# The scalar walks unigram once ran, which its per-word encode, usage counts
+# and prefix-memo alternatives are compared against. Each looks the
 # edge builder up in unigram when it runs, so a test may substitute it.
 
 def sentence_encode(vocab, text: str) -> list[int]:
@@ -117,6 +136,20 @@ def sentence_piece_counts(sentences: dict[str, int], table, unk_lp: float):
     for sent, weight in sentences.items():
         edges = _sentence_edges(sent, table, unk_lp)
         for _, _, piece in _best_path(sent, edges)[1]:
+            if piece is not None:
+                counts[piece] += weight
+    return counts
+
+
+def _viterbi_piece_counts(sentences: dict[str, int], table, unk_lp: float, cut: bool):
+    """Weighted counts of the pieces on each word's best path, which are the
+    pieces encode emits; each distinct word is segmented once by the scalar
+    _viterbi walk."""
+    from collections import Counter
+    from minit5.unigram import _viterbi, _weighted_words
+    counts = Counter()
+    for word, weight in _weighted_words(sentences, cut).items():
+        for piece in _viterbi(word, table, unk_lp):
             if piece is not None:
                 counts[piece] += weight
     return counts
@@ -161,7 +194,8 @@ def reference_forward_backward(sent: str, table, unk_lp: float):
 
 def reference_em(sentences: dict[str, int], scored: dict[str, float],
                  unk_lp: float) -> tuple[dict[str, float], float]:
-    """One EM pass over pre-weighted sentences; returns (new scores, pre-update LL)."""
+    """One EM pass over pre-weighted texts (the trainer's distinct words, see
+    reference_words); returns (new scores, pre-update LL)."""
     from minit5.unigram import _COUNT_FLOOR, _piece_table
     table = _piece_table(scored)
     counts: dict[str, float] = {}
@@ -193,7 +227,8 @@ def reference_em(sentences: dict[str, int], scored: dict[str, float],
 
 def reference_prune(sentences: dict[str, int], scored: dict[str, float],
                     target_size: int, shrink_factor: float = 0.75) -> dict[str, float]:
-    """Pruning rounds over reference_em; the surviving scores, unranked."""
+    """Pruning rounds over reference_em on pre-weighted texts (the trainer's
+    distinct words); the surviving scores, unranked."""
     from minit5.unigram import N_RESERVED, _logadd, _piece_table, _unk_log_prob
     singles = {p for p in scored if len(p) == 1}
     while N_RESERVED + len(scored) > target_size:
@@ -218,24 +253,24 @@ def reference_prune(sentences: dict[str, int], scored: dict[str, float],
 
 
 def reference_train_vocab(corpus: list[str], vocab_size: int):
-    """Seed, two EM passes, pruning, two more passes, each through a fresh
-    vocabulary as the trainer once did; returns the final UnigramVocab."""
-    from minit5.unigram import (N_RESERVED, UnigramVocab, _weighted_internal,
-                                build_seed_vocab)
-    sentences = _weighted_internal(corpus)
-    n_chars = len({ch for s in sentences for ch in s})
+    """Seed, two EM passes, pruning, two more passes over the corpus's
+    distinct words, each through a fresh vocabulary as the trainer once did;
+    returns the final UnigramVocab."""
+    from minit5.unigram import N_RESERVED, UnigramVocab, build_seed_vocab
+    words = reference_words(corpus)
+    n_chars = len({ch for w in words for ch in w})
     vocab = build_seed_vocab(corpus, max(n_chars, 4 * vocab_size))
 
     def em_twice(vocab):
         for _ in range(2):
-            scored, _ = reference_em(sentences, vocab.scored_body(), vocab.unk_log_prob)
+            scored, _ = reference_em(words, vocab.scored_body(), vocab.unk_log_prob)
             vocab = UnigramVocab(vocab.pieces[:N_RESERVED] + list(scored.items()))
         return vocab
 
     vocab = em_twice(vocab)
     if len(vocab) > vocab_size:
         vocab = UnigramVocab.from_scored(
-            reference_prune(sentences, vocab.scored_body(), vocab_size))
+            reference_prune(words, vocab.scored_body(), vocab_size))
     return UnigramVocab.from_scored(em_twice(vocab).scored_body())
 
 

@@ -219,6 +219,23 @@ class TestTrainLoopControl:
         assert len(log.records) == 3  # stops right at the 2.5 epoch
         assert log.best_epoch == 2
 
+    def test_a_falling_validation_loss_resets_patience(self, tmp_path):
+        """A flat objective with a falling loss trains on; the best checkpoint
+        is still the objective's, and patience counts from the last low loss."""
+        params = self._tiny_params()
+        items = [(np.array([5, 6]), 3.0)]
+        losses = iter([5.0, 4.0, 3.0, 2.0, 1.0, 1.5, 1.5, 1.5, 0.5])
+
+        def val_fn(p):
+            return next(losses), 0.7  # (loss, objective)
+
+        _, log = _train_loop(params, items, "regression",
+                             self._loop_cfg(tmp_path, patience=1), None, val_fn,
+                             maximize=True)
+        assert len(log.records) == 7  # two epochs past the last low loss, at epoch 5
+        assert log.best_epoch == 1
+        assert [r.val_loss for r in log.records] == [5.0, 4.0, 3.0, 2.0, 1.0, 1.5, 1.5]
+
     def test_gradient_buffers_are_allocated_once_per_run(self, tmp_path, monkeypatch):
         """One set of buffers, zeroed before each step: the parameters equal
         those of a loop that takes fresh gradients for every step."""
@@ -461,7 +478,9 @@ class TestEvaluateWithInjectedPredictions:
             counts[name] = report["malformed_windows"]
         assert counts == {"clean": 0, "degenerate": 2}  # 5 words in 2 windows
 
-    def test_ner_windows_decoded_together_write_per_window_predictions(self, tmp_path):
+    def test_ner_windows_decoded_together_write_per_window_predictions(
+            self, tmp_path, monkeypatch):
+        from minit5 import decoding
         from minit5.decoding import beam_decode
         from minit5.ner import (LabelTable, merge_windows, parse_tagged_output,
                                 to_bio, write_conll_predictions)
@@ -485,8 +504,29 @@ class TestEvaluateWithInjectedPredictions:
                         n_enc_layers=1, n_dec_layers=1, vocab_path=str(vocab_path),
                         test_path=str(conll), out_dir=str(tmp_path / "ner"))
         params = init_model(_model_config(cfg, vocab), 2)
-        # sharper logits than a fresh model's: some windows emit eos at once
-        params.tensors["tok_emb"] *= 3.5
+        # the decoder step, steered by each row's window: one holding "York"
+        # emits eos at once, a clean empty tagging; any other opens with "x"
+        # and never closes a bracket, so its words dangle. The batched and
+        # the per-window decode both search the steered step.
+        closing = [i for i in range(len(vocab)) if "]" in vocab.piece(i)]
+
+        class Steered(decoding.DecoderStepper):
+            def __init__(self, params, sources):
+                super().__init__(params, sources)
+                self.stops = np.array(["York" in decode(vocab, list(src)) for src in sources])
+
+            def step(self, tokens, parents=None):
+                logits = super().step(tokens, parents)
+                stop = self.stops[self.row_src]
+                logits[stop] = -np.inf
+                logits[stop, EOS_ID] = 0.0
+                logits[np.ix_(~stop, closing)] = -np.inf
+                if parents is None:
+                    logits[~stop] = -np.inf
+                    logits[~stop, vocab.id_of("x")] = 0.0
+                return logits
+
+        monkeypatch.setattr(decoding, "DecoderStepper", Steered)
         report = run_evaluate(cfg, params, split="test")
         got = (tmp_path / "ner" / "predictions_test.conll").read_bytes()
 

@@ -12,13 +12,13 @@ from minit5.unigram import (BOUNDARY, EOS_ID, MASK_ID, PAD_ID, RESERVED_PIECES,
                             em_step, encode, prune_vocab, train_vocab)
 from minit5 import unigram
 from minit5.unigram import (N_RESERVED, _Lattice, _alternatives, _logadd, _piece_table,
-                            _prune, _sentence_edges, _viterbi_piece_counts,
-                            _weighted_internal)
+                            _prune, _sentence_edges, _weighted_internal, _word_lattice)
 
-from oracles import (all_segmentations, best_segmentation, enumerate_expected_counts,
-                     reference_edges, reference_em, reference_prune,
-                     reference_seed_scores, reference_train_vocab, segment_without_self,
-                     sentence_encode, sentence_piece_counts)
+from oracles import (_viterbi_piece_counts, all_segmentations, best_segmentation,
+                     enumerate_expected_counts, reference_edges, reference_em,
+                     reference_prune, reference_seed_scores, reference_train_vocab,
+                     reference_words, segment_without_self, sentence_encode,
+                     sentence_piece_counts)
 
 PT_WORDS = ["casa", "gato", "cão", "água", "pão", "maçã", "coração", "você",
             "então", "também", "história", "rápido", "número", "São", "Paulo",
@@ -27,6 +27,13 @@ PT_WORDS = ["casa", "gato", "cão", "água", "pão", "maçã", "coração", "voc
 
 def make_vocab(scored: dict[str, float]) -> UnigramVocab:
     return UnigramVocab([(p, 0.0) for p in RESERVED_PIECES] + list(scored.items()))
+
+
+def lattice_usage(sentences: dict[str, int], vocab: UnigramVocab) -> Counter:
+    """Pruning's usage counts for the vocabulary's pieces, from the lattice of
+    the sentences' distinct words; zero counts dropped."""
+    scored = vocab.scored_body()
+    return +Counter(_word_lattice(sentences, scored).usage(scored, vocab._table))
 
 
 def make_fresh(vocab: UnigramVocab) -> UnigramVocab:
@@ -171,8 +178,7 @@ class TestPrune:
         # frequency log-probs of "ab"/"abc" text give exact ties (seeds 79 and
         # 88 here); on a tie, pruning must count the pieces encode picks
         def counts_and_emitted(vocab, corpus):
-            usage = _viterbi_piece_counts(_weighted_internal(corpus), vocab._table,
-                                          vocab.unk_log_prob, vocab._cut)
+            usage = lattice_usage(_weighted_internal(corpus), vocab)
             return usage, Counter(vocab.piece(i) for line in corpus
                                   for i in encode(vocab, line))
 
@@ -399,7 +405,7 @@ class TestPerWordEncode:
         corpus = pt_corpus(200, seed=2)
         sentences = _weighted_internal(corpus)
         vocab = train_vocab(corpus, vocab_size=120)
-        assert _viterbi_piece_counts(sentences, vocab._table, vocab.unk_log_prob, True) == \
+        assert lattice_usage(sentences, vocab) == \
             sentence_piece_counts(sentences, vocab._table, vocab.unk_log_prob)
 
 
@@ -548,7 +554,7 @@ class TestEmMatchesTheScalarReference:
             vocab = make_vocab(scored)
             with np.errstate(over="ignore"):
                 new, loglik = em_step(corpus, vocab)
-            want, want_ll = reference_em(_weighted_internal(corpus), scored,
+            want, want_ll = reference_em(reference_words(corpus, vocab._cut), scored,
                                          vocab.unk_log_prob)
             assert repr((list(new.scored_body().items()), loglik)) == \
                 repr((list(want.items()), want_ll)), trial
@@ -559,10 +565,27 @@ class TestEmMatchesTheScalarReference:
         corpus = pt_corpus(n_sentences, seed=n_sentences)
         vocab = build_seed_vocab(corpus, seed_size)
         want = UnigramVocab.from_scored(
-            reference_prune(_weighted_internal(corpus), vocab.scored_body(), target))
+            reference_prune(reference_words(corpus), vocab.scored_body(), target))
         assert repr(prune_vocab(corpus, vocab, target).pieces) == repr(want.pieces)
         assert repr(train_vocab(corpus, target).pieces) == \
             repr(reference_train_vocab(corpus, target).pieces)
+
+    def test_em_over_words_equals_em_over_sentences_up_to_rounding(self):
+        """A sentence's lattice is its words' lattices end to end, so one pass
+        over the distinct words moves the sentence-level sums only by rounding."""
+        gen = load_perfbench_gen()
+        rng, lex = random.Random(5), gen.language()
+        gen.raw_text(rng, lex, n_chars=80000, sentences_per_paragraph=8)
+        data = gen.sentences(rng, lex, n_chars=9000)  # the data workload's EM corpus
+        for corpus, seed_size in ((pt_corpus(200, seed=3), 2000), (data, 8000)):
+            sentences = _weighted_internal(corpus)
+            scored = build_seed_vocab(corpus, seed_size).scored_body()
+            by_word, word_ll = _word_lattice(sentences, scored).em(scored)
+            by_sentence, sentence_ll = _Lattice(sentences, scored).em(scored)
+            assert list(by_word) == list(by_sentence)
+            for piece, lp in by_sentence.items():
+                assert by_word[piece] == pytest.approx(lp, rel=0.0, abs=1e-9), piece
+            assert word_ll == pytest.approx(sentence_ll, rel=0.0, abs=1e-9)
 
     def test_masked_lattice_equals_a_fresh_build(self):
         corpus = pt_corpus(80, seed=4)
@@ -583,6 +606,56 @@ class TestEmMatchesTheScalarReference:
 
         assert edges(masked) == edges(fresh)
         assert repr(masked.em(survivors)) == repr(fresh.em(survivors))
+
+
+class TestLatticeUsage:
+    """Pruning's usage counts from one sweep over the word lattice must equal
+    the scalar per-word Viterbi counts bit for bit."""
+
+    @staticmethod
+    def both(corpus, scored):
+        sentences = _weighted_internal(corpus)
+        table, unk_lp = _piece_table(scored), min(scored.values()) - 10.0
+        usage = _word_lattice(sentences, scored).usage(scored, table)
+        want = _viterbi_piece_counts(sentences, table, unk_lp, unigram._cuts_words(scored))
+        return +Counter(usage), want
+
+    def test_equals_the_scalar_counts_on_random_lattices(self):
+        rng = random.Random(37)
+        for trial in range(500):
+            scored, text = random_lattice_case(rng)  # uncovered characters too
+            corpus = [text, text[::-1], text[1:] + "a", "ab c" + text, text, "X" + text]
+            got, want = self.both(corpus, scored)
+            assert got == want, trial
+
+    def test_equals_the_scalar_counts_through_pruning_rounds(self, monkeypatch):
+        seen = []
+
+        def checked(self, scored, table):
+            got = usage(self, scored, table)
+            want = _viterbi_piece_counts(self.words, table, min(scored.values()) - 10.0,
+                                         True)
+            seen.append(+Counter(got) == want)
+            return got
+
+        usage = _Lattice.usage
+        monkeypatch.setattr(_Lattice, "usage", checked)
+        train_vocab(pt_corpus(200, seed=9), vocab_size=150)
+        assert len(seen) > 2 and all(seen)
+
+    def test_exact_ties_fall_back_to_the_scalar_walk(self):
+        """Dyadic log-probs make exact ties on (log-prob, piece count): in
+        "abc" the first candidate to reach the end, [a, bc], is the
+        lexicographically smaller; in "abcdef" the later one, [a, bcde, f],
+        beats [abc, d, ef]."""
+        short = dict.fromkeys(("a", "ab", "bc", "c"), -1.0)
+        long = dict.fromkeys(("a", "abc", "bcde", "d", "ef", "f"), -1.0)
+        for scored, corpus, path in (
+                (short, ["abc"], {"a": 1, "bc": 1}),
+                # the marker is no piece: "▁abcdef" opens with an unknown edge
+                (long, ["abcdef", "abcdef", "d abcdef"], {"a": 3, "bcde": 3, "f": 3, "d": 1})):
+            got, want = self.both(corpus, scored)
+            assert got == want == Counter(path)
 
 
 class TestVocabFile:
