@@ -19,6 +19,6 @@ from .tasks import (NerExample, SentencePairExample, build_ner_target,
                     format_assin_pair, format_ner_input, make_similarity_target,
                     parse_score_string, strip_accents, window_offsets)
 from .unigram import (UnigramVocab, build_seed_vocab, decode, em_step, encode,
-                      prune_vocab, train_vocab)
+                      encode_many, prune_vocab, train_vocab)
 
 __version__ = "0.1.0"

@@ -11,9 +11,9 @@ unknown character, not as a space.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from functools import reduce
-from itertools import filterfalse
+from collections import ChainMap, Counter
+from functools import cached_property, reduce
+from itertools import filterfalse, islice
 from operator import add, itemgetter
 from typing import Collection, Iterable
 
@@ -34,6 +34,14 @@ _UNK_PENALTY = 10.0  # unknown fallback scores this far below the worst piece
 NEG_INF = float("-inf")
 _ABSENT = object()  # a piece-table miss: no piece starts with the substring
 _ENCODE_MEMO_WORDS = 1 << 15  # a vocabulary's encode memo stops growing here
+# encode_many segments this many new words or more in one lattice, fewer by
+# _viterbi. Measured on a 2-vCPU shared host (numpy 2.4.6) with the data
+# benchmark's V=32k vocabulary, both tables built, best of 15, on three runs
+# of its corpus's distinct words: 96 words took 1.16-1.33 ms in the lattice
+# and 1.06-1.36 ms by _viterbi, 128 words 1.34-1.53 against 1.46-1.84 ms, and
+# 512 words 2.8-3.6 against 6.2-9.3 ms. Building the index once costs what
+# building _piece_table once does (8-9 ms each at V=32k, best of 15).
+LATTICE_MIN_WORDS = 100
 _NOT_TAB_OR_NEWLINE = bytes(b for b in range(256) if b not in b"\t\n")
 
 
@@ -111,10 +119,22 @@ class UnigramVocab:
                 if not math.isfinite(lp):
                     raise ValueError(f"{source}:{row}: log-prob {lp} is not finite" if source
                                      else f"piece {piece!r} has non-finite log-prob {lp}")
-        self._table = _piece_table(self.pieces[N_RESERVED:])
         self._unk_lp = _unk_log_prob(log_probs[N_RESERVED:])
         self._cut = _cuts_words(self._ids)
         self._memo: dict[str, tuple[int, ...]] = {}  # encode's ids per word
+
+    @cached_property
+    def _table(self) -> dict[str, float | None]:
+        """The scalar walk's _piece_table, built on first use."""
+        return _piece_table(self.pieces[N_RESERVED:])
+
+    @cached_property
+    def _lattice_index(self) -> tuple["_PieceIndex", np.ndarray]:
+        """The pieces' _PieceIndex, piece k being id N_RESERVED + k, and
+        their log-probs by k, the unknown edge's last; built on first use."""
+        body = self.pieces[N_RESERVED:]
+        lp_of = np.fromiter(map(itemgetter(1), body), dtype=np.float64, count=len(body))
+        return _PieceIndex(list(map(itemgetter(0), body))), np.append(lp_of, self._unk_lp)
 
     @classmethod
     def from_scored(cls, scored: dict[str, float]) -> "UnigramVocab":
@@ -268,56 +288,166 @@ def _sentence_edges(sent: str, table: dict[str, float | None],
     return edges
 
 
+class _PieceIndex:
+    """Every piece as an exact integer key, for matching substrings in numpy.
+
+    A character's code is its rank in the pieces' sorted alphabet plus 1, and
+    0 for a character no piece holds, so a key with a 0 code matches nothing.
+    A key packs its codes `bits` each, `per_word` to an int64 word. The keys
+    of one length are matched word by word: each word is found in its sorted
+    distinct values, and every word after the first narrows the earlier
+    words' group to a (group, word) pair, so any alphabet and any piece
+    length stays exact."""
+
+    def __init__(self, pieces: list[str]):
+        self.pieces = pieces
+        present = np.bincount(_code_points("".join(pieces)), minlength=1) > 0
+        # the last entry, 0, codes every character past the alphabet's largest
+        self._lut = np.append(np.cumsum(present) * present, 0).astype(np.int32)
+        self.bits = max(1, int(present.sum()).bit_length())
+        self.per_word = 63 // self.bits
+        lens = _lengths(pieces)
+        self.max_len = int(lens.max(initial=0))
+        codes, starts = self.codes(pieces, lens)
+        self._by_len = {}  # length -> ([(values, groups or None)], piece by group)
+        for length in np.unique(lens).tolist():
+            which = np.flatnonzero(lens == length)
+            group, levels = None, []
+            for word in self._words(codes, starts[which], length):
+                values, rank = np.unique(word, return_inverse=True)
+                groups = None
+                if group is None:
+                    group = rank
+                else:
+                    groups, group = np.unique(group * len(values) + rank, return_inverse=True)
+                levels.append((values, groups))
+            piece = np.empty(len(which), dtype=np.int64)
+            piece[group] = which  # one group per piece: pieces are distinct
+            self._by_len[length] = levels, piece
+
+    def codes(self, texts: list[str], lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The texts' character codes laid end to end, each text followed by
+        one 0, and where each text starts."""
+        points = _code_points("".join(texts))
+        starts = np.cumsum(lens + 1) - (lens + 1)
+        codes = np.zeros(len(points) + len(texts), dtype=np.int64)
+        at = np.arange(len(points)) + np.repeat(np.arange(len(texts)), lens)
+        codes[at] = self._lut[np.minimum(points, len(self._lut) - 1)]
+        return codes, starts
+
+    def _words(self, codes: np.ndarray, at: np.ndarray, length: int):
+        """The int64 words of the keys of codes[s:s + length], s in at."""
+        for lo in range(0, length, self.per_word):
+            word = codes[lo:][at]
+            for c in range(lo + 1, min(lo + self.per_word, length)):
+                word = (word << self.bits) | codes[c:][at]
+            yield word
+
+    def match(self, codes: np.ndarray, at: np.ndarray, length: int) -> np.ndarray:
+        """The piece whose key is that of codes[s:s + length], for each s in
+        at, or -1."""
+        levels, piece = self._by_len[length]
+        group, hit = None, np.ones(len(at), dtype=bool)
+        for (values, groups), word in zip(levels, self._words(codes, at, length)):
+            rank = np.searchsorted(values, word)
+            hit &= values[np.minimum(rank, len(values) - 1)] == word
+            if groups is not None:
+                pair = group * len(values) + rank
+                rank = np.searchsorted(groups, pair)
+                hit &= groups[np.minimum(rank, len(groups) - 1)] == pair
+            group = rank
+        return np.where(hit, piece[np.minimum(group, len(piece) - 1)], -1)
+
+
+def _code_points(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+
+
+def _lengths(texts: list[str]) -> np.ndarray:
+    return np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+
+
+def _word_edges(words: list[str], index: _PieceIndex) -> np.ndarray:
+    """_Lattice's six edge columns (global start, global end, start in the
+    word, rank in its start's row, piece index or -1 for the unknown edge,
+    word index) for every substring of the words, laid end to end one
+    position apart, that is a piece of index. Edges run in _sentence_edges'
+    order: ascending start, then ascending end, the unknown edge last where no
+    single-character piece matches."""
+    lens = _lengths(words)
+    codes, first = index.codes(words, lens)
+    word_of = np.repeat(np.arange(len(words)), lens + 1)
+    room = first[word_of] + lens[word_of] - np.arange(len(word_of))  # 0 at each word's end
+    # one column per piece length, ascending, then the unknown edge's; -2 is no edge
+    lengths = sorted(index._by_len)
+    grid = np.full((len(room), len(lengths) + 1), -2, dtype=np.int64)
+    for col, length in enumerate(lengths):
+        at = np.flatnonzero(room >= length)
+        piece = index.match(codes, at, length)
+        grid[at[piece >= 0], col] = piece[piece >= 0]
+    no_single = grid[:, 0] < 0 if lengths[:1] == [1] else True
+    grid[:, -1] = np.where((room > 0) & no_single, -1, -2)
+    start, col = np.nonzero(grid > -2)  # row-major: (start, end) order
+    piece = grid[start, col]
+    length = np.array(lengths + [1], dtype=np.int64)[col]
+    per_start = np.bincount(start, minlength=len(room))
+    rank = np.arange(len(start)) - np.repeat(np.cumsum(per_start) - per_start, per_start)
+    word = word_of[start]
+    return np.stack([start, start + length, start - first[word], rank, piece, word])
+
+
 _COUNT_FLOOR = 1e-100  # keeps every retained piece at a finite log-prob
 
 
 class _Lattice:
-    """Every weighted word's edges as flat int arrays, from one
-    _sentence_edges sweep; pruning masks out dropped pieces' edges (keep), as
-    single characters, and so unknown edges, always survive. Positions are
-    global, edges in the builder's (word, start, row) order. The words are
-    those of _word_lattice, or any weighted texts. EM sweeps start levels
-    across all words with np.logaddexp, which rounds like _logadd, in the
-    scalar recurrence's order: its bytes equal that walk's."""
+    """Every weighted word's edges as flat int arrays, from one _word_edges
+    build; pruning masks out dropped pieces' edges (keep), as single
+    characters, and so unknown edges, always survive. Positions are global,
+    edges in _word_edges' (word, start, row) order. The words are those of
+    _word_lattice, or any weighted texts; `index`, scored's _PieceIndex, is
+    built when not given. EM sweeps start levels across all words with
+    np.logaddexp, which rounds like _logadd, in the scalar recurrence's
+    order: its bytes equal that walk's."""
 
-    def __init__(self, words: dict[str, int], scored: dict[str, float]):
+    def __init__(self, words: dict[str, int], scored: Iterable[str],
+                 index: _PieceIndex | None = None):
         self.words = words
-        self._index = {p: k for k, p in enumerate(scored)}
-        table = _piece_table(scored)
-        rows: list[int] = []  # six columns, flat
-        first: list[int] = []
-        pos = 0
-        for k, word in enumerate(words):
-            first.append(pos)
-            for i, row in enumerate(_sentence_edges(word, table, 0.0)):
-                for rank, (j, piece, _) in enumerate(row):  # the unknown piece is -1
-                    rows += (pos + i, pos + j, i, rank, self._index.get(piece, -1), k)
-            pos += len(word) + 1
-        self._n_pos = pos
-        self._first = np.array(first, dtype=np.int64)
-        self._last = self._first + np.array([len(w) for w in words], dtype=np.int64)
+        self._pieces = list(scored)
+        lens = _lengths(list(words))
+        self._first = np.cumsum(lens + 1) - (lens + 1)
+        self._last = self._first + lens
+        self._n_pos = int(lens.sum()) + len(lens)
         self._weight = np.array(list(words.values()), dtype=np.float64)
-        self._set_edges(np.array(rows, dtype=np.int64).reshape(-1, 6).T)
+        self._set_edges(_word_edges(list(words), index or _PieceIndex(self._pieces)))
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {p: k for k, p in enumerate(self._pieces)}
 
     def _set_edges(self, cols: np.ndarray) -> None:
         """Groups edges by start level, stably; each level's backward terms
         sit in a dense [start, rank] grid."""
         self._cols = cols
         self._start, self._end, level, rank, self._piece, self._sent = cols
-        order = np.argsort(level, kind="stable")
+        # the narrowest unsigned type sorts by radix
+        order = np.argsort(level.astype(np.min_scalar_type(int(level.max(initial=0)))),
+                           kind="stable")
         self._lstart, self._lend, self._lpiece, self._lsent = (
             self._start[order], self._end[order], self._piece[order], self._sent[order])
         level, rank = level[order], rank[order]
         cuts = np.flatnonzero(np.diff(level, prepend=-1, append=-1)).tolist()
+        # edges keep their ascending start within a level: a row opens where it moves
+        opens = np.diff(self._lstart, prepend=-1) != 0
+        row = np.cumsum(opens) - 1
         self._levels = []
         for a, b in zip(cuts[:-1], cuts[1:]):
-            starts, row = np.unique(self._lstart[a:b], return_inverse=True)
             width = int(rank[a:b].max()) + 1
-            self._levels.append((a, b, starts, row * width + rank[a:b], width))
+            self._levels.append((a, b, self._lstart[a:b][opens[a:b]],
+                                 (row[a:b] - row[a]) * width + rank[a:b], width))
 
     def keep(self, scored: dict[str, float]) -> None:
         """Drops the edges of every piece not in scored."""
-        alive = np.zeros(len(self._index) + 1, dtype=bool)
+        alive = np.zeros(len(self._pieces) + 1, dtype=bool)
         alive[[self._index[p] for p in scored]] = True
         alive[-1] = True  # unknown edges
         self._set_edges(self._cols[:, alive[self._piece]])
@@ -326,7 +456,7 @@ class _Lattice:
         """scored's piece indices, and every piece's log-prob by index, the
         unknown edge's last."""
         idx = [self._index[p] for p in scored]
-        lp_of = np.zeros(len(self._index) + 1)
+        lp_of = np.zeros(len(self._pieces) + 1)
         lp_of[idx] = list(scored.values())
         lp_of[-1] = _unk_log_prob(scored.values())
         return idx, lp_of
@@ -360,27 +490,25 @@ class _Lattice:
         gamma = np.fromiter(map(math.exp, x.tolist()), np.float64, len(x))
         # bincount adds in edge order, the scalar walk's order
         counts = np.bincount(piece, weights=self._weight[sent] * gamma,
-                             minlength=len(self._index))
+                             minlength=len(self._pieces))
         floored = np.maximum(counts[idx], _COUNT_FLOOR).tolist()
         log_total = math.log(reduce(add, floored, 0.0))
         return dict(zip(scored, [math.log(c) - log_total for c in floored])), loglik
 
-    def usage(self, scored: dict[str, float], table: dict[str, float | None]
-              ) -> dict[str, int]:
-        """Weighted counts of the pieces on each word's best path, which are
-        the pieces encode emits, for every piece of scored; table is scored's
-        _piece_table. One max-product sweep over the start levels, as em's
-        forward, keeps each position's best (log-prob, piece count) and back
-        edge; a candidate wins on a higher log-prob, or an equal one with
-        fewer pieces, and candidates reach a position in ascending start, as
-        in _best_path. A word where a candidate exactly ties a position's best
-        breaks the tie by its pieces' text: _viterbi segments it instead."""
-        idx, lp_of = self._log_probs(scored)
+    def _sweep(self, lp_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One max-product sweep over the start levels, as em's forward, under
+        the log-probs lp_of (see _log_probs): each position's back edge, the
+        last edge of its best path, and which words tie. It keeps each
+        position's best (log-prob, piece count); a candidate wins on a higher
+        log-prob, or an equal one with fewer pieces, and candidates reach a
+        position in ascending start, as in _best_path. A word where a
+        candidate exactly ties a position's best is tied: _best_path breaks
+        that tie by its pieces' text, so _viterbi must segment it."""
         lp = lp_of[self._lpiece]
         best = np.full(self._n_pos, NEG_INF)
         best[self._first] = 0.0
         n_pieces = np.zeros(self._n_pos, dtype=np.int64)
-        back = np.zeros(self._n_pos, dtype=np.int64)  # the best path's last edge
+        back = np.zeros(self._n_pos, dtype=np.int64)
         tied = np.zeros(len(self.words), dtype=bool)
         for a, b, _, _, _ in self._levels:  # one level's edges all end apart
             ends, starts = self._lend[a:b], self._lstart[a:b]
@@ -390,18 +518,43 @@ class _Lattice:
             win = np.flatnonzero((cand > best[ends]) | (same_lp & (count < n_pieces[ends])))
             at = ends[win]
             best[at], n_pieces[at], back[at] = cand[win], count[win], a + win
-        # every untied word's path at once, from its end back to its start
-        pos, first, weight = self._last[~tied], self._first[~tied], self._weight[~tied]
-        counts = np.zeros(len(self._index) + 1)  # the unknown piece, -1, counts last
+        return back, tied
+
+    def paths(self, back: np.ndarray, tied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every untied word's best path at once, from its end back to its
+        start: the (word, piece) of each edge, grouped by word in ascending
+        word, each word's edges in path order; the unknown piece is -1."""
+        word = np.flatnonzero(~tied)
+        pos, first = self._last[word], self._first[word]
+        steps = []
         while len(pos):
             go = pos > first
-            pos, first, weight = pos[go], first[go], weight[go]
+            word, pos, first = word[go], pos[go], first[go]
             edge = back[pos]
-            # integer weights: every sum is exact, in any order
-            counts += np.bincount(self._lpiece[edge] % len(counts), weights=weight,
-                                  minlength=len(counts))
+            steps.append((word, edge))
             pos = self._lstart[edge]
-        counts = counts.astype(np.int64)
+        # the last step holds the first edges: reversed, each word's edges
+        # run in path order, and a stable sort by word keeps that order
+        steps.reverse()
+        none = [np.zeros(0, dtype=np.int64)]
+        words = np.concatenate([w for w, _ in steps] + none)
+        edges = np.concatenate([e for _, e in steps] + none)
+        order = np.argsort(words, kind="stable")
+        return words[order], self._lpiece[edges[order]]
+
+    def usage(self, scored: dict[str, float], table: dict[str, float | None]
+              ) -> dict[str, int]:
+        """Weighted counts of the pieces on each word's best path, which are
+        the pieces encode emits, for every piece of scored; table is scored's
+        _piece_table. The paths come from one _sweep; a tied word is
+        segmented by _viterbi."""
+        idx, lp_of = self._log_probs(scored)
+        back, tied = self._sweep(lp_of)
+        word, piece = self.paths(back, tied)
+        # integer weights: every sum is exact, in any order; the unknown
+        # piece, -1, counts last
+        n = len(self._pieces) + 1
+        counts = np.bincount(piece % n, weights=self._weight[word], minlength=n).astype(np.int64)
         words = list(self.words)
         for k in np.flatnonzero(tied).tolist():
             for p in _viterbi(words[k], table, float(lp_of[-1])):
@@ -472,25 +625,63 @@ def _viterbi(word: str, table: dict[str, float | None], unk_lp: float
     return [piece for _, _, piece in _best_path(word, _sentence_edges(word, table, unk_lp))[1]]
 
 
-def encode(vocab: UnigramVocab, text: str) -> list[int]:
-    """Viterbi-encode text to piece ids, one word at a time (see _words), so
-    a word encodes the same in every context; unknown characters, and a
-    literal boundary marker, map to UNK_ID."""
-    ids: list[int] = []
+def _viterbi_ids(vocab: UnigramVocab, word: str) -> tuple[int, ...]:
+    return tuple(UNK_ID if piece is None else vocab._ids[piece]
+                 for piece in _viterbi(word, vocab._table, vocab._unk_lp))
+
+
+def _lattice_ids(vocab: UnigramVocab, words: list[str]) -> dict[str, tuple[int, ...]]:
+    """Each word's ids from one lattice over the vocabulary's index: all
+    untied words backtracked at once (see _Lattice.paths), a tied one by
+    _viterbi."""
+    index, lp_of = vocab._lattice_index
+    lattice = _Lattice(dict.fromkeys(words, 1), index.pieces, index)
+    back, tied = lattice._sweep(lp_of)
+    word, piece = lattice.paths(back, tied)
+    ids = np.where(piece < 0, UNK_ID, piece + N_RESERVED).tolist()
+    ends = np.cumsum(np.bincount(word, minlength=len(words))).tolist()
+    return {w: _viterbi_ids(vocab, w) if is_tied else tuple(ids[a:b])
+            for w, a, b, is_tied in zip(words, [0] + ends, ends, tied.tolist())}
+
+
+def encode_many(vocab: UnigramVocab, texts: list[str]) -> list[list[int]]:
+    """Viterbi-encode each text to piece ids, one word at a time (see
+    _words), so a word encodes the same in every context; unknown
+    characters, and a literal boundary marker, map to UNK_ID. The distinct
+    words the memo lacks are segmented together in one lattice when there
+    are at least LATTICE_MIN_WORDS of them, else one by one; both give the
+    same ids."""
     memo = vocab._memo
-    for k, chunk in enumerate(text.split(BOUNDARY)):
-        if k:
-            ids.append(UNK_ID)  # no piece covers a literal marker
-        for word in _words(_to_internal(chunk), vocab._cut):
-            word_ids = memo.get(word)
-            if word_ids is None:
-                word_ids = tuple(UNK_ID if piece is None else vocab._ids[piece]
-                                 for piece in _viterbi(word, vocab._table, vocab._unk_lp))
-                # only words repeat; a full memo only stops growing
-                if vocab._cut and len(memo) < _ENCODE_MEMO_WORDS:
-                    memo[word] = word_ids
-            ids += word_ids
-    return ids
+    chunked = [[_words(_to_internal(chunk), vocab._cut) for chunk in text.split(BOUNDARY)]
+               for text in texts]
+    new = dict.fromkeys(word for chunks in chunked for words in chunks for word in words
+                        if word not in memo)
+    known = memo
+    if new:
+        if len(new) >= LATTICE_MIN_WORDS:
+            new = _lattice_ids(vocab, list(new))
+        else:
+            new = {word: _viterbi_ids(vocab, word) for word in new}
+        # only words repeat; a full memo only stops growing
+        room = max(0, _ENCODE_MEMO_WORDS - len(memo)) if vocab._cut else 0
+        memo.update(islice(new.items(), room))
+        if len(new) > room:
+            known = ChainMap(new, memo)
+    out = []
+    for chunks in chunked:
+        ids: list[int] = []
+        for k, words in enumerate(chunks):
+            if k:
+                ids.append(UNK_ID)  # no piece covers a literal marker
+            for word in words:
+                ids += known[word]
+        out.append(ids)
+    return out
+
+
+def encode(vocab: UnigramVocab, text: str) -> list[int]:
+    """encode_many of one text."""
+    return encode_many(vocab, [text])[0]
 
 
 def decode(vocab: UnigramVocab, ids: list[int]) -> str:

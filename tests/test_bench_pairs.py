@@ -34,6 +34,17 @@ def test_wins_follow_the_direction_and_ties_count_for_neither():
     assert summary["wall_s"]["change"] == {"median": 1.0, "q1": 1.0, "q3": 2.0}
 
 
+def test_stage_walls_are_summarized_lower_is_better():
+    tool = load_tool()
+    runs = [{"pair": k, "tree": tree, "metrics": {}, "stages": {"train-vocab": wall}}
+            for k, (a, b) in enumerate([(2.0, 1.0), (1.0, 3.0), (4.0, 2.0)])
+            for tree, wall in (("parent", a), ("change", b))]
+    stages = tool.summarize(runs, {}, "stages")
+    assert stages["train-vocab"]["better"] == "lower"
+    assert stages["train-vocab"]["wins"] == {"parent": 1, "change": 2}
+    assert stages["train-vocab"]["parent"]["median"] == 2.0
+
+
 def test_nothing_in_the_package_imports_it():
     for path in glob.glob(os.path.join(ROOT, "src", "minit5", "*.py")):
         with open(path, encoding="utf-8") as fh:
@@ -54,6 +65,12 @@ def test_one_pair_on_the_data_workload(tmp_path):
     assert sum(wall["wins"].values()) <= 1
     for run in report["runs"]:
         assert wall[run["tree"]]["median"] == run["metrics"]["wall_s"] > 0
+    stages = report["stage_summary"]
+    assert set(stages) == {"preprocess", "train-vocab", "make-pretrain-data"}
+    for name, stage in stages.items():
+        assert stage["better"] == "lower" and sum(stage["wins"].values()) <= 1
+        for run in report["runs"]:
+            assert stage[run["tree"]]["median"] == run["stages"][name] > 0
     # the same tree twice writes the same vocabulary, so the same loss
     losses = {r["metrics"]["train_loss"] for r in report["runs"]}
     assert len(losses) == 1

@@ -4,9 +4,10 @@ import struct
 
 import pytest
 
-from minit5.corruption import (CorruptionConfig, DenoisePair, make_pretrain_batch,
-                               mask_positions, mask_tokens, read_pair_cache,
-                               write_pair_cache)
+from minit5 import corruption
+from minit5.corruption import (CorruptionConfig, DenoisePair, _Lanes, _mask_flags,
+                               make_pretrain_batch, mask_positions, mask_tokens,
+                               read_pair_cache, write_pair_cache)
 from minit5.rng import GOLDEN, MASK64, Xoshiro256StarStar, derive_seed, mix64
 from minit5.unigram import EOS_ID, MASK_ID, PAD_ID, encode, train_vocab
 
@@ -132,6 +133,43 @@ class TestMaskTokens:
         a = mask_tokens(ids, self.CFG, seed=99)
         b = mask_tokens(ids, self.CFG, seed=99)
         assert a == b
+
+
+class TestMaskLanes:
+    """make_pretrain_batch steps every document's generator together as
+    uint64 lanes; they must draw the scalar generator's bits."""
+
+    SEEDS = [0, MASK64] + [random.Random(8).randrange(2 ** 64) for _ in range(200)]
+
+    def test_lanes_draw_the_scalar_generators_bits(self):
+        lanes, scalar = _Lanes(self.SEEDS), [Xoshiro256StarStar(s) for s in self.SEEDS]
+        for step in range(64):
+            width = len(self.SEEDS) - 3 * step  # narrowing, as longer lanes outlast
+            assert lanes.next_u64(width).tolist() == [r.next_u64() for r in scalar[:width]]
+            assert lanes.random(width).tolist() == [r.random() for r in scalar[:width]]
+
+    @pytest.mark.parametrize("rate", [1e-9, 0.15, 0.999999])
+    def test_flags_equal_mask_positions_over_mixed_lengths(self, rate, monkeypatch):
+        rng = random.Random(9)
+        lengths = [0, 600, 1] + [rng.randrange(0, 601) for _ in self.SEEDS[3:]]
+        want = [flag for n, seed in zip(lengths, self.SEEDS)
+                for flag in mask_positions(n, rate, seed)]
+        assert _mask_flags(lengths, rate, self.SEEDS).tolist() == want
+        monkeypatch.setattr(corruption, "_LANES", 7)  # lanes in groups of 7
+        assert _mask_flags(lengths, rate, self.SEEDS).tolist() == want
+
+    def test_batch_pairs_equal_mask_tokens_with_empty_documents(self):
+        vocab = tiny_vocab()
+        cfg = CorruptionConfig(mask_rate=0.5, max_len=9, seed=3)
+        rng = random.Random(12)
+        docs = ["", doc_of(["a", "b", "c", "d", "e"] * 3), "", doc_of(["e", "d"]), ""]
+        docs += [doc_of(rng.choices("abcde", k=rng.randrange(0, 4))) for _ in range(40)] + [""]
+        pairs = make_pretrain_batch(docs, vocab, cfg)
+        for i, (doc, pair) in enumerate(zip(docs, pairs)):
+            want = mask_tokens(encode(vocab, doc)[:9], cfg, derive_seed(cfg.seed, i))
+            assert pair == DenoisePair(want.input_ids, want.target_ids[:9]), i
+        assert pairs[0] == pairs[-1] == DenoisePair((), ())
+        assert make_pretrain_batch([], vocab, cfg) == []
 
 
 def tiny_vocab():

@@ -9,10 +9,11 @@ import pytest
 
 from minit5.unigram import (BOUNDARY, EOS_ID, MASK_ID, PAD_ID, RESERVED_PIECES,
                             UNK_ID, UnigramVocab, build_seed_vocab, decode,
-                            em_step, encode, prune_vocab, train_vocab)
+                            em_step, encode, encode_many, prune_vocab, train_vocab)
 from minit5 import unigram
-from minit5.unigram import (N_RESERVED, _Lattice, _alternatives, _logadd, _piece_table,
-                            _prune, _sentence_edges, _weighted_internal, _word_lattice)
+from minit5.unigram import (N_RESERVED, _Lattice, _PieceIndex, _alternatives, _logadd,
+                            _piece_table, _prune, _sentence_edges, _weighted_internal,
+                            _word_edges, _word_lattice)
 
 from oracles import (_viterbi_piece_counts, all_segmentations, best_segmentation,
                      enumerate_expected_counts, reference_edges, reference_em,
@@ -409,6 +410,112 @@ class TestPerWordEncode:
             sentence_piece_counts(sentences, vocab._table, vocab.unk_log_prob)
 
 
+class TestEncodeMany:
+    """encode_many segments the words its memo lacks in one lattice or one by
+    one, by their number; both paths must give the scalar per-text encode."""
+
+    @staticmethod
+    def both_paths(monkeypatch, pieces, texts, memo_words=None):
+        """encode_many with every batch on the lattice, then with none on it,
+        each on a fresh vocabulary and twice (the second call reads the
+        memo); and the per-text encode on the scalar walk."""
+        runs = []
+        with monkeypatch.context() as patch:
+            if memo_words is not None:
+                patch.setattr(unigram, "_ENCODE_MEMO_WORDS", memo_words)
+            for threshold in (0, 10 ** 9):
+                patch.setattr(unigram, "LATTICE_MIN_WORDS", threshold)
+                vocab = UnigramVocab(pieces)
+                runs.append([encode_many(vocab, texts), encode_many(vocab, texts[::-1])[::-1]])
+            vocab = UnigramVocab(pieces)
+            runs.append([[encode(vocab, text) for text in texts]] * 2)
+        return runs
+
+    def test_equals_the_scalar_encode_on_random_vocabularies(self, monkeypatch):
+        rng = random.Random(41)
+        for trial in range(300):
+            scored, text = random_lattice_case(rng)
+            texts = [text, text[::-1], text + "  ab", "X" + text, "", text]
+            lattice, scalar, want = self.both_paths(monkeypatch, make_vocab(scored).pieces, texts)
+            assert lattice == scalar == want, trial
+
+    def test_exact_ties_take_the_scalar_walk(self, monkeypatch):
+        """Dyadic log-probs tie "abc" and "abcdef" exactly (see
+        TestLatticeUsage): the lattice leaves them to _viterbi."""
+        walked = []
+        viterbi = unigram._viterbi
+        monkeypatch.setattr(unigram, "_viterbi", lambda word, *rest: walked.append(word) or
+                            viterbi(word, *rest))
+        for pieces, texts in ((("a", "ab", "bc", "c"), ["abc", "abc c", "c ab"]),
+                              (("a", "abc", "bcde", "d", "ef", "f"), ["abcdef", "d abcdef"])):
+            vocab = make_vocab(dict.fromkeys(pieces, -1.0))
+            walked.clear()
+            lattice, scalar, want = self.both_paths(monkeypatch, vocab.pieces, texts)
+            assert lattice == scalar == want
+            assert walked.count(texts[0]) == 3  # once per path, the memo after
+        assert [vocab.piece(i) for i in want[0][0]] == ["a", "bcde", "f"]
+
+    def test_a_memo_capped_at_three_words(self, monkeypatch):
+        corpus = pt_corpus(80, seed=19)
+        pieces = train_vocab(corpus, vocab_size=150).pieces
+        texts = corpus + ["casa gato", "gato casa", "casa"]
+        lattice, scalar, want = self.both_paths(monkeypatch, pieces, texts, memo_words=3)
+        assert lattice == scalar == want
+        with monkeypatch.context() as patch:
+            patch.setattr(unigram, "LATTICE_MIN_WORDS", 0)
+            patch.setattr(unigram, "_ENCODE_MEMO_WORDS", 3)
+            vocab = UnigramVocab(pieces)
+            assert encode_many(vocab, texts) == want[0]
+        assert list(vocab._memo) == list(reference_words(texts))[:3]  # the first three
+
+    def test_a_word_past_the_memo_is_walked_once_per_call(self, monkeypatch):
+        walked = []
+        viterbi = unigram._viterbi
+        monkeypatch.setattr(unigram, "_viterbi", lambda word, *rest: walked.append(word) or
+                            viterbi(word, *rest))
+        monkeypatch.setattr(unigram, "_ENCODE_MEMO_WORDS", 0)
+        vocab = make_vocab(dict.fromkeys("gato" + BOUNDARY, math.log(0.2)))
+        assert encode_many(vocab, ["gato gato", "gato"]) == [
+            [vocab.id_of(c) for c in "gato" + BOUNDARY + "gato"],
+            [vocab.id_of(c) for c in "gato"]]
+        assert walked == ["gato", BOUNDARY + "gato"] and vocab._memo == {}
+
+    def test_an_inner_marker_turns_the_cut_off(self, monkeypatch):
+        vocab = make_vocab({"a": math.log(0.1), "b": math.log(0.1), BOUNDARY: math.log(0.1),
+                            "a" + BOUNDARY + "b": math.log(0.7)})
+        assert not vocab._cut
+        texts = ["a b a", "b a b", "a  b", "ab ba", "a b a"]
+        lattice, scalar, want = self.both_paths(monkeypatch, vocab.pieces, texts)
+        assert lattice == scalar == want
+        assert [vocab.piece(i) for i in want[0][0]] == ["a" + BOUNDARY + "b", BOUNDARY, "a"]
+
+    def test_a_literal_marker_an_empty_text_and_uncovered_characters(self, monkeypatch):
+        vocab = make_vocab({**dict.fromkeys("ogat" + BOUNDARY, math.log(0.1)),
+                            "gato": math.log(0.25), BOUNDARY + "gato": math.log(0.25)})
+        texts = ["", "o" + BOUNDARY + "gato", BOUNDARY, BOUNDARY * 2 + " ", "o gatoX",
+                 "XYZ o", " ", "o gato"]
+        lattice, scalar, want = self.both_paths(monkeypatch, vocab.pieces, texts)
+        assert lattice == scalar == want
+        assert want[0][:3] == [[], [vocab.id_of("o"), UNK_ID, vocab.id_of("gato")], [UNK_ID]]
+        lattice, scalar, want = self.both_paths(monkeypatch, make_vocab({}).pieces, texts)
+        assert lattice == scalar == want  # no pieces: every character is unknown
+        assert want[0] == [[UNK_ID] * len(text) for text in texts]
+
+    def test_a_batch_only_vocabulary_never_builds_the_piece_table(self):
+        gen = load_perfbench_gen()
+        lex = gen.language()
+        lines = gen.sentences(random.Random(2), lex, 4000)
+        vocab = gen.build_vocab(lex, 8000, lines)
+        words = {w for line in lines for w in line.split()}
+        assert len(words) >= unigram.LATTICE_MIN_WORDS
+        batch = encode_many(vocab, lines)
+        assert "_table" not in vars(vocab) and "_lattice_index" in vars(vocab)
+        assert batch == [sentence_encode(vocab, line) for line in lines]
+        one = UnigramVocab(vocab.pieces)  # one sentence at a time: the scalar walk
+        assert [encode(one, line) for line in lines] == batch
+        assert "_lattice_index" not in vars(one)
+
+
 class TestDecode:
     def test_round_trip(self):
         corpus = pt_corpus(60, seed=17)
@@ -482,6 +589,45 @@ def bounded_probe(sent, table, unk_lp):
     return reference_edges(sent, scored, unk_lp, max(map(len, scored), default=1))
 
 
+def bounded_probe_columns(words, index):
+    """The reference edge builder behind the _word_edges signature: each
+    word's reference_edges, laid end to end as _Lattice's six columns."""
+    scored = dict.fromkeys(index.pieces, 0.0)
+    number = {p: k for k, p in enumerate(index.pieces)}
+    rows, pos = [], 0
+    for k, word in enumerate(words):
+        for i, row in enumerate(reference_edges(word, scored, 0.0,
+                                                max(map(len, scored), default=1))):
+            for rank, (j, piece, _) in enumerate(row):
+                rows.append((pos + i, pos + j, i, rank, number.get(piece, -1), k))
+        pos += len(word) + 1
+    return np.array(rows, dtype=np.int64).reshape(-1, 6).T
+
+
+def wide_alphabet_case(rng: random.Random) -> tuple[dict[str, float], str]:
+    """A vocabulary over 300 code points, the astral U+1D538 among them, with
+    pieces of 9 to 20 characters that take several key words; the text holds
+    some characters no piece holds."""
+    alphabet = [chr(0x100 + k) for k in range(320)] + ["\U0001D538", "\U0001F600"]
+    pieces = set(rng.sample(alphabet, 299)) | {"\U0001D538"}
+    for _ in range(rng.randrange(1, 30)):
+        pieces.add("".join(rng.choice(alphabet[:20]) for _ in range(rng.randrange(2, 21))))
+    scored = {p: math.log(rng.random() + 0.01) for p in sorted(pieces)}
+    choices = sorted(pieces) + alphabet[:20] + ["X", "\U0001D539"]
+    return scored, "".join(rng.choice(choices) for _ in range(rng.randrange(0, 12)))
+
+
+def crossed_words_case() -> tuple[dict[str, float], str]:
+    """Two 10-character pieces over 300 code points, three key words each:
+    the text crosses one's first word with the other's second, which every
+    word's values hold but no piece's (group, word) pair does."""
+    alphabet = [chr(0x100 + k) for k in range(300)]
+    head_1, head_2, tail_1, tail_2 = ("".join(alphabet[k:k + 7]) for k in (0, 7, 14, 21))
+    scored = {**dict.fromkeys(alphabet, -6.0), head_1 + tail_1[:3]: -1.0,
+              head_2 + tail_2[:3]: -1.0}
+    return scored, head_1 + tail_2[:3] + head_2 + tail_1[:3] + head_1 + tail_1[:3]
+
+
 class TestPrefixTable:
     def test_table_holds_pieces_and_exactly_their_other_prefixes(self):
         rng = random.Random(7)
@@ -491,16 +637,35 @@ class TestPrefixTable:
             assert _piece_table(scored) == {**scored, **dict.fromkeys(prefixes)}, trial
 
     def test_edges_equal_the_bounded_probe_edge_for_edge(self):
+        """Both builders: _sentence_edges per text, and _word_edges over the
+        texts laid end to end, whose keys take one word ("abcd" pieces) or
+        several (9-20 characters over a wide alphabet)."""
+        long_ab = {"a": -1.0, "b": -1.0, "ab" * 5: -2.0, "ba" * 8 + "a": -3.0, "ab" * 10: -4.0}
+        nul = {"a": -1.0, "\0": -2.0, "a\0b": -1.5, "\0\0": -3.0}
         fixed = [({"a": -1.0, "b": -1.0, "c": -1.0, "d": -1.0, "abcd": -2.0}, "abcdabcab"),
                  ({"b": -1.0, "abcd": -2.0}, "aabcdXabc"),
-                 ({BOUNDARY + "ab": -1.0, "a": -2.0, BOUNDARY: -3.0}, " ab a  b")]
+                 ({BOUNDARY + "ab": -1.0, "a": -2.0, BOUNDARY: -3.0}, " ab a  b"),
+                 (long_ab, "ab" * 12 + "ba" * 9 + "aXab" * 3),
+                 (nul, "xa\0b\0\0a\0\0\0b a\0"),  # NUL inside a piece and a word
+                 ({"\0": -1.0}, "\0a\0"),
+                 ({"q": -1.0, "qq": -1.0}, "abc"),  # no character is held by a piece
+                 crossed_words_case()]
         rng = random.Random(11)
         cases = fixed + [random_lattice_case(rng) for _ in range(600)]
+        cases += [wide_alphabet_case(rng) for _ in range(150)]
         for trial, (scored, text) in enumerate(cases):
             sent = text.replace(" ", BOUNDARY)
             unk_lp = min(scored.values()) - 10.0
             want = reference_edges(sent, scored, unk_lp, max(map(len, scored)))
             assert _sentence_edges(sent, _piece_table(scored), unk_lp) == want, trial
+            index = _PieceIndex(list(scored))
+            words = [sent, "", sent[::-1], sent[1:] + "a", "X" + sent]
+            assert _word_edges(words, index).tolist() == \
+                bounded_probe_columns(words, index).tolist(), trial
+        wide = wide_alphabet_case(random.Random(3))[0]
+        assert len(set("".join(wide))) >= 300 and max(map(len, wide)) == 20
+        widths = {(i.bits, i.per_word) for i in map(_PieceIndex, [list(long_ab), list(wide)])}
+        assert widths == {(2, 31), (9, 7)}  # 20-character pieces take 1 and 3 words
 
     def test_encode_segment_and_em_step_bitwise_over_both_builders(self, monkeypatch):
         rng = random.Random(13)
@@ -513,12 +678,16 @@ class TestPrefixTable:
                 segments = [segment_without_self(p, vocab._table, vocab.unk_log_prob)
                             for p in scored if len(p) > 1]
                 new, loglik = em_step(corpus, vocab)
-                return repr(([encode(vocab, line) for line in corpus], segments,
+                with monkeypatch.context() as lattice_only:
+                    lattice_only.setattr(unigram, "LATTICE_MIN_WORDS", 0)
+                    batch = encode_many(make_vocab(scored), corpus)
+                return repr(([encode(vocab, line) for line in corpus], batch, segments,
                              new.pieces, loglik))
 
             got = outputs()
             with monkeypatch.context() as patch:
                 patch.setattr(unigram, "_sentence_edges", bounded_probe)
+                patch.setattr(unigram, "_word_edges", bounded_probe_columns)
                 assert outputs() == got, trial
 
 

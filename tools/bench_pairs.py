@@ -7,11 +7,13 @@ Runs ``perfbench/run.py --workload W --seed S --seconds T`` N times in each
 tree, one run of each per pair, the parent first in even pairs and the
 change first in odd ones, so a drift of the host over time falls on both
 sides alike. Each run uses the ``perfbench/run.py`` and sources of its own
-tree. Prints one JSON object: every run's end-to-end metrics, and per metric
-each tree's median and quartiles and the pairs each tree won, by the
-direction BENCHMARK.json gives the metric (lower is better where it gives
-none, higher for rates ending in ``per_s``); a tie counts for neither. Exits
-1 if a run failed or reported a failed stage. Standard library only.
+tree. Prints one JSON object: every run's end-to-end metrics and stage walls
+(``run.py``'s ``stage_wall_s``), and per metric and per stage each tree's
+median and quartiles and the pairs each tree won, by the direction
+BENCHMARK.json gives the metric (lower is better where it gives none and for
+every stage wall, higher for rates ending in ``per_s``); a tie counts for
+neither. Exits 1 if a run failed or reported a failed stage. Standard library
+only.
 """
 
 from __future__ import annotations
@@ -28,17 +30,19 @@ TREES = ("parent", "change")
 
 def run_once(tree: str, args) -> dict:
     """One benchmark run in tree: its result line, and the end-to-end metrics
-    of the JSON record printed before it."""
+    and stage walls of the JSON record printed before it."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        return {"correct": False, "error": proc.stderr.strip()[-2000:], "metrics": {}}
+        return {"correct": False, "error": proc.stderr.strip()[-2000:], "metrics": {},
+                "stages": {}}
     result = json.loads(lines[-1])
     record = json.loads("\n".join(lines[:-1]))
     return {"correct": result["correct"],
-            "metrics": {k: m["value"] for k, m in record["end_to_end"].items()}}
+            "metrics": {k: m["value"] for k, m in record["end_to_end"].items()},
+            "stages": record["stage_wall_s"]}
 
 
 def directions(tree: str) -> dict[str, str]:
@@ -57,11 +61,12 @@ def spread(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def summarize(runs: list[dict], better: dict[str, str], key: str = "metrics") -> dict:
+    """Per name in every run's `key` field: each tree's spread, and its wins."""
     by_pair: dict[int, dict[str, dict]] = {}
     for run in runs:
-        by_pair.setdefault(run["pair"], {})[run["tree"]] = run["metrics"]
-    names = sorted(set.intersection(*(set(run["metrics"]) for run in runs)))
+        by_pair.setdefault(run["pair"], {})[run["tree"]] = run[key]
+    names = sorted(set.intersection(*(set(run[key]) for run in runs)))
     summary = {}
     for name in names:
         way = better.get(name, "higher" if name.endswith("per_s") else "lower")
@@ -97,7 +102,8 @@ def main(argv=None) -> int:
     ok = all(run["correct"] for run in runs)
     report = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
               "pairs": args.pairs, "correct": ok, "runs": runs,
-              "summary": summarize(runs, directions(trees["change"])) if ok else {}}
+              "summary": summarize(runs, directions(trees["change"])) if ok else {},
+              "stage_summary": summarize(runs, {}, "stages") if ok else {}}
     print(json.dumps(report, indent=1, sort_keys=True))
     return 0 if ok else 1
 
