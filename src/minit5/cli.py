@@ -22,7 +22,7 @@ from .rng import check_seed
 from .tasks import fit
 from .train import (DataError, LockError, check_vocab_size, load_packed_corpus,
                     run_evaluate, run_finetune, run_pretrain)
-from .unigram import BOUNDARY, EOS_ID, UnigramVocab, decode, encode, train_vocab
+from .unigram import BOUNDARY, EOS_ID, UnigramVocab, decode, encode_many, train_vocab
 
 
 class UsageError(Exception):
@@ -209,7 +209,7 @@ def _cmd_decode(args):
     lines = read_text(args.input).split("\n")
     if not lines[-1]:  # the text ends in a newline, or is empty
         lines.pop()
-    encs = [fit(encode(vocab, line) + [EOS_ID], params.cfg.max_len) for line in lines]
+    encs = [fit(ids + [EOS_ID], params.cfg.max_len) for ids in encode_many(vocab, lines)]
     outs = decode_sources(params, encs, args.beam, [max_out] * len(encs))
     write_text(args.output, "".join(decode(vocab, out) + "\n" for out in outs))
 

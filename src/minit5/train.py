@@ -19,7 +19,7 @@ from .corruption import CorruptionConfig, make_pretrain_batch
 from .decoding import decode_sources
 from .metrics import (ENTAILMENT_CLASSES, classification_report,
                       format_pair_task_report, mse, pearson)
-from .model import (ModelConfig, ModelParams, TrainableMask,
+from .model import (ModelParams, TrainableMask,
                     accumulate_loss_and_grad, embedding_only_mask, init_model,
                     predict_entailment, predict_similarity, zero_grads)
 from .ner import (LabelTable, NerScorer, extract_entities, format_ner_report,
@@ -126,10 +126,6 @@ def load_packed_corpus(path: str) -> list[str]:
     return docs
 
 
-def _model_config(cfg: RunConfig, vocab: UnigramVocab) -> ModelConfig:
-    return cfg.model_config(len(vocab))
-
-
 def check_vocab_size(params: ModelParams, vocab: UnigramVocab) -> None:
     """A checkpoint only decodes with the vocabulary it was trained on."""
     if params.cfg.vocab_size != len(vocab):
@@ -143,7 +139,7 @@ def _load_model(cfg: RunConfig, vocab: UnigramVocab) -> ModelParams:
         params = load_checkpoint(cfg.init_checkpoint)
         check_vocab_size(params, vocab)
         return params
-    return init_model(_model_config(cfg, vocab), cfg.seed)
+    return init_model(cfg.model_config(len(vocab)), cfg.seed)
 
 
 def _length_limit(cfg: RunConfig, params: ModelParams) -> int:

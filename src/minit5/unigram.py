@@ -15,7 +15,7 @@ from collections import ChainMap, Counter
 from functools import cached_property, reduce
 from itertools import filterfalse, islice
 from operator import add, itemgetter
-from typing import Collection, Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -68,31 +68,20 @@ def _unk_log_prob(log_probs: Iterable[float]) -> float:
     return min(log_probs, default=0.0) - _UNK_PENALTY
 
 
-def _cuts_words(pieces: Collection[str]) -> bool:
-    """Whether text may be cut before every boundary marker: no piece holds a
-    marker after its first character, so no piece spans a cut."""
-    text = "\n".join(pieces)
-    if text.count("\n") != len(pieces) - 1:  # a piece holds a newline
-        return BOUNDARY not in "".join(map(itemgetter(slice(1, None)), pieces))
-    # every marker opens a piece: the first, or one after a separator
-    return text.count(BOUNDARY) == text.startswith(BOUNDARY) + text.count("\n" + BOUNDARY)
-
-
-def _words(sent: str, cut: bool) -> list[str]:
-    """An internal-form sentence's segments for Viterbi: its words, each with
-    its leading marker, where cut is true; else the whole sentence."""
-    if not cut:
-        return [sent] if sent else []
+def _words(sent: str) -> list[str]:
+    """An internal-form sentence's words for Viterbi, each with its leading
+    marker: no piece holds a marker after its first character, so none spans
+    a cut before one."""
     head, *rest = sent.split(BOUNDARY)
     return ([head] if head else []) + [BOUNDARY + word for word in rest]
 
 
-def _weighted_words(sentences: dict[str, int], cut: bool) -> Counter:
-    """The distinct segments (see _words) of weighted sentences, each weighted
+def _weighted_words(sentences: dict[str, int]) -> Counter:
+    """The distinct words (see _words) of weighted sentences, each weighted
     by its occurrences."""
     words: Counter[str] = Counter()
     for sent, weight in sentences.items():
-        for word in _words(sent, cut):
+        for word in _words(sent):
             words[word] += weight
     return words
 
@@ -119,8 +108,18 @@ class UnigramVocab:
                 if not math.isfinite(lp):
                     raise ValueError(f"{source}:{row}: log-prob {lp} is not finite" if source
                                      else f"piece {piece!r} has non-finite log-prob {lp}")
+        # text is cut into words before every marker, so no piece may span one:
+        # in one joined string every marker opens a piece, the first or one
+        # after a separator, unless a piece holds a newline
+        joined = "\n".join(self._ids)
+        if joined.count(BOUNDARY) != joined.startswith(BOUNDARY) + joined.count(
+                "\n" + BOUNDARY) or joined.count("\n") != len(self._ids) - 1:
+            for row, (piece, _) in enumerate(self.pieces):
+                if BOUNDARY in piece[1:]:
+                    where = f"{source}:{row}: " if source else ""
+                    raise ValueError(f"{where}piece {piece!r} holds the boundary marker "
+                                     f"{BOUNDARY} after its first character")
         self._unk_lp = _unk_log_prob(log_probs[N_RESERVED:])
-        self._cut = _cuts_words(self._ids)
         self._memo: dict[str, tuple[int, ...]] = {}  # encode's ids per word
 
     @cached_property
@@ -217,7 +216,7 @@ def _seed_scores(sentences: dict[str, int], seed_size: int) -> dict[str, float]:
     sub_freq: Counter[str] = Counter()
     # substrings of each distinct word: the boundary marker may only open a
     # piece, so pieces never span across words
-    for word, weight in _weighted_words(sentences, True).items():
+    for word, weight in _weighted_words(sentences).items():
         n = len(word)
         for i in range(n):
             char_freq[word[i]] += weight
@@ -495,15 +494,16 @@ class _Lattice:
         log_total = math.log(reduce(add, floored, 0.0))
         return dict(zip(scored, [math.log(c) - log_total for c in floored])), loglik
 
-    def _sweep(self, lp_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _sweep(self, lp_of: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One max-product sweep over the start levels, as em's forward, under
         the log-probs lp_of (see _log_probs): each position's back edge, the
-        last edge of its best path, and which words tie. It keeps each
-        position's best (log-prob, piece count); a candidate wins on a higher
-        log-prob, or an equal one with fewer pieces, and candidates reach a
-        position in ascending start, as in _best_path. A word where a
-        candidate exactly ties a position's best is tied: _best_path breaks
-        that tie by its pieces' text, so _viterbi must segment it."""
+        last edge of its best path, which words tie, and each position's best
+        log-prob. It keeps each position's best (log-prob, piece count); a
+        candidate wins on a higher log-prob, or an equal one with fewer
+        pieces, and candidates reach a position in ascending start, as in
+        _best_path. A word where a candidate exactly ties a position's best is
+        tied: _best_path breaks that tie by its pieces' text, so tied_paths
+        must walk it."""
         lp = lp_of[self._lpiece]
         best = np.full(self._n_pos, NEG_INF)
         best[self._first] = 0.0
@@ -518,7 +518,7 @@ class _Lattice:
             win = np.flatnonzero((cand > best[ends]) | (same_lp & (count < n_pieces[ends])))
             at = ends[win]
             best[at], n_pieces[at], back[at] = cand[win], count[win], a + win
-        return back, tied
+        return back, tied, best
 
     def paths(self, back: np.ndarray, tied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every untied word's best path at once, from its end back to its
@@ -542,33 +542,51 @@ class _Lattice:
         order = np.argsort(words, kind="stable")
         return words[order], self._lpiece[edges[order]]
 
-    def usage(self, scored: dict[str, float], table: dict[str, float | None]
-              ) -> dict[str, int]:
+    def tied_paths(self, tied: np.ndarray, lp_of: np.ndarray):
+        """Each tied word's best path by _best_path over the word's own edges,
+        handed over as per-start (end, piece, log-prob) rows in _word_edges'
+        order, which is _sentence_edges': yields (word, the path's pieces),
+        the unknown piece -1."""
+        words = list(self.words)
+        for k in np.flatnonzero(tied).tolist():
+            a, b = np.searchsorted(self._sent, [k, k + 1]).tolist()  # edges run by word
+            rows: list[list[tuple[int, int, float]]] = [[] for _ in words[k]]
+            piece = self._piece[a:b]
+            for i, j, p, lp in zip((self._start[a:b] - self._first[k]).tolist(),
+                                   (self._end[a:b] - self._first[k]).tolist(),
+                                   piece.tolist(), lp_of[piece].tolist()):
+                rows[i].append((j, p, lp))
+            yield k, [p for _, _, p in _best_path(words[k], rows)[1]]
+
+    def usage(self, scored: dict[str, float]) -> dict[str, int]:
         """Weighted counts of the pieces on each word's best path, which are
-        the pieces encode emits, for every piece of scored; table is scored's
-        _piece_table. The paths come from one _sweep; a tied word is
-        segmented by _viterbi."""
+        the pieces encode emits, for every piece of scored. The paths come
+        from one _sweep; a tied word's from tied_paths."""
         idx, lp_of = self._log_probs(scored)
-        back, tied = self._sweep(lp_of)
+        back, tied, _ = self._sweep(lp_of)
         word, piece = self.paths(back, tied)
         # integer weights: every sum is exact, in any order; the unknown
         # piece, -1, counts last
         n = len(self._pieces) + 1
         counts = np.bincount(piece % n, weights=self._weight[word], minlength=n).astype(np.int64)
-        words = list(self.words)
-        for k in np.flatnonzero(tied).tolist():
-            for p in _viterbi(words[k], table, float(lp_of[-1])):
-                if p is not None:
-                    counts[self._index[p]] += self.words[words[k]]
+        for k, path in self.tied_paths(tied, lp_of):
+            np.add.at(counts, path, int(self._weight[k]))
         return dict(zip(scored, counts[idx].tolist()))
+
+    def alternatives(self, scored: dict[str, float]) -> list[float]:
+        """For a lattice over pieces of scored, each piece's best log-prob of
+        segmenting it without the piece itself: the sweep's best at the
+        word's end once its whole-span edge is dropped (for good)."""
+        start, end, _, _, _, word = self._cols
+        self._set_edges(self._cols[:, (start != self._first[word]) | (end != self._last[word])])
+        return self._sweep(self._log_probs(scored)[1])[2][self._last].tolist()
 
 
 def _word_lattice(sentences: dict[str, int], scored: dict[str, float]) -> _Lattice:
     """The lattice of weighted sentences' distinct words (see _weighted_words),
-    in first-occurrence order, or of the sentences where a piece of scored
-    spans a cut. A sentence's lattice is its words' lattices end to end, so
-    EM's sums are the same; only their rounding moves."""
-    return _Lattice(dict(_weighted_words(sentences, _cuts_words(scored))), scored)
+    in first-occurrence order. A sentence's lattice is its words' lattices
+    end to end, so EM's sums are the same; only their rounding moves."""
+    return _Lattice(dict(_weighted_words(sentences)), scored)
 
 
 def em_step(corpus: list[str], vocab: UnigramVocab) -> tuple[UnigramVocab, float]:
@@ -583,20 +601,22 @@ def em_step(corpus: list[str], vocab: UnigramVocab) -> tuple[UnigramVocab, float
     return UnigramVocab(rows), loglik
 
 
-def _best_path(sent: str, edges: list[list[tuple[int, str, float]]]
-               ) -> tuple[float, list[tuple[int, int, str | None]]]:
-    """Maximum log-probability path through a sentence lattice.
+def _best_path(sent: str, edges: list[list[tuple[int, Any, float]]]
+               ) -> tuple[float, list[tuple[int, int, Any]]]:
+    """Maximum log-probability path through a sentence lattice, whose edges
+    from position i are edges[i]: (end, piece, log_prob) rows as
+    _sentence_edges gives them. A piece is any label, returned as given.
 
-    Returns (log_prob, [(start, end, piece-or-None-for-unk), ...]). Ties go to
-    fewer pieces, then to the lexicographically smallest piece sequence;
-    sequences are compared only on an exact (log-prob, piece count) tie.
+    Returns (log_prob, [(start, end, piece), ...]). Ties go to fewer pieces,
+    then to the lexicographically smallest piece sequence; sequences are
+    compared only on an exact (log-prob, piece count) tie.
     """
     n = len(sent)
     best = [(NEG_INF, 0)] * (n + 1)  # (log-prob, -piece count): larger is better
-    back: list[tuple[int, str | None] | None] = [None] * (n + 1)
+    back: list[tuple[int, Any] | None] = [None] * (n + 1)
     best[0] = (0.0, 0)
 
-    def path_to(pos: int) -> list[tuple[int, int, str | None]]:
+    def path_to(pos: int) -> list[tuple[int, int, Any]]:
         path = []
         while pos > 0:
             i, piece = back[pos]
@@ -633,15 +653,17 @@ def _viterbi_ids(vocab: UnigramVocab, word: str) -> tuple[int, ...]:
 def _lattice_ids(vocab: UnigramVocab, words: list[str]) -> dict[str, tuple[int, ...]]:
     """Each word's ids from one lattice over the vocabulary's index: all
     untied words backtracked at once (see _Lattice.paths), a tied one by
-    _viterbi."""
+    _Lattice.tied_paths."""
     index, lp_of = vocab._lattice_index
     lattice = _Lattice(dict.fromkeys(words, 1), index.pieces, index)
-    back, tied = lattice._sweep(lp_of)
+    back, tied, _ = lattice._sweep(lp_of)
     word, piece = lattice.paths(back, tied)
     ids = np.where(piece < 0, UNK_ID, piece + N_RESERVED).tolist()
     ends = np.cumsum(np.bincount(word, minlength=len(words))).tolist()
-    return {w: _viterbi_ids(vocab, w) if is_tied else tuple(ids[a:b])
-            for w, a, b, is_tied in zip(words, [0] + ends, ends, tied.tolist())}
+    out = {w: tuple(ids[a:b]) for w, a, b in zip(words, [0] + ends, ends)}
+    for k, path in lattice.tied_paths(tied, lp_of):
+        out[words[k]] = tuple(UNK_ID if p < 0 else p + N_RESERVED for p in path)
+    return out
 
 
 def encode_many(vocab: UnigramVocab, texts: list[str]) -> list[list[int]]:
@@ -652,7 +674,7 @@ def encode_many(vocab: UnigramVocab, texts: list[str]) -> list[list[int]]:
     are at least LATTICE_MIN_WORDS of them, else one by one; both give the
     same ids."""
     memo = vocab._memo
-    chunked = [[_words(_to_internal(chunk), vocab._cut) for chunk in text.split(BOUNDARY)]
+    chunked = [[_words(_to_internal(chunk)) for chunk in text.split(BOUNDARY)]
                for text in texts]
     new = dict.fromkeys(word for chunks in chunked for words in chunks for word in words
                         if word not in memo)
@@ -662,8 +684,7 @@ def encode_many(vocab: UnigramVocab, texts: list[str]) -> list[list[int]]:
             new = _lattice_ids(vocab, list(new))
         else:
             new = {word: _viterbi_ids(vocab, word) for word in new}
-        # only words repeat; a full memo only stops growing
-        room = max(0, _ENCODE_MEMO_WORDS - len(memo)) if vocab._cut else 0
+        room = max(0, _ENCODE_MEMO_WORDS - len(memo))  # a full memo only stops growing
         memo.update(islice(new.items(), room))
         if len(new) > room:
             known = ChainMap(new, memo)
@@ -701,31 +722,6 @@ def decode(vocab: UnigramVocab, ids: list[int]) -> str:
     return _to_text("".join(parts))
 
 
-def _alternatives(pieces: Iterable[str], table: dict[str, float | None],
-                  unk_lp: float) -> dict[str, float]:
-    """Each piece's best log-prob of segmenting it without the piece itself:
-    the max over its last edges p[i:], i >= 1 (a piece, or the unknown edge of
-    an uncovered last character), of F(p[:i]) + lp. F, a string's best forward
-    score, is memoized over every prefix and takes its max over the sums
-    _best_path's best[] does, so the values equal one walk per piece bit for bit."""
-    best = {"": 0.0}  # F
-
-    def ending(s: str, first: int) -> float:
-        sums = [best[s[:k]] + lp for k in range(first, len(s))
-                if (lp := table.get(s[k:])) is not None]
-        if table.get(s[-1]) is None:  # no single-character piece
-            sums.append(best[s[:-1]] + unk_lp)
-        return max(sums)
-
-    alternatives = {}
-    for piece in pieces:
-        for i in range(1, len(piece)):
-            if piece[:i] not in best:
-                best[piece[:i]] = ending(piece[:i], 0)
-        alternatives[piece] = ending(piece, 1)
-    return alternatives
-
-
 def prune_vocab(corpus: list[str], vocab: UnigramVocab, target_size: int) -> UnigramVocab:
     """Shrink the vocabulary to exactly target_size total ids.
 
@@ -752,11 +748,10 @@ def _prune(lattice: _Lattice, scored: dict[str, float], target_size: int,
     while N_RESERVED + len(scored) > target_size:
         for _ in range(2):
             scored, _ = lattice.em(scored)
-        table = _piece_table(scored)  # one per round, shared by every piece below
-        usage = lattice.usage(scored, table)
+        usage = lattice.usage(scored)
         multis = [p for p in scored if len(p) > 1]
-        alts = _alternatives([p for p in multis if usage[p]], table,
-                             _unk_log_prob(scored.values()))
+        used = [p for p in multis if usage[p]]
+        alts = dict(zip(used, _Lattice(dict.fromkeys(used, 1), scored).alternatives(scored)))
         losses = [(usage[p] * (scored[p] - alts[p]) if usage[p] else 0.0, p)
                   for p in multis]
         losses.sort(key=lambda kv: (-kv[0], kv[1]))

@@ -94,28 +94,23 @@ def reference_seed_scores(corpus: list[str], seed_size: int) -> dict[str, float]
     return {p: math.log(f / total) for p, f in freqs.items()}
 
 
-def reference_words(corpus: list[str], cut: bool = True) -> dict[str, int]:
+def reference_words(corpus: list[str]) -> dict[str, int]:
     """Each distinct word of the corpus lines, by first occurrence, weighted by
     its occurrences: a run of other characters after a boundary marker, with
-    the marker, or one at a line's start; where cut is false, each whole
-    internal-form line instead."""
+    the marker, or one at a line's start."""
     import re
     from minit5.unigram import BOUNDARY
     words: dict[str, int] = {}
     for line in corpus:
         sent = line.replace(" ", BOUNDARY)
-        if cut:
-            split = re.findall(f"{BOUNDARY}[^{BOUNDARY}]*|[^{BOUNDARY}]+", sent)
-        else:
-            split = [sent] if sent else []
-        for word in split:
+        for word in re.findall(f"{BOUNDARY}[^{BOUNDARY}]*|[^{BOUNDARY}]+", sent):
             words[word] = words.get(word, 0) + 1
     return words
 
 
 # --- sentence-level Viterbi reference --------------------------------------
 # The scalar walks unigram once ran, which its per-word encode, usage counts
-# and prefix-memo alternatives are compared against. Each looks the
+# and lattice alternatives are compared against. Each looks the
 # edge builder up in unigram when it runs, so a test may substitute it.
 
 def sentence_encode(vocab, text: str) -> list[int]:
@@ -141,14 +136,14 @@ def sentence_piece_counts(sentences: dict[str, int], table, unk_lp: float):
     return counts
 
 
-def _viterbi_piece_counts(sentences: dict[str, int], table, unk_lp: float, cut: bool):
+def _viterbi_piece_counts(sentences: dict[str, int], table, unk_lp: float):
     """Weighted counts of the pieces on each word's best path, which are the
     pieces encode emits; each distinct word is segmented once by the scalar
     _viterbi walk."""
     from collections import Counter
     from minit5.unigram import _viterbi, _weighted_words
     counts = Counter()
-    for word, weight in _weighted_words(sentences, cut).items():
+    for word, weight in _weighted_words(sentences).items():
         for piece in _viterbi(word, table, unk_lp):
             if piece is not None:
                 counts[piece] += weight

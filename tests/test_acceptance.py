@@ -21,7 +21,7 @@ from minit5.model import (ModelConfig, classification_head, encoder_mean_pool,
 from minit5.ner import (EntitySpan, LabelTable, entity_prf,
                         parse_tagged_output, to_bio, validate_bio)
 from minit5.tasks import build_ner_target
-from minit5.train import run_finetune, run_evaluate, run_pretrain, _model_config
+from minit5.train import run_finetune, run_evaluate, run_pretrain
 from minit5.unigram import (EOS_ID, RESERVED_PIECES, UnigramVocab,
                             build_seed_vocab, decode, em_step, encode,
                             train_vocab)
@@ -222,7 +222,7 @@ def test_criterion_06_pretraining_smoke(tmp_path):
                                 max_epochs=1)
     params, _ = run_pretrain(emb_cfg)
     vocab = UnigramVocab.load(emb_cfg.vocab_path)
-    init = init_model(_model_config(emb_cfg, vocab), emb_cfg.seed)
+    init = init_model(emb_cfg.model_config(len(vocab)), emb_cfg.seed)
     frozen_ok = all(np.array_equal(params.tensors[k], init.tensors[k])
                     for k in init.tensors if k != "tok_emb")
     elapsed = time.time() - t0

@@ -361,6 +361,36 @@ class TestDecodeAndDataChecks:
         assert together == [run([line])[0] for line in lines]
         assert len(set(together)) > 1
 
+    def test_decode_encodes_many_distinct_words_the_same_on_either_path(self, tmp_path,
+                                                                        monkeypatch):
+        from minit5 import unigram
+        _, vocab_path, _ = pipeline_files(tmp_path)
+        ckpt = self._checkpoint(tmp_path, 60)
+        words = list(dict.fromkeys(a + b[:k] for a in WORDS for b in WORDS for k in (1, 3)))
+        assert len(words) >= unigram.LATTICE_MIN_WORDS
+        inp = tmp_path / "many.txt"
+        write(inp, "".join(" ".join(words[i:i + 10]) + "\n" for i in range(0, len(words), 10)))
+        outs = []
+        for threshold in (0, 10 ** 9):
+            monkeypatch.setattr(unigram, "LATTICE_MIN_WORDS", threshold)
+            outp = tmp_path / f"out{threshold}.txt"
+            assert main(["decode", "--checkpoint", ckpt, "--vocab", vocab_path, "--input",
+                         str(inp), "--output", str(outp), "--max-out", "4"]) == 0
+            outs.append(outp.read_bytes())
+        assert outs[0] == outs[1] and outs[0].count(b"\n") == -(-len(words) // 10)
+
+    def test_decode_rejects_a_piece_holding_an_inner_marker(self, tmp_path, capsys):
+        from minit5.unigram import BOUNDARY, RESERVED_PIECES
+        ckpt = self._checkpoint(tmp_path, 7)
+        vocab_path = tmp_path / "vocab.tsv"
+        write(vocab_path, "".join(f"{p}\t0\n" for p in RESERVED_PIECES)
+              + f"a\t-1\nb\t-1\na{BOUNDARY}b\t-2\n")
+        rc, outp = self._decode(tmp_path, ckpt, str(vocab_path))
+        assert rc == 2
+        assert f"{vocab_path}:6: piece 'a{BOUNDARY}b' holds the boundary marker" \
+            in capsys.readouterr().err
+        assert not outp.exists()
+
     def test_decode_rejects_vocabulary_of_another_size(self, tmp_path, capsys):
         _, vocab_path, _ = pipeline_files(tmp_path)
         ckpt = self._checkpoint(tmp_path, 70)

@@ -16,7 +16,7 @@ from minit5.ner import LabelTable
 from minit5.tasks import (NerExample, SentencePairExample, assin_input_ids,
                           build_ner_target, fit, make_similarity_target,
                           ner_input_ids)
-from minit5.train import (DataError, LockError, _model_config, _ner_items,
+from minit5.train import (DataError, LockError, _ner_items,
                           _pair_items, _pretrain_items, _train_loop, acquire_lock,
                           load_packed_corpus, run_evaluate, run_finetune,
                           run_pretrain)
@@ -74,7 +74,7 @@ class TestPretrain:
         cfg = pretrain_cfg(tmp_path, "emb", embeddings_only=True, max_epochs=1)
         params, _ = run_pretrain(cfg)
         vocab = UnigramVocab.load(cfg.vocab_path)
-        init = init_model(_model_config(cfg, vocab), cfg.seed)
+        init = init_model(cfg.model_config(len(vocab)), cfg.seed)
         for name, tensor in init.tensors.items():
             if name == "tok_emb":
                 assert not np.array_equal(params.tensors[name], tensor)
@@ -182,7 +182,7 @@ class TestPretrain:
     def test_nan_checkpoint_diverges(self, tmp_path):
         cfg = pretrain_cfg(tmp_path, "nan", max_epochs=1)
         vocab = UnigramVocab.load(cfg.vocab_path)
-        params = init_model(_model_config(cfg, vocab), 0)
+        params = init_model(cfg.model_config(len(vocab)), 0)
         params.tensors["tok_emb"][0, 0] = np.nan
         ckpt = tmp_path / "nan.bin"
         save_checkpoint(ckpt, params)
@@ -397,7 +397,7 @@ class TestEvaluateWithInjectedPredictions:
         train, vocab_path = similarity_fixture(tmp_path, n=12)
         cfg = similarity_cfg(tmp_path, train, vocab_path)
         vocab = UnigramVocab.load(vocab_path)
-        params = init_model(_model_config(cfg, vocab), 0)
+        params = init_model(cfg.model_config(len(vocab)), 0)
         report = run_evaluate(cfg, params, split="test",
                               predict_override=lambda ex: ex.similarity)
         assert report["mse"] == 0.0
@@ -415,7 +415,7 @@ class TestEvaluateWithInjectedPredictions:
         vocab.save(vocab_path)
         cfg = similarity_cfg(tmp_path, str(train), str(vocab_path),
                              task="entailment", patience=10)
-        params = init_model(_model_config(cfg, vocab), 0)
+        params = init_model(cfg.model_config(len(vocab)), 0)
         report = run_evaluate(cfg, params, split="test",
                               predict_override=lambda ex: ex.entailment)
         assert report["accuracy"] == 1.0
@@ -437,7 +437,7 @@ class TestEvaluateWithInjectedPredictions:
                         n_dec_layers=1, vocab_path=str(vocab_path),
                         train_path=str(conll), val_path=str(conll),
                         test_path=str(conll), out_dir=str(tmp_path / "ner"))
-        params = init_model(_model_config(cfg, UnigramVocab.load(vocab_path)), 0)
+        params = init_model(cfg.model_config(len(UnigramVocab.load(vocab_path))), 0)
         tagged = "John [Person] lives in [Other] New York [Local]"
         report = run_evaluate(cfg, params, split="test",
                               predict_override=lambda words: tagged)
@@ -464,7 +464,7 @@ class TestEvaluateWithInjectedPredictions:
                         d_ff=64, n_enc_layers=1, n_dec_layers=1,
                         vocab_path=str(vocab_path), test_path=str(conll),
                         out_dir=str(tmp_path / "ner"))
-        params = init_model(_model_config(cfg, vocab), 0)
+        params = init_model(cfg.model_config(len(vocab)), 0)
         counts = {}
         for name, text in (("clean", "John [Person]"), ("degenerate", "[ ] x [")):
             report = run_evaluate(cfg, params, split="test",
@@ -503,7 +503,7 @@ class TestEvaluateWithInjectedPredictions:
                         ner_stride=2, d_model=32, n_heads=2, d_ff=64,
                         n_enc_layers=1, n_dec_layers=1, vocab_path=str(vocab_path),
                         test_path=str(conll), out_dir=str(tmp_path / "ner"))
-        params = init_model(_model_config(cfg, vocab), 2)
+        params = init_model(cfg.model_config(len(vocab)), 2)
         # the decoder step, steered by each row's window: one holding "York"
         # emits eos at once, a clean empty tagging; any other opens with "x"
         # and never closes a bracket, so its words dangle. The batched and
@@ -553,7 +553,7 @@ class TestEvaluateWithInjectedPredictions:
         train, vocab_path = similarity_fixture(tmp_path, n=6)
         cfg = similarity_cfg(tmp_path, train, vocab_path,
                              output_strategy="generate", gen_max_tokens=4)
-        params = init_model(_model_config(cfg, UnigramVocab.load(vocab_path)), 0)
+        params = init_model(cfg.model_config(len(UnigramVocab.load(vocab_path))), 0)
         report = run_evaluate(cfg, params, split="test")
         assert 0 < report["unparsed_scores"] <= 6
         with open(os.path.join(cfg.out_dir, "eval_test.txt")) as fh:

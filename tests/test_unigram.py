@@ -1,7 +1,9 @@
 import importlib.util
+import itertools
 import math
 import os
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -11,9 +13,9 @@ from minit5.unigram import (BOUNDARY, EOS_ID, MASK_ID, PAD_ID, RESERVED_PIECES,
                             UNK_ID, UnigramVocab, build_seed_vocab, decode,
                             em_step, encode, encode_many, prune_vocab, train_vocab)
 from minit5 import unigram
-from minit5.unigram import (N_RESERVED, _Lattice, _PieceIndex, _alternatives, _logadd,
-                            _piece_table, _prune, _sentence_edges, _weighted_internal,
-                            _word_edges, _word_lattice)
+from minit5.unigram import (N_RESERVED, _Lattice, _PieceIndex, _logadd, _piece_table,
+                            _prune, _sentence_edges, _weighted_internal, _word_edges,
+                            _word_lattice)
 
 from oracles import (_viterbi_piece_counts, all_segmentations, best_segmentation,
                      enumerate_expected_counts, reference_edges, reference_em,
@@ -34,7 +36,7 @@ def lattice_usage(sentences: dict[str, int], vocab: UnigramVocab) -> Counter:
     """Pruning's usage counts for the vocabulary's pieces, from the lattice of
     the sentences' distinct words; zero counts dropped."""
     scored = vocab.scored_body()
-    return +Counter(_word_lattice(sentences, scored).usage(scored, vocab._table))
+    return +Counter(_word_lattice(sentences, scored).usage(scored))
 
 
 def make_fresh(vocab: UnigramVocab) -> UnigramVocab:
@@ -203,8 +205,7 @@ class TestPrune:
         unk_lp = math.log(0.5) - 10.0
         assert segment_without_self("ab", _piece_table(scored), unk_lp) == \
             unk_lp + math.log(0.5)
-        assert _alternatives(["ab"], _piece_table(scored), unk_lp) == \
-            {"ab": unk_lp + math.log(0.5)}
+        assert _Lattice({"ab": 1}, scored).alternatives(scored) == [unk_lp + math.log(0.5)]
 
     def test_target_below_minimum(self):
         corpus = ["abcdefgh"]
@@ -251,6 +252,32 @@ class TestTrainVocab:
     def test_vocab_size_too_small(self):
         with pytest.raises(ValueError, match="cannot cover"):
             train_vocab(["abcdef"], vocab_size=6)
+
+    def test_training_never_builds_a_piece_table(self, monkeypatch):
+        """Training, and a batch encode with an exact tie, run on the word
+        lattice alone: pruning's alternatives and tied words walk its edges."""
+        corpus = pt_corpus(200, seed=9)
+        seed = build_seed_vocab(corpus, 600)
+        # every word over a, b, c of up to 4 letters; dyadic log-probs tie "abc"
+        words = ["".join(w) for n in range(1, 5) for w in itertools.product("abc", repeat=n)]
+        assert len(words) >= unigram.LATTICE_MIN_WORDS
+        tied = dict.fromkeys(("a", "ab", "bc", "c"), -1.0)
+        want = [sentence_encode(make_vocab(tied), word) for word in words]
+        walked = []
+        best_path = unigram._best_path
+
+        def no_table(*args):
+            raise AssertionError("a piece table was built")
+
+        monkeypatch.setattr(unigram, "_piece_table", no_table)
+        monkeypatch.setattr(unigram, "_sentence_edges", no_table)
+        monkeypatch.setattr(unigram, "_best_path", lambda word, edges: walked.append(word) or
+                            best_path(word, edges))
+        assert len(train_vocab(corpus, vocab_size=150)) == 150
+        assert len(prune_vocab(corpus, seed, 150)) == 150
+        em_step(corpus, seed)
+        assert encode_many(make_vocab(tied), words) == want
+        assert "abc" in walked
 
 
 class TestEncode:
@@ -329,7 +356,6 @@ class TestPerWordEncode:
     def test_a_word_encodes_the_same_after_any_prefix(self):
         corpus = pt_corpus(60, seed=17)
         vocab = train_vocab(corpus, vocab_size=100)
-        assert vocab._cut
         rng = random.Random(5)
         for prefix in corpus[:20] + ["", " ", "casa  "]:
             for word in rng.sample(PT_WORDS, 5) + ["X", "casaX"]:
@@ -348,27 +374,32 @@ class TestPerWordEncode:
                 assert encode(vocab, line) == sentence_encode(vocab, line), (seed, line)
 
     def test_equals_the_sentence_level_encode_on_random_lattices(self):
+        """Per word, encode is the scalar walk of each word on its own. The
+        walk over the whole line takes the same pieces, but may order them
+        otherwise where two orders sum within rounding once the preceding
+        words' score is added (1 of the 1,500 lines here)."""
         rng = random.Random(29)
         for trial in range(500):
             scored, text = random_lattice_case(rng)
             vocab = make_vocab(scored)
             for line in (text, " " + text, text + "  ab"):
-                assert encode(vocab, line) == sentence_encode(vocab, line), trial
+                got = encode(vocab, line)
+                head, *rest = line.split(" ")
+                words = ([head] if head else []) + [" " + word for word in rest]
+                assert got == [i for word in words for i in sentence_encode(vocab, word)], trial
+                assert Counter(got) == Counter(sentence_encode(vocab, line)), trial
 
-    def test_a_piece_holding_a_marker_inside_turns_the_cut_off(self, tmp_path):
-        path = tmp_path / "vocab.tsv"
-        make_vocab({"a": math.log(0.1), "b": math.log(0.1), BOUNDARY: math.log(0.1),
-                    "a" + BOUNDARY + "b": math.log(0.7)}).save(path)
-        vocab = UnigramVocab.load(path)
-        assert not vocab._cut
-        assert [vocab.piece(i) for i in encode(vocab, "a b a")] == \
-            ["a" + BOUNDARY + "b", BOUNDARY, "a"]
+    def test_a_piece_may_hold_the_marker_only_first(self):
+        # a newline before the marker would pass it for one that opens a piece
+        for inner in ("a" + BOUNDARY + "b", "a" + BOUNDARY, BOUNDARY * 2, "a\n" + BOUNDARY):
+            with pytest.raises(ValueError, match=f"^piece {re.escape(repr(inner))} holds the "
+                                                 "boundary marker"):
+                make_vocab({"a": math.log(0.5), inner: math.log(0.5)})
+        vocab = make_vocab({"a": math.log(0.1), "b": math.log(0.1),
+                            BOUNDARY + "b": math.log(0.8)})
+        assert [vocab.piece(i) for i in encode(vocab, "a b")] == ["a", BOUNDARY + "b"]
         encode(vocab, "b a b")
-        assert vocab._memo == {}  # whole texts as keys would never repeat
-        cut = make_vocab({"a": math.log(0.1), "b": math.log(0.1),
-                          BOUNDARY + "b": math.log(0.8)})
-        assert cut._cut
-        assert [cut.piece(i) for i in encode(cut, "a b")] == ["a", BOUNDARY + "b"]
+        assert list(vocab._memo) == ["a", BOUNDARY + "b", "b", BOUNDARY + "a"]
 
     def test_results_past_the_memo_capacity_equal_those_below_it(self, monkeypatch):
         corpus = pt_corpus(80, seed=19)
@@ -391,7 +422,7 @@ class TestPerWordEncode:
         assert encode(vocab, BOUNDARY) == [UNK_ID]
         assert decode(vocab, encode(vocab, "o gato")) == "o gato"
 
-    def test_prefix_memo_alternatives_equal_the_scalar_walk(self):
+    def test_lattice_alternatives_equal_the_scalar_walk(self):
         rng = random.Random(31)
         cases = [random_lattice_case(rng)[0] for _ in range(600)]
         cases.append(build_seed_vocab(pt_corpus(80, seed=4), 600).scored_body())
@@ -399,8 +430,9 @@ class TestPerWordEncode:
             table = _piece_table(scored)
             unk_lp = min(scored.values()) - 10.0
             multis = [p for p in scored if len(p) > 1]
-            want = {p: segment_without_self(p, table, unk_lp) for p in multis}
-            assert repr(_alternatives(multis, table, unk_lp)) == repr(want), trial
+            want = [segment_without_self(p, table, unk_lp) for p in multis]
+            got = _Lattice(dict.fromkeys(multis, 1), scored).alternatives(scored)
+            assert repr(got) == repr(want), trial
 
     def test_usage_counts_equal_the_sentence_level_counts(self):
         corpus = pt_corpus(200, seed=2)
@@ -441,11 +473,12 @@ class TestEncodeMany:
 
     def test_exact_ties_take_the_scalar_walk(self, monkeypatch):
         """Dyadic log-probs tie "abc" and "abcdef" exactly (see
-        TestLatticeUsage): the lattice leaves them to _viterbi."""
+        TestLatticeUsage): the lattice hands them to _best_path, over its own
+        edges."""
         walked = []
-        viterbi = unigram._viterbi
-        monkeypatch.setattr(unigram, "_viterbi", lambda word, *rest: walked.append(word) or
-                            viterbi(word, *rest))
+        best_path = unigram._best_path
+        monkeypatch.setattr(unigram, "_best_path", lambda word, edges: walked.append(word) or
+                            best_path(word, edges))
         for pieces, texts in ((("a", "ab", "bc", "c"), ["abc", "abc c", "c ab"]),
                               (("a", "abc", "bcde", "d", "ef", "f"), ["abcdef", "d abcdef"])):
             vocab = make_vocab(dict.fromkeys(pieces, -1.0))
@@ -480,14 +513,13 @@ class TestEncodeMany:
             [vocab.id_of(c) for c in "gato"]]
         assert walked == ["gato", BOUNDARY + "gato"] and vocab._memo == {}
 
-    def test_an_inner_marker_turns_the_cut_off(self, monkeypatch):
+    def test_pieces_opening_with_a_marker(self, monkeypatch):
         vocab = make_vocab({"a": math.log(0.1), "b": math.log(0.1), BOUNDARY: math.log(0.1),
-                            "a" + BOUNDARY + "b": math.log(0.7)})
-        assert not vocab._cut
+                            BOUNDARY + "b": math.log(0.7)})
         texts = ["a b a", "b a b", "a  b", "ab ba", "a b a"]
         lattice, scalar, want = self.both_paths(monkeypatch, vocab.pieces, texts)
         assert lattice == scalar == want
-        assert [vocab.piece(i) for i in want[0][0]] == ["a" + BOUNDARY + "b", BOUNDARY, "a"]
+        assert [vocab.piece(i) for i in want[0][0]] == ["a", BOUNDARY + "b", BOUNDARY, "a"]
 
     def test_a_literal_marker_an_empty_text_and_uncovered_characters(self, monkeypatch):
         vocab = make_vocab({**dict.fromkeys("ogat" + BOUNDARY, math.log(0.1)),
@@ -567,13 +599,18 @@ class TestDecode:
 def random_lattice_case(rng: random.Random) -> tuple[dict[str, float], str]:
     """A random vocabulary over a, b, c and the boundary marker, and text for it.
     Some single characters stay uncovered and the text may hold an X no piece
-    covers; pieces may open with the boundary marker; one piece is longer than
-    all others, and in half the cases its shorter prefixes are no pieces."""
+    covers; pieces may open with the boundary marker, which no piece holds
+    further in; one piece is longer than all others, and in half the cases its
+    shorter prefixes are no pieces."""
     alphabet = "abc" + BOUNDARY
+
+    def piece(length: int) -> str:
+        return rng.choice(alphabet) + "".join(rng.choice("abc") for _ in range(length - 1))
+
     pieces = {ch for ch in alphabet if rng.random() < 0.8}
     for _ in range(rng.randrange(1, 12)):
-        pieces.add("".join(rng.choice(alphabet) for _ in range(rng.randrange(2, 5))))
-    longest = "".join(rng.choice(alphabet) for _ in range(rng.randrange(6, 10)))
+        pieces.add(piece(rng.randrange(2, 5)))
+    longest = piece(rng.randrange(6, 10))
     pieces.add(longest)
     if rng.random() < 0.5:
         pieces -= {longest[:k] for k in range(2, len(longest))}
@@ -723,8 +760,7 @@ class TestEmMatchesTheScalarReference:
             vocab = make_vocab(scored)
             with np.errstate(over="ignore"):
                 new, loglik = em_step(corpus, vocab)
-            want, want_ll = reference_em(reference_words(corpus, vocab._cut), scored,
-                                         vocab.unk_log_prob)
+            want, want_ll = reference_em(reference_words(corpus), scored, vocab.unk_log_prob)
             assert repr((list(new.scored_body().items()), loglik)) == \
                 repr((list(want.items()), want_ll)), trial
 
@@ -785,8 +821,8 @@ class TestLatticeUsage:
     def both(corpus, scored):
         sentences = _weighted_internal(corpus)
         table, unk_lp = _piece_table(scored), min(scored.values()) - 10.0
-        usage = _word_lattice(sentences, scored).usage(scored, table)
-        want = _viterbi_piece_counts(sentences, table, unk_lp, unigram._cuts_words(scored))
+        usage = _word_lattice(sentences, scored).usage(scored)
+        want = _viterbi_piece_counts(sentences, table, unk_lp)
         return +Counter(usage), want
 
     def test_equals_the_scalar_counts_on_random_lattices(self):
@@ -800,10 +836,10 @@ class TestLatticeUsage:
     def test_equals_the_scalar_counts_through_pruning_rounds(self, monkeypatch):
         seen = []
 
-        def checked(self, scored, table):
-            got = usage(self, scored, table)
-            want = _viterbi_piece_counts(self.words, table, min(scored.values()) - 10.0,
-                                         True)
+        def checked(self, scored):
+            got = usage(self, scored)
+            want = _viterbi_piece_counts(self.words, _piece_table(scored),
+                                         min(scored.values()) - 10.0)
             seen.append(+Counter(got) == want)
             return got
 
@@ -905,6 +941,15 @@ class TestVocabFile:
             UnigramVocab.load(path)
         with pytest.raises(ValueError, match="non-finite"):
             make_vocab({"a": float(value)})
+
+    def test_a_piece_holding_the_marker_after_its_first_character_rejected(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        header = "".join(f"{p}\t0\n" for p in RESERVED_PIECES)
+        path.write_text(header + f"a\t-1\n{BOUNDARY}a\t-2\na{BOUNDARY}b\t-3\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=f"bad.tsv:6: piece 'a{BOUNDARY}b' holds the "
+                                             f"boundary marker {BOUNDARY} after its first"):
+            UnigramVocab.load(path)
 
     def test_empty_piece_rejected(self, tmp_path):
         # the row "\t-3.5" would load as '' and a real id
