@@ -573,13 +573,15 @@ class _Lattice:
             np.add.at(counts, path, int(self._weight[k]))
         return dict(zip(scored, counts[idx].tolist()))
 
-    def alternatives(self, scored: dict[str, float]) -> list[float]:
-        """For a lattice over pieces of scored, each piece's best log-prob of
-        segmenting it without the piece itself: the sweep's best at the
-        word's end once its whole-span edge is dropped (for good)."""
-        start, end, _, _, _, word = self._cols
-        self._set_edges(self._cols[:, (start != self._first[word]) | (end != self._last[word])])
-        return self._sweep(self._log_probs(scored)[1])[2][self._last].tolist()
+
+def _best_without_self(pieces: list[str], scored: dict[str, float]) -> list[float]:
+    """Each of pieces' (all in scored) best log-prob of segmenting it without
+    the piece itself: one _sweep over their lattice with every whole-span
+    edge dropped, read at each piece's end."""
+    lattice = _Lattice(dict.fromkeys(pieces, 1), scored)
+    start, end, _, _, _, word = cols = lattice._cols
+    lattice._set_edges(cols[:, (start != lattice._first[word]) | (end != lattice._last[word])])
+    return lattice._sweep(lattice._log_probs(scored)[1])[2][lattice._last].tolist()
 
 
 def _word_lattice(sentences: dict[str, int], scored: dict[str, float]) -> _Lattice:
@@ -751,7 +753,7 @@ def _prune(lattice: _Lattice, scored: dict[str, float], target_size: int,
         usage = lattice.usage(scored)
         multis = [p for p in scored if len(p) > 1]
         used = [p for p in multis if usage[p]]
-        alts = dict(zip(used, _Lattice(dict.fromkeys(used, 1), scored).alternatives(scored)))
+        alts = dict(zip(used, _best_without_self(used, scored)))
         losses = [(usage[p] * (scored[p] - alts[p]) if usage[p] else 0.0, p)
                   for p in multis]
         losses.sort(key=lambda kv: (-kv[0], kv[1]))

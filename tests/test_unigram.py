@@ -13,7 +13,8 @@ from minit5.unigram import (BOUNDARY, EOS_ID, MASK_ID, PAD_ID, RESERVED_PIECES,
                             UNK_ID, UnigramVocab, build_seed_vocab, decode,
                             em_step, encode, encode_many, prune_vocab, train_vocab)
 from minit5 import unigram
-from minit5.unigram import (N_RESERVED, _Lattice, _PieceIndex, _logadd, _piece_table,
+from minit5.unigram import (N_RESERVED, _Lattice, _PieceIndex, _best_without_self, _logadd,
+                            _piece_table,
                             _prune, _sentence_edges, _weighted_internal, _word_edges,
                             _word_lattice)
 
@@ -205,7 +206,7 @@ class TestPrune:
         unk_lp = math.log(0.5) - 10.0
         assert segment_without_self("ab", _piece_table(scored), unk_lp) == \
             unk_lp + math.log(0.5)
-        assert _Lattice({"ab": 1}, scored).alternatives(scored) == [unk_lp + math.log(0.5)]
+        assert _best_without_self(["ab"], scored) == [unk_lp + math.log(0.5)]
 
     def test_target_below_minimum(self):
         corpus = ["abcdefgh"]
@@ -373,21 +374,35 @@ class TestPerWordEncode:
             for line in lines:
                 assert encode(vocab, line) == sentence_encode(vocab, line), (seed, line)
 
-    def test_equals_the_sentence_level_encode_on_random_lattices(self):
-        """Per word, encode is the scalar walk of each word on its own. The
-        walk over the whole line takes the same pieces, but may order them
-        otherwise where two orders sum within rounding once the preceding
-        words' score is added (1 of the 1,500 lines here)."""
+    def test_equals_the_sentence_level_encode_on_random_lattices(self, monkeypatch):
+        """encode, on the lattice path, is the scalar walk of each word on its
+        own, and the walk over the whole line on all but one of the 1,500
+        lines here: there both take the same pieces in another order, whose
+        log-probs, summed left to right as the walk sums them, are one ulp
+        apart (see README, Tokenizer)."""
+        monkeypatch.setattr(unigram, "LATTICE_MIN_WORDS", 0)
         rng = random.Random(29)
+        excused = []
         for trial in range(500):
             scored, text = random_lattice_case(rng)
             vocab = make_vocab(scored)
+
+            def walk_sum(ids):
+                return sum(vocab._unk_lp if i == UNK_ID else vocab._table[vocab.piece(i)]
+                           for i in ids)
+
             for line in (text, " " + text, text + "  ab"):
                 got = encode(vocab, line)
                 head, *rest = line.split(" ")
                 words = ([head] if head else []) + [" " + word for word in rest]
                 assert got == [i for word in words for i in sentence_encode(vocab, word)], trial
-                assert Counter(got) == Counter(sentence_encode(vocab, line)), trial
+                want = sentence_encode(vocab, line)
+                if got != want:
+                    assert Counter(got) == Counter(want), trial
+                    gap = abs(walk_sum(got) - walk_sum(want))
+                    assert 0 < gap <= math.ulp(walk_sum(want)), (trial, line, gap)
+                    excused.append((trial, line))
+        assert excused == [(422, "  bbbabccc")]
 
     def test_a_piece_may_hold_the_marker_only_first(self):
         # a newline before the marker would pass it for one that opens a piece
@@ -431,7 +446,7 @@ class TestPerWordEncode:
             unk_lp = min(scored.values()) - 10.0
             multis = [p for p in scored if len(p) > 1]
             want = [segment_without_self(p, table, unk_lp) for p in multis]
-            got = _Lattice(dict.fromkeys(multis, 1), scored).alternatives(scored)
+            got = _best_without_self(multis, scored)
             assert repr(got) == repr(want), trial
 
     def test_usage_counts_equal_the_sentence_level_counts(self):
